@@ -16,7 +16,8 @@ counts far beyond the paper's 10-node room.  For each ``n`` it
   :meth:`~repro.core.consolidation.ConsolidationIndex.query_many`.
 
 Results land in ``benchmarks/results/consolidation_scale.json``
-(schema: :func:`repro.obs.validate_consolidation_scale`) and a readable
+(schema: the ``consolidation-scale`` spec in
+:data:`repro.obs.artifacts.ARTIFACTS`) and a readable
 table in ``benchmarks/results/consolidation_scale.txt``.
 
 The sharded sweep extends the same artifact past the monolithic wall:
@@ -32,7 +33,7 @@ and skip a size whose prefix lacks capacity, while annealing roams all
 same-size subsets — the sweep records the measured gap rather than
 asserting a sign.
 
-Environment knobs (used by the CI bench-smoke job):
+Environment knobs (the CI bench matrix sets them for its smoke run):
 
 - ``REPRO_BENCH_SCALE_NS`` — comma-separated machine counts
   (default ``20,100,300,500``);
@@ -51,7 +52,6 @@ Environment knobs (used by the CI bench-smoke job):
 from __future__ import annotations
 
 import bisect
-import json
 import os
 import pathlib
 import time
@@ -475,11 +475,7 @@ def test_consolidation_scale(benchmark, emit):
     )
     sharded = run_sharded_scale()
     document = _document(entries, sharded)
-    obs.validate_consolidation_scale(document)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "consolidation_scale.json").write_text(
-        json.dumps(document, indent=2) + "\n"
-    )
+    obs.write_artifact(RESULTS_DIR / "consolidation_scale.json", document)
     emit("consolidation_scale", _table(entries, sharded))
 
     for entry in sharded:

@@ -5,7 +5,8 @@ seeded rack behind a chiller plant under several climate presets, with
 Eq. 10's lumped cooling constant re-linearized at every operating point
 — and lands the per-site scoreboard (PUE, economizer hours, mean COP,
 WUE, heat-wave stress day) in ``benchmarks/results/cooling_plant.json``
-(schema: :func:`repro.obs.validate_cooling_plant`) plus a readable
+(schema: the ``cooling-plant`` spec in
+:data:`repro.obs.artifacts.ARTIFACTS`) plus a readable
 table in ``benchmarks/results/cooling_plant.txt``.
 
 What this bench *asserts* (and the committed baseline gates via
@@ -13,14 +14,14 @@ What this bench *asserts* (and the committed baseline gates via
 
 - every site's ``linearization_gap`` is float round-off — the
   re-linearized optimizer model and the plant agree exactly at the
-  operating point (the validator enforces the same bound on write);
+  operating point (the artifact spec enforces the same bound on write);
 - the economizer actually engages where the climate allows it: the
   coldest preset logs more free-cooling hours than the hottest, and its
   PUE is no worse;
 - the heat-wave day costs PUE at every site (a hotter sky can never be
   free).
 
-Environment knobs (used by the CI plant-smoke job):
+Environment knobs (the CI bench matrix sets them for its smoke run):
 
 - ``REPRO_BENCH_PLANT_N`` — machines on the testbed (default ``20``);
 - ``REPRO_BENCH_PLANT_QUICK`` — ``1`` sweeps daily instead of 3-hour
@@ -58,7 +59,7 @@ def run_study():
 def test_cooling_plant(benchmark, emit):
     study = benchmark.pedantic(run_study, rounds=1, iterations=1)
     document = study.document()
-    obs.write_cooling_plant(RESULTS_DIR / "cooling_plant.json", document)
+    obs.write_artifact(RESULTS_DIR / "cooling_plant.json", document)
     emit("cooling_plant", study.table())
 
     by_site = {entry["site"]: entry for entry in document["entries"]}

@@ -7,8 +7,9 @@ controller, the receding-horizon :class:`~repro.control.mpc.MPCController`,
 and a clairvoyant oracle — on ground-truth transient thermals, scoring
 each run on energy, violation-seconds, shed work, and reconfiguration
 churn.  The per-scenario scoreboard lands in
-``benchmarks/results/mpc.json`` (schema: :func:`repro.obs.validate_mpc`)
-plus a readable table in ``benchmarks/results/mpc.txt``.
+``benchmarks/results/mpc.json`` (schema: the ``mpc`` spec in
+:data:`repro.obs.artifacts.ARTIFACTS`) plus a readable table in
+``benchmarks/results/mpc.txt``.
 
 The acceptance criterion this bench *asserts* (and the committed
 baseline gates via ``repro bench-check``'s strict zero-baseline rule on
@@ -21,7 +22,7 @@ stale pre-surge plan (warm cooling + saturated machines -> thermal
 violations ~4 minutes in), while the MPC clamps admission at capacity
 and keeps planning — and pre-cooling — through the overload.
 
-Environment knobs (used by the CI mpc-smoke job):
+Environment knobs (the CI bench matrix sets them for its smoke run):
 
 - ``REPRO_BENCH_MPC_N`` — machines on the testbed (default ``6``);
 - ``REPRO_BENCH_MPC_QUICK`` — ``1`` runs the time-compressed traces
@@ -99,7 +100,7 @@ def _table(document: dict) -> str:
 
 def test_mpc(benchmark, emit):
     document = benchmark.pedantic(run_mpc, rounds=1, iterations=1)
-    obs.write_mpc(RESULTS_DIR / "mpc.json", document)
+    obs.write_artifact(RESULTS_DIR / "mpc.json", document)
     emit("mpc", _table(document))
 
     flash = [row for row in document["dominance"] if row["flash_crowd"]]

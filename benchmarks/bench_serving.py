@@ -6,8 +6,8 @@ measured difference is the queueing/compute discipline, not transport
 noise).  Each client issues one ``allocate`` at a telemetry-quantized
 offered load; the identical request stream is replayed twice — batching
 on and batching off — and the paired throughput/latency rows land in
-``benchmarks/results/serving.json``
-(schema: :func:`repro.obs.validate_serving`) plus a readable table in
+``benchmarks/results/serving.json`` (schema: the ``serving`` spec in
+:data:`repro.obs.artifacts.ARTIFACTS`) plus a readable table in
 ``benchmarks/results/serving.txt``.
 
 Why batching wins, in queueing terms: unbatched, N concurrent requests
@@ -31,7 +31,7 @@ accordingly) or at a smaller rack (``REPRO_BENCH_SERVE_N=20``, ~1
 minute), where the batching ratio is, if anything, understated
 relative to n=500 because solo solves are far cheaper.
 
-Environment knobs (used by the CI serve-smoke job):
+Environment knobs (the CI bench matrix sets them for its smoke run):
 
 - ``REPRO_BENCH_SERVE_N`` — machines in the synthetic model
   (default ``500``);
@@ -45,7 +45,6 @@ Environment knobs (used by the CI serve-smoke job):
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
@@ -193,11 +192,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 def test_serving(benchmark, emit):
     document = benchmark.pedantic(run_serving, rounds=1, iterations=1)
-    obs.validate_serving(document)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "serving.json").write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
+    obs.write_artifact(RESULTS_DIR / "serving.json", document)
     emit("serving", _table(document))
 
     by_clients: dict[int, dict] = {}

@@ -14,10 +14,11 @@ measures the vectorized ``engine="numpy"`` stepper against the
   warm-up is machine noise, not integrator time) and records steps/sec.
 
 Results land in ``benchmarks/results/simulation_speed.json``
-(schema: :func:`repro.obs.validate_simulation_speed`) and a readable
+(schema: the ``simulation-speed`` spec in
+:data:`repro.obs.artifacts.ARTIFACTS`) and a readable
 table in ``benchmarks/results/simulation_speed.txt``.
 
-Environment knob (used by the CI sim-bench-smoke job):
+Environment knob (the CI bench matrix sets it for its smoke run):
 
 - ``REPRO_BENCH_SIM_NS`` — comma-separated machine counts
   (default ``20,100,300``).
@@ -25,7 +26,6 @@ Environment knob (used by the CI sim-bench-smoke job):
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
@@ -202,11 +202,7 @@ def test_simulation_speed(benchmark, emit):
         run_simulation_speed, rounds=1, iterations=1
     )
     document = _document(entries)
-    obs.validate_simulation_speed(document)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "simulation_speed.json").write_text(
-        json.dumps(document, indent=2) + "\n"
-    )
+    obs.write_artifact(RESULTS_DIR / "simulation_speed.json", document)
     emit("simulation_speed", _table(entries))
 
     for entry in entries:

@@ -9,7 +9,8 @@ Observability (:mod:`repro.obs`) is enabled for the whole bench session;
 at teardown the per-stage wall-clock attribution (selection vs closed
 form vs actuation, index preprocessing, simulation stepping, profiling
 sweeps) is written to ``benchmarks/results/observability.json`` — the
-machine-readable perf trajectory.  Its schema is enforced by
+machine-readable perf trajectory.  Its schema is the ``observability``
+spec in :data:`repro.obs.artifacts.ARTIFACTS`, pinned by
 ``tests/test_bench_schema.py``.
 """
 
@@ -32,8 +33,9 @@ def observability():
     buffer = obs.enable_tracing(obs.TraceBuffer())
     yield registry
     RESULTS_DIR.mkdir(exist_ok=True)
-    obs.write_bench_observability(
-        RESULTS_DIR / "observability.json", registry, trace=buffer
+    obs.write_artifact(
+        RESULTS_DIR / "observability.json",
+        obs.bench_observability(registry, trace=buffer),
     )
     obs.disable_tracing()
     obs.disable()

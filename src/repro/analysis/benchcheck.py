@@ -5,7 +5,10 @@ artifacts into ``benchmarks/results/`` (each self-describing via a
 ``kind`` field).  This module compares a fresh results directory
 against the committed snapshots in ``benchmarks/baselines/`` and
 renders a per-metric verdict table — the ``repro bench-check`` CLI
-target, run in CI right after the smoke benches.
+target, run in CI right after the smoke benches.  What to compare
+(identity keys, workload context, gated metrics) and what each result
+must satisfy (its schema and named claims) come from the artifact's
+spec in :data:`repro.obs.artifacts.ARTIFACTS`.
 
 Design choices, in decreasing order of importance:
 
@@ -22,6 +25,9 @@ Design choices, in decreasing order of importance:
 - **New artifacts pass.**  A result with no committed baseline (or a
   kind with no metric spec) is reported as ``new``/``skipped``, never
   failed — the gate must not punish adding benchmarks.
+- **Results must be well-formed and true.**  A result that breaks its
+  spec, or fails one of its claims (e.g. MPC no longer dominating on
+  the flash crowd), fails the gate whatever its baseline.
 
 ``--update`` snapshots the current results as the new baselines.
 """
@@ -35,141 +41,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError
-
-#: Degradation ratio a metric may reach before the gate fails.
-DEFAULT_TOLERANCE = 2.5
+from repro.obs.artifacts import (
+    MetricSpec,
+    artifact_spec,
+    evaluate_claims,
+    is_number,
+    validate_artifact,
+)
 
 #: Verdicts, in the order the summary counts them.
 VERDICTS = ("ok", "regression", "new", "skipped")
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """One gated metric: its name, better-direction, and tolerance."""
-
-    name: str
-    direction: str  # "lower" (latencies, seconds) or "higher" (rates)
-    tolerance: float = DEFAULT_TOLERANCE
-    #: How to treat a zero/negative baseline: "skip" (ratios are
-    #: meaningless for noisy timings) or "strict" — a zero baseline is
-    #: a *promise* (e.g. zero violation-seconds) and any nonzero
-    #: current value of a lower-is-better metric is a regression.
-    zero_baseline: str = "skip"
-
-    def verdict(self, baseline: float, current: float) -> str:
-        if baseline <= 0.0:
-            if self.zero_baseline == "strict" and self.direction == "lower":
-                return "regression" if current > baseline + 1e-9 else "ok"
-            return "skipped"
-        ratio = current / baseline
-        if self.direction == "lower":
-            return "regression" if ratio > self.tolerance else "ok"
-        return "regression" if ratio < 1.0 / self.tolerance else "ok"
-
-
-@dataclass(frozen=True)
-class SectionSpec:
-    """An extra gated entry list under a top-level key ≠ ``entries``.
-
-    Sections are optional on both sides: a result without the section
-    (or a baseline predating it) yields ``new``/``skipped`` rows, never
-    a failure — same grandfathering rule as whole artifacts.
-    """
-
-    key: str
-    identity: tuple[str, ...]
-    metrics: tuple[MetricSpec, ...]
-
-
-@dataclass(frozen=True)
-class KindSpec:
-    """How to compare one artifact ``kind``: identity keys + metrics."""
-
-    identity: tuple[str, ...]
-    metrics: tuple[MetricSpec, ...]
-    context: tuple[str, ...] = ()  # top-level keys that must match
-    sections: tuple[SectionSpec, ...] = ()  # extra gated entry lists
-
-
-#: Per-kind comparison specs.  Kinds absent here are skipped, not
-#: failed — see the module docstring.
-KIND_SPECS: dict[str, KindSpec] = {
-    "serving": KindSpec(
-        identity=("clients", "batching"),
-        context=("machines",),
-        metrics=(
-            MetricSpec("latency_p50_ms", "lower"),
-            MetricSpec("latency_p99_ms", "lower"),
-            MetricSpec("requests_per_second", "higher"),
-        ),
-    ),
-    "consolidation-scale": KindSpec(
-        identity=("n",),
-        metrics=(
-            MetricSpec("build_seconds", "lower"),
-            MetricSpec("query_seconds_batched", "lower"),
-        ),
-        sections=(
-            SectionSpec(
-                key="sharded",
-                identity=("n", "pods"),
-                metrics=(
-                    MetricSpec("build_seconds", "lower"),
-                    MetricSpec("query_seconds_batched", "lower"),
-                ),
-            ),
-        ),
-    ),
-    "simulation-speed": KindSpec(
-        identity=("n",),
-        metrics=(
-            MetricSpec("steps_per_second_numpy", "higher"),
-        ),
-    ),
-    "cooling-plant": KindSpec(
-        identity=("site",),
-        context=("machines", "load_fraction"),
-        metrics=(
-            MetricSpec("pue", "lower"),
-            MetricSpec("total_energy_joules", "lower"),
-            MetricSpec("economizer_fraction", "higher"),
-        ),
-        sections=(
-            SectionSpec(
-                key="heat_wave",
-                identity=("site",),
-                metrics=(
-                    MetricSpec("wave_pue", "lower"),
-                    MetricSpec("wave_peak_w", "lower"),
-                ),
-            ),
-        ),
-    ),
-    "mpc": KindSpec(
-        identity=("scenario", "controller"),
-        context=("machines", "horizon"),
-        metrics=(
-            MetricSpec("violation_seconds", "lower"),
-            MetricSpec("energy_joules", "lower"),
-            MetricSpec("served_task_seconds", "higher"),
-        ),
-        sections=(
-            # The acceptance gate rides here: the committed baseline has
-            # MPC at zero violation-seconds on every scenario, so the
-            # strict zero-baseline rule turns *any* nonzero
-            # mpc_violation_seconds into a failure.
-            SectionSpec(
-                key="dominance",
-                identity=("scenario",),
-                metrics=(
-                    MetricSpec("mpc_violation_seconds", "lower",
-                               zero_baseline="strict"),
-                    MetricSpec("mpc_energy_joules", "lower"),
-                ),
-            ),
-        ),
-    ),
-}
 
 
 @dataclass
@@ -255,9 +136,7 @@ def _compare_entries(
         for metric in metrics:
             base_value = base_entry.get(metric.name)
             value = entry.get(metric.name)
-            if not isinstance(base_value, (int, float)) or not isinstance(
-                value, (int, float)
-            ):
+            if not is_number(base_value) or not is_number(value):
                 rows.append(
                     CheckRow(artifact, subject, metric.name, "skipped",
                              note="metric missing")
@@ -279,10 +158,14 @@ def _compare_entries(
 def compare_documents(
     artifact: str, baseline: dict, current: dict
 ) -> list[CheckRow]:
-    """Per-metric verdict rows for one (baseline, result) artifact pair."""
+    """Per-metric verdict rows for one (baseline, result) artifact pair.
+
+    Identity keys, workload context and gated metrics come from the
+    artifact's spec in :data:`repro.obs.artifacts.ARTIFACTS`.
+    """
     kind = current.get("kind")
-    spec = KIND_SPECS.get(str(kind))
-    if spec is None:
+    spec = artifact_spec(current, artifact)
+    if spec is None or not spec.gated():
         return [
             CheckRow(artifact, "-", "-", "skipped",
                      note=f"no gate spec for kind {kind!r}")
@@ -303,25 +186,19 @@ def compare_documents(
                           f"{baseline.get(key)!r}"),
                 )
             ]
-    rows = _compare_entries(
-        artifact,
-        baseline.get("entries", []),
-        current.get("entries", []),
-        spec.identity,
-        spec.metrics,
-    )
-    for section in spec.sections:
-        current_list = current.get(section.key)
+    rows = []
+    for key, section in spec.gated():
+        current_list = current.get(key)
         if not isinstance(current_list, list):
             continue  # result has no such section — nothing to gate
-        baseline_list = baseline.get(section.key)
+        baseline_list = baseline.get(key)
         if not isinstance(baseline_list, list):
             baseline_list = []  # baseline predates it: rows come out "new"
         rows.extend(
             _compare_entries(
                 artifact, baseline_list, current_list,
                 section.identity, section.metrics,
-                prefix=f"{section.key}:",
+                prefix="" if key == "entries" else f"{key}:",
             )
         )
     if not rows:
@@ -335,7 +212,13 @@ def check_benchmarks(
     results_dir: Union[str, pathlib.Path],
     baselines_dir: Union[str, pathlib.Path],
 ) -> CheckReport:
-    """Compare every ``*.json`` result against its committed baseline."""
+    """Validate every ``*.json`` result, compare it against its
+    committed baseline, and evaluate its claims.
+
+    A result that breaks its artifact spec yields one ``schema``
+    regression row and is not compared; a failed claim is a
+    regression row of its own (subject ``claim``).
+    """
     results_dir = pathlib.Path(results_dir)
     baselines_dir = pathlib.Path(baselines_dir)
     if not results_dir.is_dir():
@@ -349,18 +232,36 @@ def check_benchmarks(
             f"no *.json benchmark artifacts in {results_dir}"
         )
     for path in result_paths:
+        current = _load_json(path)
+        spec = artifact_spec(current, path.name)
+        if spec is not None:
+            try:
+                validate_artifact(spec.kind, current)
+            except ConfigurationError as exc:
+                report.rows.append(
+                    CheckRow(path.name, "-", "schema", "regression",
+                             note=str(exc))
+                )
+                continue
         baseline_path = baselines_dir / path.name
-        if not baseline_path.is_file():
+        if baseline_path.is_file():
+            report.rows.extend(
+                compare_documents(
+                    path.name, _load_json(baseline_path), current
+                )
+            )
+        else:
             report.rows.append(
                 CheckRow(path.name, "-", "-", "new",
                          note="no committed baseline")
             )
-            continue
-        report.rows.extend(
-            compare_documents(
-                path.name, _load_json(baseline_path), _load_json(path)
+        if spec is not None:
+            report.rows.extend(
+                CheckRow(path.name, "claim", claim.name,
+                         "ok" if held else "regression",
+                         note="" if held else claim.message)
+                for claim, held in evaluate_claims(spec.kind, current)
             )
-        )
     return report
 
 

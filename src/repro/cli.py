@@ -552,7 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.faults import run_campaign
         from repro.faults.campaign import CONTROLLERS, ReferenceScenario
         from repro.faults.scenario import FaultScenario, events_to_jsonl
-        from repro.obs.export import write_resilience
+        from repro.obs import write_artifact
 
         scenarios = None
         if args.scenario:
@@ -590,7 +590,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     )
                 )
         out = pathlib.Path(args.out or "benchmarks/results/resilience.json")
-        write_resilience(out, document)
+        write_artifact(out, document)
         print(f"campaign document written to {out}")
         if args.events_out:
             events_dir = pathlib.Path(args.events_out)
@@ -607,7 +607,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         import pathlib
 
         from repro.control import MPC_CONTROLLERS, run_mpc_campaign
-        from repro.obs.export import write_mpc
+        from repro.obs import write_artifact
 
         results, document = run_mpc_campaign(
             seed=args.seed,
@@ -647,7 +647,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"{verdict}"
                 )
         out = pathlib.Path(args.out or "benchmarks/results/mpc.json")
-        write_mpc(out, document)
+        write_artifact(out, document)
         print(f"campaign document written to {out}")
         return 0
 
@@ -655,7 +655,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         import pathlib
 
         from repro.experiments.weather import run_weather_study
-        from repro.obs.export import write_cooling_plant
+        from repro.obs import write_artifact
 
         study = run_weather_study(
             seed=args.seed,
@@ -667,7 +667,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = pathlib.Path(
             args.out or "benchmarks/results/cooling_plant.json"
         )
-        write_cooling_plant(out, study.document())
+        write_artifact(out, study.document())
         print(f"seasonal study written to {out}")
         return 0
 

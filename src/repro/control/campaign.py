@@ -32,8 +32,8 @@ Scoring: violation-seconds (hottest powered-on CPU above ``T_max``),
 energy (J), served/shed task-seconds, on-set changes (machines actually
 cycled), and the MPC solver counters.  :func:`run_mpc_campaign` builds
 the schema-validated document written to
-``benchmarks/results/mpc.json`` by ``repro mpc`` (see
-:func:`repro.obs.export.validate_mpc`); its ``dominance`` section is
+``benchmarks/results/mpc.json`` by ``repro mpc`` (see the ``mpc`` spec
+in :data:`repro.obs.artifacts.ARTIFACTS`); its ``dominance`` section is
 the acceptance gate — MPC must strictly dominate the reactive
 controller on at least one flash-crowd scenario (fewer
 violation-seconds at equal-or-lower energy).
@@ -697,8 +697,8 @@ def run_mpc_campaign(
 
     Returns ``(results, document)``: the raw per-run
     :class:`DemandLoopResult` objects keyed ``results[scenario][name]``,
-    and the ``mpc.json`` document (schema:
-    :func:`repro.obs.export.validate_mpc`).  The whole campaign is a
+    and the ``mpc.json`` document (schema: the ``mpc`` spec in
+    :data:`repro.obs.artifacts.ARTIFACTS`).  The whole campaign is a
     pure function of ``(seed, n_machines, scenarios, horizon)``.
 
     With ``weather`` (and optionally an explicit ``chiller``), the

@@ -11,8 +11,9 @@ reports the facility-level scoreboard: PUE, economizer hours, mean COP,
 water use (WUE) — plus a heat-wave stress day per site.
 
 Artifact contract: :func:`run_weather_study` builds the
-``cooling_plant.json`` document (kind ``cooling-plant``), validated by
-:func:`repro.obs.export.validate_cooling_plant` and gated by
+``cooling_plant.json`` document (kind ``cooling-plant``), validated
+against the ``cooling-plant`` spec in
+:data:`repro.obs.artifacts.ARTIFACTS` and gated by
 ``repro bench-check`` against the committed baseline.
 """
 

@@ -597,7 +597,8 @@ def run_campaign(
     """Sweep scenarios over the naive/resilient/oracle controllers.
 
     Returns the raw per-run results and the ``resilience.json`` document
-    (see :func:`repro.obs.export.validate_resilience` for its schema).
+    (its schema is the ``resilience`` spec in
+    :data:`repro.obs.artifacts.ARTIFACTS`).
     The whole campaign is a pure function of ``(seed, n_machines,
     scenarios)``: fault schedules, sensor noise, and the profiled
     testbed all derive from ``seed``.

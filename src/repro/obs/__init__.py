@@ -22,26 +22,22 @@ Quickstart::
     obs.disable()
 
 See ``docs/observability.md`` for the full API, the record and trace
-schemas, the exporter formats, and overhead expectations.
+schemas, the artifact specs, the exporter formats, and overhead
+expectations.
 """
 
 from repro.obs import trace, watchdog
+from repro.obs.artifacts import (
+    ARTIFACTS,
+    artifact_spec,
+    evaluate_claims,
+    validate_artifact,
+    write_artifact,
+)
 from repro.obs.export import (
     bench_observability,
     render_prometheus,
-    validate_bench_observability,
-    validate_consolidation_scale,
-    validate_cooling_plant,
-    validate_mpc,
     validate_prometheus,
-    validate_resilience,
-    validate_serving,
-    validate_simulation_speed,
-    write_bench_observability,
-    write_cooling_plant,
-    write_mpc,
-    write_resilience,
-    write_serving,
 )
 from repro.obs.metrics import (
     DEFAULT_HORIZONS,
@@ -136,20 +132,13 @@ __all__ = [
     "last_record",
     "records_to_csv",
     "records_from_csv",
-    # exporters
+    # artifacts and exporters
+    "ARTIFACTS",
+    "artifact_spec",
+    "validate_artifact",
+    "write_artifact",
+    "evaluate_claims",
     "bench_observability",
-    "write_bench_observability",
-    "validate_bench_observability",
-    "validate_consolidation_scale",
-    "validate_cooling_plant",
-    "validate_mpc",
-    "validate_resilience",
-    "validate_serving",
-    "validate_simulation_speed",
-    "write_cooling_plant",
-    "write_mpc",
-    "write_resilience",
-    "write_serving",
     "render_prometheus",
     "validate_prometheus",
     # tracing

@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 from repro import obs
+from repro.analysis.benchcheck import MetricSpec
 from repro.core.optimizer import JointOptimizer
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
@@ -37,7 +38,7 @@ def solved_registry():
 
 def test_fresh_document_validates(solved_registry):
     document = obs.bench_observability(solved_registry)
-    obs.validate_bench_observability(document)
+    obs.validate_artifact("observability", document)
     # the stage timing map carries the solve pipeline's spans
     for stage in ("selection", "closed_form", "actuation"):
         assert document["stages"][stage]["count"] >= 1
@@ -45,11 +46,12 @@ def test_fresh_document_validates(solved_registry):
 
 
 def test_written_artifact_round_trips(solved_registry, tmp_path):
-    path = obs.write_bench_observability(
-        tmp_path / "observability.json", solved_registry
+    path = obs.write_artifact(
+        tmp_path / "observability.json",
+        obs.bench_observability(solved_registry),
     )
     document = json.loads(path.read_text())
-    obs.validate_bench_observability(document)
+    obs.validate_artifact("observability", document)
     assert document == obs.bench_observability(solved_registry)
 
 
@@ -66,13 +68,14 @@ def test_existing_results_artifacts_validate():
     path = RESULTS_DIR / "observability.json"
     if not path.exists():
         pytest.skip("no bench session artifact present")
-    obs.validate_bench_observability(json.loads(path.read_text()))
+    obs.validate_artifact("observability", json.loads(path.read_text()))
 
 
 def test_validator_requires_schema_stamp():
     with pytest.raises(ConfigurationError, match="schema"):
-        obs.validate_bench_observability(
-            {"stages": {}, "counters": {}, "gauges": {}, "runs": 0}
+        obs.validate_artifact(
+            "observability",
+            {"stages": {}, "counters": {}, "gauges": {}, "runs": 0},
         )
 
 
@@ -80,7 +83,7 @@ def test_trace_section_included_when_traced(solved_registry):
     buffer = obs.TraceBuffer()
     buffer.start_span("selection")
     document = obs.bench_observability(solved_registry, trace=buffer)
-    obs.validate_bench_observability(document)
+    obs.validate_artifact("observability", document)
     assert document["trace"] == buffer.summary()
     assert document["trace"]["spans"] == 1
 
@@ -90,7 +93,7 @@ def test_trace_section_omitted_when_empty(solved_registry):
         solved_registry, trace=obs.TraceBuffer()
     )
     assert "trace" not in document
-    obs.validate_bench_observability(document)
+    obs.validate_artifact("observability", document)
 
 
 @pytest.mark.parametrize(
@@ -110,7 +113,7 @@ def test_validator_rejects_malformed_trace_section(solved_registry, trace):
     document = obs.bench_observability(solved_registry)
     document["trace"] = trace
     with pytest.raises(ConfigurationError):
-        obs.validate_bench_observability(document)
+        obs.validate_artifact("observability", document)
 
 
 def _scale_entry(**overrides):
@@ -135,21 +138,24 @@ def _scale_document(**entry_overrides):
 
 class TestConsolidationScaleSchema:
     def test_fresh_document_validates(self):
-        obs.validate_consolidation_scale(_scale_document())
+        obs.validate_artifact("consolidation-scale", _scale_document())
 
     def test_baseline_skipped_entry_validates(self):
-        obs.validate_consolidation_scale(
+        obs.validate_artifact(
+            "consolidation-scale",
             _scale_document(
                 baseline_build_seconds=None, speedup=None,
                 identical_answers=None,
-            )
+            ),
         )
 
     def test_existing_scale_artifact_validates(self):
         path = RESULTS_DIR / "consolidation_scale.json"
         if not path.exists():
             pytest.skip("no consolidation-scale artifact present")
-        obs.validate_consolidation_scale(json.loads(path.read_text()))
+        obs.validate_artifact(
+            "consolidation-scale", json.loads(path.read_text())
+        )
 
     @pytest.mark.parametrize(
         "mutate",
@@ -166,7 +172,7 @@ class TestConsolidationScaleSchema:
         document = _scale_document()
         document.update(mutate)
         with pytest.raises(ConfigurationError):
-            obs.validate_consolidation_scale(document)
+            obs.validate_artifact("consolidation-scale", document)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -192,15 +198,15 @@ class TestConsolidationScaleSchema:
     )
     def test_rejects_malformed_entries(self, overrides):
         with pytest.raises(ConfigurationError):
-            obs.validate_consolidation_scale(
-                _scale_document(**overrides)
+            obs.validate_artifact(
+                "consolidation-scale", _scale_document(**overrides)
             )
 
     def test_rejects_missing_entry_keys(self):
         document = _scale_document()
         del document["entries"][0]["speedup"]
         with pytest.raises(ConfigurationError, match="missing"):
-            obs.validate_consolidation_scale(document)
+            obs.validate_artifact("consolidation-scale", document)
 
 
 def _sharded_entry(**overrides):
@@ -218,14 +224,14 @@ class TestShardedScaleSection:
     def test_document_with_sharded_section_validates(self):
         document = _scale_document()
         document["sharded"] = [_sharded_entry()]
-        obs.validate_consolidation_scale(document)
+        obs.validate_artifact("consolidation-scale", document)
 
     def test_null_exact_gap_validates(self):
         # Above the exact-comparison cutoff no monolithic ground truth
         # is built; the gap is null, not fabricated.
         document = _scale_document()
         document["sharded"] = [_sharded_entry(exact_gap=None)]
-        obs.validate_consolidation_scale(document)
+        obs.validate_artifact("consolidation-scale", document)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -243,18 +249,18 @@ class TestShardedScaleSection:
         document = _scale_document()
         document["sharded"] = [_sharded_entry(**overrides)]
         with pytest.raises(ConfigurationError):
-            obs.validate_consolidation_scale(document)
+            obs.validate_artifact("consolidation-scale", document)
 
     def test_rejects_empty_or_missing_key_section(self):
         document = _scale_document()
         document["sharded"] = []
         with pytest.raises(ConfigurationError, match="non-empty"):
-            obs.validate_consolidation_scale(document)
+            obs.validate_artifact("consolidation-scale", document)
         entry = _sharded_entry()
         del entry["anneal_gap"]
         document["sharded"] = [entry]
         with pytest.raises(ConfigurationError, match="missing"):
-            obs.validate_consolidation_scale(document)
+            obs.validate_artifact("consolidation-scale", document)
 
 
 def _sim_speed_entry(**overrides):
@@ -281,13 +287,13 @@ def _sim_speed_document(**entry_overrides):
 
 class TestSimulationSpeedSchema:
     def test_fresh_document_validates(self):
-        obs.validate_simulation_speed(_sim_speed_document())
+        obs.validate_artifact("simulation-speed", _sim_speed_document())
 
     def test_existing_speed_artifact_validates(self):
         path = RESULTS_DIR / "simulation_speed.json"
         if not path.exists():
             pytest.skip("no simulation-speed artifact present")
-        obs.validate_simulation_speed(json.loads(path.read_text()))
+        obs.validate_artifact("simulation-speed", json.loads(path.read_text()))
 
     @pytest.mark.parametrize(
         "mutate",
@@ -307,7 +313,7 @@ class TestSimulationSpeedSchema:
         document = _sim_speed_document()
         document.update(mutate)
         with pytest.raises(ConfigurationError):
-            obs.validate_simulation_speed(document)
+            obs.validate_artifact("simulation-speed", document)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -328,15 +334,15 @@ class TestSimulationSpeedSchema:
     )
     def test_rejects_malformed_entries(self, overrides):
         with pytest.raises(ConfigurationError):
-            obs.validate_simulation_speed(
-                _sim_speed_document(**overrides)
+            obs.validate_artifact(
+                "simulation-speed", _sim_speed_document(**overrides)
             )
 
     def test_rejects_missing_entry_keys(self):
         document = _sim_speed_document()
         del document["entries"][0]["speedup"]
         with pytest.raises(ConfigurationError, match="missing"):
-            obs.validate_simulation_speed(document)
+            obs.validate_artifact("simulation-speed", document)
 
 
 def test_validator_rejects_inconsistent_stage_stats():
@@ -351,7 +357,7 @@ def test_validator_rejects_inconsistent_stage_stats():
         "runs": 0,
     }
     with pytest.raises(ConfigurationError):
-        obs.validate_bench_observability(bad)
+        obs.validate_artifact("observability", bad)
 
 
 def _serving_entry(**overrides):
@@ -390,24 +396,24 @@ def _serving_document(**entry_overrides):
 
 class TestServingSchema:
     def test_fresh_document_validates(self):
-        obs.validate_serving(_serving_document())
+        obs.validate_artifact("serving", _serving_document())
 
     def test_existing_serving_artifact_validates(self):
         path = RESULTS_DIR / "serving.json"
         if not path.exists():
             pytest.skip("no serving artifact present")
-        obs.validate_serving(json.loads(path.read_text()))
+        obs.validate_artifact("serving", json.loads(path.read_text()))
 
     def test_write_serving_round_trips(self, tmp_path):
         document = _serving_document()
-        path = obs.write_serving(tmp_path / "serving.json", document)
+        path = obs.write_artifact(tmp_path / "serving.json", document)
         assert json.loads(path.read_text()) == document
 
     def test_write_serving_refuses_invalid_documents(self, tmp_path):
         document = _serving_document()
         document["kind"] = "wrong"
         with pytest.raises(ConfigurationError):
-            obs.write_serving(tmp_path / "serving.json", document)
+            obs.write_artifact(tmp_path / "serving.json", document)
         assert not (tmp_path / "serving.json").exists()
 
     @pytest.mark.parametrize(
@@ -430,7 +436,7 @@ class TestServingSchema:
         document = _serving_document()
         document.update(mutate)
         with pytest.raises(ConfigurationError):
-            obs.validate_serving(document)
+            obs.validate_artifact("serving", document)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -462,26 +468,26 @@ class TestServingSchema:
     )
     def test_rejects_malformed_entries(self, overrides):
         with pytest.raises(ConfigurationError):
-            obs.validate_serving(_serving_document(**overrides))
+            obs.validate_artifact("serving", _serving_document(**overrides))
 
     def test_rejects_missing_entry_keys(self):
         document = _serving_document()
         del document["entries"][0]["coalesced"]
         with pytest.raises(ConfigurationError, match="missing"):
-            obs.validate_serving(document)
+            obs.validate_artifact("serving", document)
 
     def test_rejects_unpaired_client_counts(self):
         # Every client count must appear exactly twice: batching on+off.
         document = _serving_document()
         del document["entries"][1]  # drop the unbatched half
         with pytest.raises(ConfigurationError):
-            obs.validate_serving(document)
+            obs.validate_artifact("serving", document)
         both_batched = _serving_document()
         both_batched["entries"][1] = dict(
             both_batched["entries"][0]
         )
         with pytest.raises(ConfigurationError):
-            obs.validate_serving(both_batched)
+            obs.validate_artifact("serving", both_batched)
 
 
 _MPC_CONTROLLER_NAMES = ("reactive", "resilient", "mpc", "oracle")
@@ -554,33 +560,33 @@ def _mpc_document(**row_overrides):
 
 class TestMpcSchema:
     def test_fresh_document_validates(self):
-        obs.validate_mpc(_mpc_document())
+        obs.validate_artifact("mpc", _mpc_document())
 
     def test_existing_mpc_artifact_validates(self):
         path = RESULTS_DIR / "mpc.json"
         if not path.exists():
             pytest.skip("no mpc artifact present")
-        obs.validate_mpc(json.loads(path.read_text()))
+        obs.validate_artifact("mpc", json.loads(path.read_text()))
 
     def test_committed_baseline_validates_and_dominates(self):
         path = RESULTS_DIR.parent / "baselines" / "mpc.json"
         if not path.exists():
             pytest.skip("no mpc baseline present")
         document = json.loads(path.read_text())
-        obs.validate_mpc(document)
+        obs.validate_artifact("mpc", document)
         flash = [r for r in document["dominance"] if r["flash_crowd"]]
         assert flash and any(r["dominates"] for r in flash)
 
     def test_write_mpc_round_trips(self, tmp_path):
         document = _mpc_document()
-        path = obs.write_mpc(tmp_path / "mpc.json", document)
+        path = obs.write_artifact(tmp_path / "mpc.json", document)
         assert json.loads(path.read_text()) == document
 
     def test_write_mpc_refuses_invalid_documents(self, tmp_path):
         document = _mpc_document()
         document["kind"] = "wrong"
         with pytest.raises(ConfigurationError):
-            obs.write_mpc(tmp_path / "mpc.json", document)
+            obs.write_artifact(tmp_path / "mpc.json", document)
         assert not (tmp_path / "mpc.json").exists()
 
     def test_null_oracle_overhead_validates(self):
@@ -591,7 +597,7 @@ class TestMpcSchema:
             ] = None
         for entry in document["entries"]:
             entry["energy_overhead_vs_oracle"] = None
-        obs.validate_mpc(document)
+        obs.validate_artifact("mpc", document)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -616,7 +622,7 @@ class TestMpcSchema:
         document = _mpc_document()
         document.update(mutate)
         with pytest.raises(ConfigurationError):
-            obs.validate_mpc(document)
+            obs.validate_artifact("mpc", document)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -636,41 +642,208 @@ class TestMpcSchema:
     )
     def test_rejects_malformed_rows(self, overrides):
         with pytest.raises(ConfigurationError):
-            obs.validate_mpc(_mpc_document(**overrides))
+            obs.validate_artifact("mpc", _mpc_document(**overrides))
 
     def test_rejects_missing_controller(self):
         document = _mpc_document()
         del document["scenarios"][0]["controllers"]["oracle"]
         with pytest.raises(ConfigurationError, match="missing"):
-            obs.validate_mpc(document)
+            obs.validate_artifact("mpc", document)
 
     def test_rejects_missing_row_keys(self):
         document = _mpc_document()
         del document["scenarios"][0]["controllers"]["mpc"]["precools"]
         with pytest.raises(ConfigurationError, match="missing"):
-            obs.validate_mpc(document)
+            obs.validate_artifact("mpc", document)
 
     def test_rejects_incomplete_entry_product(self):
         document = _mpc_document()
         del document["entries"][0]
         with pytest.raises(ConfigurationError, match="product"):
-            obs.validate_mpc(document)
+            obs.validate_artifact("mpc", document)
 
     def test_rejects_unknown_entry_scenario(self):
         document = _mpc_document()
         document["entries"][0]["scenario"] = "ghost"
         with pytest.raises(ConfigurationError, match="unknown scenario"):
-            obs.validate_mpc(document)
+            obs.validate_artifact("mpc", document)
 
     def test_rejects_inconsistent_dominance_flag(self):
         document = _mpc_document()
         document["dominance"][0]["dominates"] = False
         with pytest.raises(ConfigurationError, match="disagrees"):
-            obs.validate_mpc(document)
+            obs.validate_artifact("mpc", document)
 
     def test_rejects_duplicate_scenario_names(self):
         document = _mpc_document()
         clone = dict(document["scenarios"][0])
         document["scenarios"].append(clone)
         with pytest.raises(ConfigurationError, match="unique"):
-            obs.validate_mpc(document)
+            obs.validate_artifact("mpc", document)
+
+
+def _with(document, path, value):
+    """``document`` with the value at ``path`` (keys and indices) set."""
+    target = document
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return document
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestNonFiniteAndBoolValues:
+    """Every numeric field refuses NaN/±inf, and a bool never passes
+    where an int or number is required (``bool`` subclasses ``int``)."""
+
+    @pytest.mark.parametrize(
+        "kind, build, path, value",
+        [
+            ("serving", _serving_document,
+             ("entries", 0, "latency_p99_ms"), _NAN),
+            ("serving", _serving_document,
+             ("entries", 1, "requests_per_second"), _INF),
+            ("serving", _serving_document, ("warm_start_seconds",), -_INF),
+            ("mpc", _mpc_document, ("entries", 2, "energy_joules"), _NAN),
+            ("mpc", _mpc_document,
+             ("dominance", 0, "mpc_violation_seconds"), _NAN),
+            ("mpc", _mpc_document, ("sim_dt",), _INF),
+            ("consolidation-scale", _scale_document,
+             ("entries", 0, "build_seconds"), _NAN),
+            ("simulation-speed", _sim_speed_document,
+             ("entries", 0, "steps_per_second_numpy"), _INF),
+            ("simulation-speed", _sim_speed_document, ("dt",), _NAN),
+        ],
+        ids=["serving-p99-nan", "serving-rps-inf", "serving-warm-neg-inf",
+             "mpc-energy-nan", "mpc-dominance-nan", "mpc-sim-dt-inf",
+             "scale-build-nan", "sim-sps-inf", "sim-dt-nan"],
+    )
+    def test_rejects_non_finite_numbers(self, kind, build, path, value):
+        document = _with(build(), path, value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            obs.validate_artifact(kind, document)
+
+    def test_rejects_non_finite_observability_values(self):
+        document = {"schema": obs.SCHEMA_VERSION, "stages": {},
+                    "counters": {"c": _INF}, "gauges": {}, "runs": 0}
+        with pytest.raises(ConfigurationError):
+            obs.validate_artifact("observability", document)
+        document["counters"] = {}
+        document["gauges"] = {"g": _NAN}
+        with pytest.raises(ConfigurationError):
+            obs.validate_artifact("observability", document)
+
+    @pytest.mark.parametrize(
+        "kind, build, path, value",
+        [
+            ("serving", _serving_document, ("machines",), True),
+            ("serving", _serving_document, ("seed",), False),
+            ("serving", _serving_document, ("entries", 0, "errors"), False),
+            ("mpc", _mpc_document, ("horizon",), True),
+            ("mpc", _mpc_document,
+             ("scenarios", 0, "controllers", "mpc", "precools"), False),
+            ("mpc", _mpc_document, ("entries", 0, "precools"), False),
+            ("consolidation-scale", _scale_document,
+             ("entries", 0, "n"), True),
+            ("simulation-speed", _sim_speed_document,
+             ("entries", 0, "speedup"), True),
+        ],
+        ids=["serving-machines", "serving-seed", "serving-errors",
+             "mpc-horizon", "mpc-precools", "mpc-entry-precools",
+             "scale-n", "sim-speedup"],
+    )
+    def test_rejects_bools_as_numbers(self, kind, build, path, value):
+        document = _with(build(), path, value)
+        with pytest.raises(ConfigurationError):
+            obs.validate_artifact(kind, document)
+
+    def test_writer_refuses_non_finite_json(self, tmp_path):
+        document = _mpc_document()
+        document["weather"] = {"mean_wetbulb": _NAN}  # an unchecked extra
+        with pytest.raises(ConfigurationError, match="finite"):
+            obs.write_artifact(tmp_path / "mpc.json", document)
+        assert not (tmp_path / "mpc.json").exists()
+
+    @pytest.mark.parametrize(
+        "metric, current",
+        [
+            (MetricSpec("latency_p99_ms", "lower"), _NAN),
+            (MetricSpec("latency_p99_ms", "lower"), _INF),
+            (MetricSpec("latency_p99_ms", "lower"), -_INF),
+            (MetricSpec("requests_per_second", "higher"), _NAN),
+            (MetricSpec("requests_per_second", "higher"), _INF),
+            (MetricSpec("requests_per_second", "higher"), -_INF),
+            (MetricSpec("mpc_violation_seconds", "lower",
+                        zero_baseline="strict"), _NAN),
+            (MetricSpec("mpc_violation_seconds", "lower",
+                        zero_baseline="strict"), -_INF),
+        ],
+        ids=["lower-nan", "lower-inf", "lower-neg-inf", "higher-nan",
+             "higher-inf", "higher-neg-inf", "strict-zero-nan",
+             "strict-zero-neg-inf"],
+    )
+    def test_non_finite_current_value_is_a_regression(self, metric, current):
+        for baseline in (0.0, 5.0):
+            assert metric.verdict(baseline, current) == "regression"
+
+    def test_gate_flags_a_nan_mpc_violation(self):
+        from repro.analysis.benchcheck import compare_documents
+
+        baseline = _mpc_document()
+        current = _mpc_document()
+        current["dominance"][0]["mpc_violation_seconds"] = _NAN
+        verdicts = {
+            (row.subject, row.metric): row.verdict
+            for row in compare_documents("mpc.json", baseline, current)
+        }
+        assert verdicts[
+            ("dominance:scenario=flash-crowd", "mpc_violation_seconds")
+        ] == "regression"
+
+
+class TestClaims:
+    """Claims are checked apart from the schema: a valid artifact can
+    still fail to bear out the result it certifies."""
+
+    def _failed(self, kind, document):
+        obs.validate_artifact(kind, document)
+        return [
+            claim.name
+            for claim, held in obs.evaluate_claims(kind, document)
+            if not held
+        ]
+
+    def test_fixture_documents_bear_out_their_claims(self):
+        assert self._failed("mpc", _mpc_document()) == []
+        assert self._failed("serving", _serving_document()) == []
+
+    def test_lost_dominance_fails_its_claim(self):
+        document = _mpc_document(violation_seconds=600.0)
+        assert self._failed("mpc", document) == ["flash_crowd_dominance"]
+
+    def test_serving_errors_fail_their_claim(self):
+        document = _serving_document(errors=2)
+        assert self._failed("serving", document) == ["no_errors"]
+
+    def test_scale_claim_needs_a_measured_exact_gap(self):
+        document = _scale_document()
+        assert self._failed("consolidation-scale", document) == [
+            "exact_gap"
+        ]
+        document["sharded"] = [_sharded_entry(exact_gap=0.01)]
+        assert self._failed("consolidation-scale", document) == []
+        document["sharded"].append(_sharded_entry(exact_gap=-0.2))
+        assert self._failed("consolidation-scale", document) == [
+            "exact_gap"
+        ]
+
+    def test_ci_bench_matrix_covers_every_stamped_kind(self):
+        ci = (
+            pathlib.Path(__file__).parent.parent
+            / ".github" / "workflows" / "ci.yml"
+        ).read_text()
+        for spec in obs.ARTIFACTS.values():
+            if spec.stamped:
+                assert f"- kind: {spec.kind}" in ci, spec.kind

@@ -395,7 +395,7 @@ class TestWeatherStudy:
 
         study = run_weather_study(seed=2012, quick=True, context=context)
         document = study.document()
-        obs.validate_cooling_plant(document)
+        obs.validate_artifact("cooling-plant", document)
         assert {e["site"] for e in document["entries"]} == set(SITES)
 
     def test_climate_ordering(self, context):
@@ -461,8 +461,8 @@ class TestCoolingPlantValidator:
 
     def test_round_trip(self, tmp_path):
         document = self._document()
-        obs.validate_cooling_plant(document)
-        path = obs.write_cooling_plant(
+        obs.validate_artifact("cooling-plant", document)
+        path = obs.write_artifact(
             tmp_path / "cooling_plant.json", document
         )
         import json
@@ -490,7 +490,7 @@ class TestCoolingPlantValidator:
         document = self._document()
         mutate(document)
         with pytest.raises(ConfigurationError):
-            obs.validate_cooling_plant(document)
+            obs.validate_artifact("cooling-plant", document)
 
 
 class TestWeatherAwareCampaign:
@@ -526,7 +526,7 @@ class TestWeatherAwareCampaign:
         results, document = weather_campaign
         assert "heat-wave" in results
         assert document["weather"]["cooling_tower"] is True
-        obs.validate_mpc(document)
+        obs.validate_artifact("mpc", document)
 
     def test_runs_carry_pue_and_wue(self, weather_campaign):
         results, document = weather_campaign

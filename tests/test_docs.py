@@ -120,6 +120,15 @@ class TestObservabilityDocument:
         assert "docs/observability.md" in (REPO / "README.md").read_text()
         assert "observability.md" in (REPO / "docs" / "api.md").read_text()
 
+    def test_artifact_specs_section_is_current(self):
+        """Every declared artifact kind is named in the specs section."""
+        from repro import obs
+
+        text = (REPO / "docs" / "observability.md").read_text()
+        section = text.split("## Artifact specs", 1)[1].split("\n## ")[0]
+        for kind in obs.ARTIFACTS:
+            assert f"`{kind}`" in section, kind
+
     def test_simulation_performance_section_is_current(self):
         """The engine knob and bench schema docs must track the code."""
         from repro import obs
@@ -130,8 +139,8 @@ class TestObservabilityDocument:
         for engine in ENGINES:
             assert f'engine="{engine}"' in text, engine
         assert "steady_state_many" in text
-        assert "validate_simulation_speed" in text
-        assert obs.validate_simulation_speed  # the documented validator
+        assert 'validate_artifact("simulation-speed"' in text
+        assert "simulation-speed" in obs.ARTIFACTS  # the documented spec
         assert obs.suspended_tracing  # the documented bench helper
         assert "REPRO_BENCH_SIM_NS" in text
         assert (REPO / "benchmarks" / "bench_simulation_speed.py").exists()
@@ -282,8 +291,12 @@ class TestControlDocument:
                      "noisy_trace", "clamped_trace"):
             assert name in text, name
             assert hasattr(traces, name), name
-        assert "validate_mpc" in text and obs.validate_mpc
-        assert "write_mpc" in text and obs.write_mpc
+        assert 'validate_artifact("mpc"' in text and obs.validate_artifact
+        assert "write_artifact" in text and obs.write_artifact
+        assert "flash_crowd_dominance" in text
+        assert "flash_crowd_dominance" in {
+            claim.name for claim in obs.ARTIFACTS["mpc"].claims
+        }
 
     def test_documented_campaign_controllers_match_code(self):
         from repro.control import MPC_CONTROLLERS
@@ -322,8 +335,8 @@ class TestCoolingPlantDocument:
             assert hasattr(weather_mod, name), name
         assert "run_weather_study" in text
         assert hasattr(weather_exp, "run_weather_study")
-        assert "validate_cooling_plant" in text
-        assert obs.validate_cooling_plant and obs.write_cooling_plant
+        assert 'validate_artifact("cooling-plant"' in text
+        assert "cooling-plant" in obs.ARTIFACTS
 
     def test_documented_sites_match_code(self):
         from repro.workload.weather import SITES
@@ -333,7 +346,9 @@ class TestCoolingPlantDocument:
             assert site in text, site
         assert "repro weather" in text
         assert "bench-check" in text
-        assert "plant-smoke" in text
+        assert "bench matrix" in text
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert "- kind: cooling-plant" in ci
 
     def test_linked_from_readme_and_api(self):
         assert "docs/cooling_plant.md" in (REPO / "README.md").read_text()

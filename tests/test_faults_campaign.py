@@ -16,7 +16,7 @@ from repro.faults import (
     run_closed_loop,
 )
 from repro.faults.campaign import CONTROLLERS, ReferenceScenario
-from repro.obs import validate_resilience, write_resilience
+from repro.obs import validate_artifact, write_artifact
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ class TestClosedLoopValidation:
 class TestCampaignDocument:
     def test_schema_validates(self, quick_campaign):
         _, document = quick_campaign
-        validate_resilience(document)  # raises on any shape violation
+        validate_artifact("resilience", document)  # raises on any violation
 
     def test_all_controllers_scored(self, quick_campaign):
         results, document = quick_campaign
@@ -122,7 +122,7 @@ class TestCampaignDocument:
     def test_write_round_trip(self, quick_campaign, tmp_path):
         _, document = quick_campaign
         out = tmp_path / "resilience.json"
-        write_resilience(out, document)
+        write_artifact(out, document)
         assert json.loads(out.read_text()) == document
 
     def test_validate_rejects_broken_documents(self, quick_campaign):
@@ -130,15 +130,15 @@ class TestCampaignDocument:
         bad = json.loads(json.dumps(document))
         bad["kind"] = "benchmarks"
         with pytest.raises(ConfigurationError):
-            validate_resilience(bad)
+            validate_artifact("resilience", bad)
         bad = json.loads(json.dumps(document))
         del bad["scenarios"][0]["controllers"]["oracle"]
         with pytest.raises(ConfigurationError):
-            validate_resilience(bad)
+            validate_artifact("resilience", bad)
         bad = json.loads(json.dumps(document))
         bad["scenarios"][0]["controllers"]["naive"]["violation_seconds"] = -1
         with pytest.raises(ConfigurationError):
-            validate_resilience(bad)
+            validate_artifact("resilience", bad)
 
 
 class TestDeterminism:

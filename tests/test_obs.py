@@ -374,18 +374,18 @@ class TestExporter:
             pass
         obs.count("consolidation.builds")
         document = obs.bench_observability(registry)
-        obs.validate_bench_observability(document)
+        obs.validate_artifact("observability", document)
         assert "selection" in document["stages"]
         assert document["counters"]["consolidation.builds"] == 1.0
 
     def test_write_and_reload(self, registry, tmp_path):
         with obs.timed("stage"):
             pass
-        path = obs.write_bench_observability(
-            tmp_path / "observability.json", registry
+        path = obs.write_artifact(
+            tmp_path / "observability.json", obs.bench_observability(registry)
         )
         document = json.loads(path.read_text())
-        obs.validate_bench_observability(document)
+        obs.validate_artifact("observability", document)
 
     @pytest.mark.parametrize(
         "document",
@@ -402,4 +402,4 @@ class TestExporter:
     )
     def test_validator_rejects_malformed(self, document):
         with pytest.raises(ConfigurationError):
-            obs.validate_bench_observability(document)
+            obs.validate_artifact("observability", document)

@@ -515,6 +515,30 @@ class TestBenchCheck:
             }],
         }
 
+    def _valid_serving_doc(self, p99: float = 100.0):
+        """A complete serving document: ``check_benchmarks`` validates
+        every result against its artifact spec before comparing it."""
+        entry = {
+            "clients": 1000, "batching": True,
+            "batch_window_seconds": 0.005, "max_batch": 512,
+            "requests": 1000, "errors": 0, "duration_seconds": 0.5,
+            "requests_per_second": 2000.0, "latency_mean_ms": 60.0,
+            "latency_p50_ms": 50.0, "latency_p99_ms": p99, "batches": 2,
+            "mean_batch_size": 500.0, "max_batch_size": 512,
+            "coalesced": 900, "identical_answers": True,
+            "batch_size_histogram": {"488": 1, "512": 1},
+        }
+        unbatched = dict(
+            entry, batching=False, batches=1000, mean_batch_size=1.0,
+            max_batch_size=1, coalesced=0,
+            batch_size_histogram={"1": 1000},
+        )
+        return {
+            "schema": 1, "kind": "serving", "seed": 2012,
+            "machines": 500, "index_statuses": 806500, "levels": 48,
+            "warm_start_seconds": 0.1, "entries": [entry, unbatched],
+        }
+
     def test_identical_documents_pass(self):
         rows = compare_documents(
             "serving.json", self._serving_doc(), self._serving_doc()
@@ -564,10 +588,12 @@ class TestBenchCheck:
         baselines = tmp_path / "baselines"
         results.mkdir()
         (results / "serving.json").write_text(
-            json.dumps(self._serving_doc())
+            json.dumps(self._valid_serving_doc())
         )
         report = check_benchmarks(results, baselines)
-        assert [r.verdict for r in report.rows] == ["new"]
+        assert [(r.metric, r.verdict) for r in report.rows] == [
+            ("-", "new"), ("no_errors", "ok"),
+        ]
         assert update_baselines(results, baselines) == ["serving.json"]
         report = check_benchmarks(results, baselines)
         assert report.regressed is False
@@ -576,12 +602,42 @@ class TestBenchCheck:
             check_benchmarks(tmp_path / "missing", baselines)
 
     def test_committed_baselines_pass_the_gate(self):
-        report = check_benchmarks(
-            REPO / "benchmarks" / "results",
-            REPO / "benchmarks" / "baselines",
-        )
+        """Every committed baseline is a valid artifact, bears out its
+        claims, and passes the gate against itself."""
+        baselines = REPO / "benchmarks" / "baselines"
+        for path in sorted(baselines.glob("*.json")):
+            document = json.loads(path.read_text())
+            spec = obs.artifact_spec(document, path.name)
+            assert spec is not None, path.name
+            obs.validate_artifact(spec.kind, document)
+            failed = [
+                claim.name
+                for claim, held in obs.evaluate_claims(spec.kind, document)
+                if not held
+            ]
+            assert not failed, (path.name, failed)
+        report = check_benchmarks(baselines, baselines)
         assert report.regressed is False
         assert report.counts()["ok"] >= 12
+
+    def test_invalid_result_or_failed_claim_fails_the_gate(self, tmp_path):
+        results = tmp_path / "results"
+        results.mkdir()
+        broken = self._valid_serving_doc()
+        broken["entries"][0]["latency_p99_ms"] = float("nan")
+        (results / "serving.json").write_text(json.dumps(broken))
+        report = check_benchmarks(results, tmp_path / "baselines")
+        assert [(r.metric, r.verdict) for r in report.rows] == [
+            ("schema", "regression"),
+        ]
+        erring = self._valid_serving_doc()
+        erring["entries"][1]["errors"] = 3
+        (results / "serving.json").write_text(json.dumps(erring))
+        report = check_benchmarks(results, tmp_path / "baselines")
+        assert report.regressed is True
+        assert ("no_errors", "regression") in [
+            (r.metric, r.verdict) for r in report.rows
+        ]
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
@@ -590,11 +646,11 @@ class TestBenchCheck:
         baselines = tmp_path / "baselines"
         results.mkdir()
         (results / "serving.json").write_text(
-            json.dumps(self._serving_doc(p99=1000.0))
+            json.dumps(self._valid_serving_doc(p99=1000.0))
         )
         baselines.mkdir()
         (baselines / "serving.json").write_text(
-            json.dumps(self._serving_doc())
+            json.dumps(self._valid_serving_doc())
         )
         code = main(["bench-check", "--results", str(results),
                      "--baselines", str(baselines)])
