@@ -24,9 +24,9 @@ transient simulation:
     the room before surges it can see coming, and saturates its
     admission target at capacity instead of freezing.
 ``oracle``
-    The clairvoyant steady-state planner from the fault campaign —
-    plans from the injector's ground truth at every step; the energy
-    floor the others are scored against.
+    The clairvoyant steady-state planner the fault campaign shares
+    (:mod:`repro.faults.loop`) — plans from the injector's ground truth
+    at every step; the energy floor the others are scored against.
 
 Scoring: violation-seconds (hottest powered-on CPU above ``T_max``),
 energy (J), served/shed task-seconds, on-set changes (machines actually
@@ -51,14 +51,17 @@ from repro import obs
 from repro.control.mpc import MPCController
 from repro.control.plant import LinearizedPlant
 from repro.core.controller import RuntimeController
-from repro.errors import ConfigurationError, InfeasibleError
-from repro.faults.campaign import _SENSOR_SPAWN_KEY, _OracleController
+from repro.errors import ConfigurationError
 from repro.faults.injection import FaultInjector
+from repro.faults.loop import (
+    LoopResult,
+    _OracleController,
+    follow_demand,
+    march,
+)
 from repro.faults.resilience import ResilientController
 from repro.faults.scenario import FaultScenario, FaultSpec
 from repro.thermal.plant import ChillerPlant, default_plant
-from repro.thermal.sensors import TemperatureSensor
-from repro.thermal.simulation import RoomSimulation
 from repro.workload.traces import (
     LoadTrace,
     constant_trace,
@@ -98,34 +101,14 @@ class DemandScenario:
 
 
 @dataclass(frozen=True)
-class DemandLoopResult:
+class DemandLoopResult(LoopResult):
     """Scored outcome of one controller riding one demand scenario."""
 
-    scenario: str
-    controller: str
-    duration: float
-    violation_seconds: float
-    energy_joules: float
-    offered_task_seconds: float
-    served_task_seconds: float
-    shed_task_seconds: float
-    reconfigurations: int
-    suppressed: int
     on_set_changes: int
-    max_t_cpu: float
     horizon_solves: int = 0
     fallbacks: int = 0
     precools: int = 0
-    server_energy_joules: float = 0.0
     water_liters: Optional[float] = None
-
-    @property
-    def pue(self) -> Optional[float]:
-        """Power usage effectiveness: total energy over IT (server)
-        energy.  ``None`` when no server energy was drawn."""
-        if self.server_energy_joules <= 0.0:
-            return None
-        return self.energy_joules / self.server_energy_joules
 
     @property
     def wue_l_per_kwh(self) -> Optional[float]:
@@ -136,24 +119,7 @@ class DemandLoopResult:
         return self.water_liters / (self.server_energy_joules / 3.6e6)
 
     def to_dict(self) -> dict:
-        return {
-            "violation_seconds": self.violation_seconds,
-            "energy_joules": self.energy_joules,
-            "server_energy_joules": self.server_energy_joules,
-            "pue": self.pue,
-            "water_liters": self.water_liters,
-            "wue_l_per_kwh": self.wue_l_per_kwh,
-            "offered_task_seconds": self.offered_task_seconds,
-            "served_task_seconds": self.served_task_seconds,
-            "shed_task_seconds": self.shed_task_seconds,
-            "reconfigurations": self.reconfigurations,
-            "suppressed": self.suppressed,
-            "on_set_changes": self.on_set_changes,
-            "max_t_cpu": self.max_t_cpu,
-            "horizon_solves": self.horizon_solves,
-            "fallbacks": self.fallbacks,
-            "precools": self.precools,
-        }
+        return {**super().to_dict(), "wue_l_per_kwh": self.wue_l_per_kwh}
 
 
 def demand_scenarios(
@@ -320,55 +286,6 @@ def heat_wave_scenario(
 # --------------------------------------------------------------------- #
 
 
-def _serve(
-    offered: float,
-    plan_loads: np.ndarray,
-    caps: np.ndarray,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """Demand-following load balancer over the live on-set.
-
-    Offered load at or below the planned total scales the plan's
-    allocation down proportionally; offered load above it waterfills the
-    surplus into each on machine's remaining capacity headroom.  Demand
-    beyond the on-set's total capacity is shed.
-    """
-    loads = np.zeros_like(plan_loads)
-    if offered <= 0.0 or not mask.any():
-        return loads
-    plan_total = float(plan_loads[mask].sum())
-    if plan_total <= 0.0:
-        # Degenerate plan: split by capacity alone.
-        cap_on = float(caps[mask].sum())
-        if cap_on <= 0.0:
-            return loads
-        frac = min(offered / cap_on, 1.0)
-        loads[mask] = frac * caps[mask]
-        return loads
-    if offered <= plan_total:
-        loads[mask] = plan_loads[mask] * (offered / plan_total)
-        return loads
-    headroom = np.where(mask, caps - plan_loads, 0.0)
-    headroom = np.maximum(headroom, 0.0)
-    total_headroom = float(headroom.sum())
-    surplus = offered - plan_total
-    if total_headroom <= 0.0 or surplus >= total_headroom:
-        loads[mask] = caps[mask]  # saturated: shed the rest
-        return loads
-    loads[mask] = (
-        plan_loads[mask] + headroom[mask] * (surplus / total_headroom)
-    )
-    return loads
-
-
-def _node_powers(testbed, loads: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Electrical power drawn by each node serving ``loads``."""
-    powers = np.zeros_like(loads)
-    for i in np.flatnonzero(mask):
-        powers[i] = testbed.power_models[int(i)].power(float(loads[i]))
-    return powers
-
-
 def run_demand_loop(
     testbed,
     controller,
@@ -378,8 +295,6 @@ def run_demand_loop(
     control_dt: float = 60.0,
     sim_dt: float = 2.0,
     attach_injector: bool = False,
-    feed_readings: bool = False,
-    feed_state: bool = False,
     controller_name: str = "controller",
     sim_engine: str = "numpy",
     plant: Optional[ChillerPlant] = None,
@@ -387,212 +302,76 @@ def run_demand_loop(
 ) -> DemandLoopResult:
     """Drive one controller through one demand scenario, ground truth on.
 
-    Mirrors :func:`repro.faults.campaign.run_closed_loop` with a
-    time-varying offered load from the scenario's trace.  ``feed_state``
-    streams the simulation's exact thermal state into the controller's
-    ``observe_thermal_state`` hook (room instrumentation — the MPC's
-    prediction anchor); it starts one control step late, after the
-    simulation has been warm-started at the first plan's steady state,
-    so every controller boots from the same settled room.
-
-    Serving is *demand-following*: the controller decides the on-set and
-    the cooling once per ``control_dt``, but the machines track the
-    offered load at simulator resolution — demand below the planned
-    total scales the planned allocation down, demand above it waterfills
-    the surplus into the on-set's remaining capacity headroom (anything
-    beyond that is shed).  A surge landing between control decisions
-    therefore heats the live on-set under the *old* supply temperature
-    until the next replan — the transient window pre-provisioning and
-    pre-cooling exist to cover.
+    The offered load follows the scenario's trace, and the machines
+    track it at simulator resolution
+    (:func:`~repro.faults.loop.march` with
+    :func:`~repro.faults.loop.follow_demand`) while the controller
+    decides the on-set and the cooling once per ``control_dt``.  A surge
+    landing between control decisions therefore heats the live on-set
+    under the *old* supply temperature until the next replan — the
+    transient window pre-provisioning and pre-cooling exist to cover.
+    The run is scored per substep: every ``sim_dt`` the hottest live CPU
+    spends above ``T_max`` is a violation.
 
     With a ``plant`` and ``weather`` (a scenario-level
-    ``scenario.weather`` overrides the argument), the cooling
-    *electrical* draw is re-priced each substep through the chiller
-    plant's weather-dependent COP and hysteretic economizer — the
-    air-side thermals are untouched — and the result carries PUE plus
+    ``scenario.weather`` overrides the argument), the cooling energy is
+    priced through the chiller plant, and the result carries PUE plus
     (with a cooling tower) water use and WUE.
     """
-    if control_dt <= 0.0 or sim_dt <= 0.0 or sim_dt > control_dt:
-        raise ConfigurationError(
-            f"need 0 < sim_dt <= control_dt, got {sim_dt}, {control_dt}"
-        )
-    wx = scenario.weather if scenario.weather is not None else weather
-    if plant is not None and wx is None:
-        raise ConfigurationError(
-            "a chiller plant needs a weather trace (wet-bulb drives "
-            "its COP and economizer)"
-        )
-    if wx is not None and plant is None:
-        raise ConfigurationError(
-            "a weather trace needs a chiller plant to act on"
-        )
-    trace = scenario.trace
-    total = trace.duration
     t_max = testbed.config.t_max
-    inj = injector if injector is not None else FaultInjector(scenario.faults)
-    # Auto-reset on scenario start: a fresh cooler copy (set point kept,
-    # PI state zeroed) so back-to-back scenarios can never leak integral
-    # state between runs.
-    cooler = testbed.fresh_cooler()
-    sim = RoomSimulation(testbed.room, cooler, engine=sim_engine)
-    # Per-run plant copy: mode machine starts mechanical and acts on
-    # this run's cooler, so scenarios can't leak hysteresis state.
-    run_plant = (
-        replace(plant, cooling_unit=cooler, _mode="mechanical")
-        if plant is not None
-        else None
-    )
-    inj.attach_simulation(sim)
-    if attach_injector:
-        controller.attach_fault_injector(inj)
-    sensor = TemperatureSensor(
-        rng=np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=scenario.faults.seed,
-                spawn_key=(_SENSOR_SPAWN_KEY,),
-            )
-        ),
-        noise_std=0.02,
-        resolution=0.01,
-    )
-    n = testbed.n_machines
-    caps = np.array(
-        [pm.capacity for pm in testbed.power_models], dtype=float
-    )
-    substeps = max(1, int(round(control_dt / sim_dt)))
-    energy = 0.0
-    server_energy = 0.0
-    water: Optional[float] = (
-        0.0 if run_plant is not None and run_plant.tower is not None
-        else None
-    )
-    violation = 0.0
-    offered_ts = 0.0
-    served_ts = 0.0
-    max_t = -math.inf
-    on_set_changes = 0
-    prev_on: Optional[frozenset] = None
-    warm_started = False
-    t = 0.0
+    wx = scenario.weather if scenario.weather is not None else weather
     with obs.record_run(
         "control.demand_loop",
         inputs={
             "scenario": scenario.name,
             "controller": controller_name,
-            "duration": total,
+            "duration": scenario.trace.duration,
         },
     ) as rec:
-        while t < total - 1e-9:
-            inj.advance(t)
-            offered = inj.offered_load(trace.load_at(t))
-            if feed_readings:
-                readings = inj.filter_readings(
-                    t, sensor.read_many(sim.t_cpu)
-                )
-                controller.observe_readings(t, readings)
-            if feed_state and warm_started:
-                controller.observe_thermal_state(
-                    t, sim.t_cpu.copy(), sim.t_box.copy(), sim.t_room
-                )
-            try:
-                controller.observe(t, offered)
-            except InfeasibleError:
-                pass  # beyond-capacity demand: hold the current plan
-            plan = controller.plan
-            failed = inj.failed_machines
-            plan_loads = np.zeros(n)
-            mask = np.zeros(n, dtype=bool)
-            if plan is not None:
-                for i in plan.on_ids:
-                    if i in failed:
-                        continue
-                    plan_loads[i] = float(plan.loads[i])
-                    mask[i] = True
-            current_on = frozenset(
-                int(i) for i in np.flatnonzero(mask)
-            )
-            if prev_on is not None and current_on != prev_on:
-                on_set_changes += 1
-            prev_on = current_on
-            loads = _serve(offered, plan_loads, caps, mask)
-            powers = _node_powers(testbed, loads, mask)
-            sim.set_node_powers(powers, on_mask=mask)
-            if plan is not None:
-                sim.set_set_point(plan.t_sp)
-            if not warm_started:
-                # Start settled: the interesting dynamics are the demand
-                # transients, not the cold-room boot.
-                state = sim.steady_state(
-                    powers=powers, on_mask=mask,
-                    set_point=sim.cooler.set_point,
-                )
-                sim.t_cpu = state.t_cpu.copy()
-                sim.t_box = state.t_box.copy()
-                sim.t_room = float(state.t_room)
-                sim.t_ac = float(state.t_ac)
-                warm_started = True
-            on_idx = np.flatnonzero(mask)
-            for k in range(substeps):
-                t_sub = t + k * sim_dt
-                offered_sub = inj.offered_load(trace.load_at(t_sub))
-                loads = _serve(offered_sub, plan_loads, caps, mask)
-                powers = _node_powers(testbed, loads, mask)
-                sim.set_node_powers(powers, on_mask=mask)
-                sim.step(sim_dt)
-                servers = float(powers.sum())
-                server_energy += servers * sim_dt
-                if run_plant is None:
-                    energy += sim.total_power * sim_dt
-                else:
-                    # Same heat removal, weather-priced electricity:
-                    # the coil's q_cool is what the room physics
-                    # settled on; the plant converts it to watts at
-                    # this wet-bulb in the hysteretic mode in force.
-                    t_wb = wx.wetbulb_at(t_sub)
-                    run_plant.advance_mode(t_wb)
-                    energy += (
-                        servers
-                        + run_plant.electrical_power(cooler.q_cool, t_wb)
-                    ) * sim_dt
-                    rate = run_plant.water_rate(cooler.q_cool, t_wb)
-                    if rate is not None and water is not None:
-                        water += rate * sim_dt
-                hottest = (
-                    float(np.max(sim.t_cpu[on_idx]))
-                    if on_idx.size
-                    else float(sim.t_room)
-                )
-                max_t = max(max_t, hottest)
-                if hottest > t_max + 1e-6:
+        run = march(
+            testbed, controller, scenario.faults, scenario.trace.load_at,
+            follow_demand, duration=scenario.trace.duration,
+            injector=injector, control_dt=control_dt, sim_dt=sim_dt,
+            attach_injector=attach_injector, sim_engine=sim_engine,
+            plant=plant, weather=wx,
+        )
+        violation = 0.0
+        offered_ts = 0.0
+        served_ts = 0.0
+        max_t = -math.inf
+        on_set_changes = sum(
+            later.on_set != earlier.on_set
+            for earlier, later in zip(run.intervals, run.intervals[1:])
+        )
+        for interval in run.intervals:
+            for step in interval.substeps:
+                max_t = max(max_t, step.hottest)
+                if step.hottest > t_max + 1e-6:
                     violation += sim_dt
-                offered_ts += offered_sub * sim_dt
-                served_ts += float(loads.sum()) * sim_dt
-            t += control_dt
+                offered_ts += step.offered * sim_dt
+                served_ts += float(step.loads.sum()) * sim_dt
         result = DemandLoopResult(
             scenario=scenario.name,
             controller=controller_name,
-            duration=total,
+            duration=scenario.trace.duration,
             violation_seconds=violation,
-            energy_joules=energy,
+            energy_joules=run.energy_joules,
             offered_task_seconds=offered_ts,
             served_task_seconds=served_ts,
-            shed_task_seconds=max(0.0, offered_ts - served_ts),
-            reconfigurations=int(
-                getattr(controller, "reconfigurations", 0)
-            ),
+            reconfigurations=int(getattr(controller, "reconfigurations", 0)),
             suppressed=int(getattr(controller, "suppressed", 0)),
             on_set_changes=on_set_changes,
             max_t_cpu=max_t,
             horizon_solves=int(getattr(controller, "horizon_solves", 0)),
             fallbacks=int(getattr(controller, "fallbacks", 0)),
             precools=int(getattr(controller, "precools", 0)),
-            server_energy_joules=server_energy,
-            water_liters=water,
+            server_energy_joules=run.server_energy_joules,
+            water_liters=run.water_liters,
         )
         if rec is not None:
             rec.outcome.update(
                 violation_seconds=violation,
-                energy_joules=energy,
+                energy_joules=run.energy_joules,
                 on_set_changes=on_set_changes,
             )
     return result
@@ -613,11 +392,11 @@ def _build_controller(
     control_dt: float,
     plant: LinearizedPlant,
 ):
-    """(controller, attach_injector, feed_readings, feed_state)."""
+    """(controller, attach_injector)."""
     if name == "reactive":
-        return RuntimeController(context.optimizer), True, False, False
+        return RuntimeController(context.optimizer), True
     if name == "resilient":
-        return ResilientController(context.optimizer), True, True, False
+        return ResilientController(context.optimizer), True
     if name == "mpc":
         controller = MPCController(
             context.optimizer,
@@ -625,14 +404,12 @@ def _build_controller(
             forecast=scenario.trace.load_at,
             horizon=horizon,
         )
-        return controller, True, False, True
+        return controller, True
     if name == "oracle":
         return (
             _OracleController(
                 context.testbed, context.optimizer, injector
             ),
-            False,
-            False,
             False,
         )
     raise ConfigurationError(f"unknown campaign controller {name!r}")
@@ -750,7 +527,7 @@ def run_mpc_campaign(
             runs: dict = {}
             for name in MPC_CONTROLLERS:
                 injector = FaultInjector(scenario.faults)
-                controller, attach, readings, state = _build_controller(
+                controller, attach = _build_controller(
                     name, scenario_context, scenario, injector,
                     horizon=horizon, control_dt=control_dt, plant=plant,
                 )
@@ -762,8 +539,6 @@ def run_mpc_campaign(
                     control_dt=control_dt,
                     sim_dt=sim_dt,
                     attach_injector=attach,
-                    feed_readings=readings,
-                    feed_state=state,
                     controller_name=name,
                     sim_engine=sim_engine,
                     plant=chiller,
@@ -808,16 +583,11 @@ def _campaign_document(
     dominance = []
     for scenario in scenarios:
         runs = results[scenario.name]
-        oracle_energy = runs["oracle"].energy_joules
         controllers = {}
         for name in MPC_CONTROLLERS:
             run = runs[name]
             row = run.to_dict()
-            row["energy_overhead_vs_oracle"] = (
-                (run.energy_joules - oracle_energy) / oracle_energy
-                if oracle_energy > 0.0
-                else None
-            )
+            row["energy_overhead_vs_oracle"] = run.overhead_vs(runs["oracle"])
             controllers[name] = row
             entry_rows.append(
                 {"scenario": scenario.name, "controller": name, **row}

@@ -21,6 +21,8 @@ first-class and reproducible:
   degraded-mode extension of the runtime controller: retry-with-shedding
   on infeasible replans, sensor quarantine, and a safe-mode fallback
   (drop ``T_ac``, shed load) with hysteresis on recovery;
+- :mod:`repro.faults.loop` — :func:`~repro.faults.loop.march`, the one
+  closed-loop time march the fault and MPC campaigns both score;
 - :mod:`repro.faults.campaign` — the ``repro faults`` campaign runner
   that sweeps scenarios over naive / resilient / oracle controllers and
   emits schema-validated ``benchmarks/results/resilience.json``.

@@ -1,9 +1,12 @@
 """Tests for the fault campaign harness and resilience artifact."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.control.campaign import DemandScenario, run_demand_loop
+from repro.core.controller import RuntimeController
 from repro.errors import ConfigurationError
 from repro.experiments.common import default_context
 from repro.faults import (
@@ -17,6 +20,7 @@ from repro.faults import (
 )
 from repro.faults.campaign import CONTROLLERS, ReferenceScenario
 from repro.obs import validate_artifact, write_artifact
+from repro.workload.traces import constant_trace
 
 
 @pytest.fixture(scope="module")
@@ -51,34 +55,63 @@ class TestReferenceScenarios:
             ReferenceScenario(scenario=scenario, load_fraction=0.0)
 
 
+def _run_closed_loop(context, duration, **kwargs):
+    scenario = FaultScenario(
+        name="s", seed=1, faults=(), duration=duration
+    )
+    return run_closed_loop(
+        context.testbed, RuntimeController(context.optimizer), scenario,
+        50.0, **kwargs,
+    )
+
+
+def _run_demand_loop(context, duration, **kwargs):
+    trace = (
+        constant_trace(50.0, duration=duration)
+        if duration is not None
+        # A trace cannot be built without a duration; stand one in.
+        else SimpleNamespace(duration=None, load_at=lambda t: 50.0)
+    )
+    scenario = DemandScenario(
+        name="s",
+        trace=trace,
+        faults=FaultScenario(name="s-faults", seed=1, faults=()),
+    )
+    return run_demand_loop(
+        context.testbed, RuntimeController(context.optimizer), scenario,
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "run_loop",
+    [_run_closed_loop, _run_demand_loop],
+    ids=["run_closed_loop", "run_demand_loop"],
+)
 class TestClosedLoopValidation:
-    def _scenario(self):
-        return FaultScenario(name="s", seed=1, faults=(), duration=120.0)
+    def test_rejects_bad_timesteps(self, faults_context, run_loop):
+        for control_dt, sim_dt in ((10.0, 20.0), (60.0, 0.0), (0.0, 2.0)):
+            with pytest.raises(ConfigurationError):
+                run_loop(
+                    faults_context, 120.0,
+                    control_dt=control_dt, sim_dt=sim_dt,
+                )
 
-    def test_rejects_bad_timesteps(self, faults_context):
-        from repro.core.controller import RuntimeController
+    def test_rejects_sim_dt_that_does_not_divide_control_dt(
+        self, faults_context, run_loop
+    ):
+        """At 60/7 each interval would simulate 63 s, not 60."""
+        with pytest.raises(ConfigurationError, match="divide"):
+            run_loop(faults_context, 120.0, control_dt=60.0, sim_dt=7.0)
 
-        controller = RuntimeController(faults_context.optimizer)
+    def test_needs_duration(self, faults_context, run_loop):
         with pytest.raises(ConfigurationError):
-            run_closed_loop(
-                faults_context.testbed, controller, self._scenario(), 50.0,
-                control_dt=10.0, sim_dt=20.0,
-            )
-        with pytest.raises(ConfigurationError):
-            run_closed_loop(
-                faults_context.testbed, controller, self._scenario(), 50.0,
-                grace_steps=-1,
-            )
+            run_loop(faults_context, None)
 
-    def test_needs_duration(self, faults_context):
-        from repro.core.controller import RuntimeController
 
-        controller = RuntimeController(faults_context.optimizer)
-        scenario = FaultScenario(name="open", seed=1, faults=())
-        with pytest.raises(ConfigurationError):
-            run_closed_loop(
-                faults_context.testbed, controller, scenario, 50.0
-            )
+def test_closed_loop_rejects_negative_grace(faults_context):
+    with pytest.raises(ConfigurationError):
+        _run_closed_loop(faults_context, 120.0, grace_steps=-1)
 
 
 class TestCampaignDocument:

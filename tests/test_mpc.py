@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.control import (
+    DemandScenario,
     LinearizedPlant,
     MPCController,
     demand_scenarios,
@@ -26,6 +27,10 @@ from repro.core.controller import RuntimeController
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.experiments.common import default_context
 from repro.faults.injection import FaultInjector
+from repro.faults.scenario import FaultScenario
+from repro.thermal.plant import default_plant
+from repro.workload.traces import constant_trace
+from repro.workload.weather import diurnal_wetbulb
 
 
 @pytest.fixture(scope="module")
@@ -190,15 +195,14 @@ class TestFlashCrowdDominance:
         capacity = ctx.testbed.total_capacity
         scenario = demand_scenarios(capacity, seed=2012, quick=True)[1]
         out = {}
-        for name, controller, feed_state in (
-            ("reactive", RuntimeController(ctx.optimizer), False),
+        for name, controller in (
+            ("reactive", RuntimeController(ctx.optimizer)),
             (
                 "mpc",
                 MPCController(
                     ctx.optimizer, plant,
                     forecast=scenario.trace.load_at,
                 ),
-                True,
             ),
         ):
             out[name] = run_demand_loop(
@@ -206,7 +210,6 @@ class TestFlashCrowdDominance:
                 controller,
                 scenario,
                 injector=FaultInjector(scenario.faults),
-                feed_state=feed_state,
                 controller_name=name,
             )
         return out
@@ -224,3 +227,75 @@ class TestFlashCrowdDominance:
         assert runs["mpc"].precools > 0
         assert runs["mpc"].horizon_solves > 0
         assert runs["mpc"].fallbacks == 0
+
+
+class TestDemandLoopValidation:
+    def _scenario(self):
+        return DemandScenario(
+            name="steady",
+            trace=constant_trace(100.0, duration=120.0),
+            faults=FaultScenario(
+                name="steady-faults", seed=1, faults=(), duration=120.0
+            ),
+        )
+
+    def test_rejects_plant_without_weather(self, ctx):
+        plant = default_plant(ctx.testbed.fresh_cooler())
+        with pytest.raises(ConfigurationError):
+            run_demand_loop(
+                ctx.testbed, RuntimeController(ctx.optimizer),
+                self._scenario(), plant=plant,
+            )
+
+    def test_rejects_weather_without_plant(self, ctx):
+        weather = diurnal_wetbulb(
+            mean=290.0, swing=4.0, duration=120.0, period=120.0
+        )
+        with pytest.raises(ConfigurationError):
+            run_demand_loop(
+                ctx.testbed, RuntimeController(ctx.optimizer),
+                self._scenario(), weather=weather,
+            )
+
+
+class TestBenchmarkEntryPoints:
+    """The control-replay benchmark times the campaign by patching
+    ``run_demand_loop`` and ``_OracleController.observe`` in
+    ``repro.control.campaign``; both must stay on the campaign's path."""
+
+    def test_campaign_calls_the_patched_loop_and_oracle(
+        self, ctx, monkeypatch
+    ):
+        from repro.control import campaign
+
+        loops = []
+        observes = []
+        loop = campaign.run_demand_loop
+        observe = campaign._OracleController.observe
+
+        def counted_loop(*args, **kwargs):
+            loops.append(kwargs.get("controller_name"))
+            return loop(*args, **kwargs)
+
+        def counted_observe(self, *args, **kwargs):
+            observes.append(args)
+            return observe(self, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "run_demand_loop", counted_loop)
+        monkeypatch.setattr(
+            campaign._OracleController, "observe", counted_observe
+        )
+        capacity = ctx.testbed.total_capacity
+        scenario = DemandScenario(
+            name="steady",
+            trace=constant_trace(0.5 * capacity, duration=300.0),
+            faults=FaultScenario(
+                name="steady-faults", seed=1, faults=(), duration=300.0
+            ),
+        )
+        results, _ = campaign.run_mpc_campaign(
+            seed=2012, n_machines=6, scenarios=[scenario], context=ctx
+        )
+        assert loops == ["reactive", "resilient", "mpc", "oracle"]
+        assert len(observes) > 0
+        assert set(results["steady"]) == set(campaign.MPC_CONTROLLERS)
