@@ -4,8 +4,7 @@ The paper pays O(n^3 log n) offline (Algorithm 1) to make the online
 query O(log n) (Algorithm 2); this bench measures that trade at machine
 counts far beyond the paper's 10-node room.  For each ``n`` it
 
-- builds the vectorized (numpy-engine) :class:`ConsolidationIndex` and
-  times it;
+- builds the vectorized :class:`ConsolidationIndex` and times it;
 - where affordable, runs the pure-Python baseline — a verbatim port of
   the pre-vectorization implementation (per-status dataclass
   allocations, dict-of-orders, Python sorts; only the gap-aware nudge
@@ -260,7 +259,7 @@ def _measure(n: int, baseline_max: int) -> _Entry:
     build = float("inf")
     for _ in range(2):
         start = time.perf_counter()
-        index = ConsolidationIndex(engine="numpy", **spec)
+        index = ConsolidationIndex(**spec)
         build = min(build, time.perf_counter() - start)
 
     baseline = speedup = identical = None
@@ -337,7 +336,7 @@ def _measure_sharded(n: int, pods: int, exact_max: int) -> _ShardedEntry:
     gap_loads = [frac * capacity for frac in (0.3, 0.5, 0.7)]
     exact = None
     if n <= exact_max:
-        mono = ConsolidationIndex(engine="numpy", **spec)
+        mono = ConsolidationIndex(**spec)
         worst = 0.0
         for load in gap_loads:
             try:
@@ -498,7 +497,7 @@ def test_consolidation_scale(benchmark, emit):
         )
 
     for entry in entries:
-        # Where the baseline ran, the engines agreed byte for byte.
+        # Where the baseline ran, it agreed with the index byte for byte.
         assert entry.identical_answers in (True, None)
         # Batching must never lose to the one-at-a-time loop by much
         # (it shares the same scan; the win is amortized dispatch).

@@ -2,16 +2,16 @@
 
 Every closed-loop result in the reproduction flows through
 :class:`~repro.thermal.simulation.RoomSimulation.step`; this bench
-measures the vectorized ``engine="numpy"`` stepper against the
-``engine="python"`` per-node loop at machine counts beyond the paper's
-10-node room.  For each ``n`` it
+measures its vectorized stepper against the per-node loop oracle
+(:class:`tests.oracles.LoopRoomSimulation`) at machine counts beyond
+the paper's 10-node room.  For each ``n`` it
 
-- steps both engines through the same seeded scenario (mixed on/off
-  mask, a set-point step halfway through) and asserts the final states
-  are **exactly equal** — the trajectory-equivalence contract from
+- steps both through the same seeded scenario (mixed on/off mask, a
+  set-point step halfway through) and asserts the final states are
+  **exactly equal** — the trajectory-equivalence contract from
   ``tests/test_simulation_engine.py``, re-checked at bench scale;
-- times steady stepping on each engine (best of rounds, so allocator
-  warm-up is machine noise, not integrator time) and records steps/sec.
+- times steady stepping on each (best of rounds, so allocator warm-up
+  is machine noise, not integrator time) and records steps/sec.
 
 Results land in ``benchmarks/results/simulation_speed.json``
 (schema: the ``simulation-speed`` spec in
@@ -37,6 +37,7 @@ from repro import obs
 from repro.experiments.scale_study import scaled_config
 from repro.testbed.rack import build_cooler, build_room
 from repro.thermal.simulation import RoomSimulation
+from tests.oracles import LoopRoomSimulation
 
 SEED = 2012
 
@@ -52,7 +53,7 @@ SPEEDUP_AT = 100
 #: Warm-up + equivalence steps before any timing.
 CHECK_STEPS = 400
 
-#: Timed steps per round (the loop engine gets fewer; it is the slow
+#: Timed steps per round (the loop oracle gets fewer; it is the slow
 #: side and the per-step cost is stable).
 TIMED_STEPS_NUMPY = 4000
 TIMED_STEPS_PYTHON = 400
@@ -78,10 +79,10 @@ def _scenario(n: int):
     return powers, on_mask, (295.0, 293.5)
 
 
-def _build(n: int, engine: str) -> RoomSimulation:
+def _build(n: int, sim_class: type) -> RoomSimulation:
     config = scaled_config(n)
     room = build_room(config, np.random.default_rng(SEED + n))
-    return RoomSimulation(room, build_cooler(config), engine=engine)
+    return sim_class(room, build_cooler(config))
 
 
 def _drive(sim: RoomSimulation, n: int, steps: int) -> None:
@@ -105,18 +106,18 @@ def _states_equal(a: RoomSimulation, b: RoomSimulation) -> bool:
     )
 
 
-def _time_engine(n: int, engine: str, steps: int) -> float:
+def _time_stepper(n: int, sim_class: type, steps: int) -> float:
     """Best-of-rounds wall clock for ``steps`` steady steps.
 
     Timed with tracing suspended: the bench session traces every bench
     (``benchmarks/conftest.py``), but per-step trace events are an
-    opt-in diagnostic, not integrator work — both engines are timed on
+    opt-in diagnostic, not integrator work — both steppers are timed on
     the same footing either way.
     """
     best = float("inf")
     with obs.suspended_tracing():
         for _ in range(ROUNDS):
-            sim = _build(n, engine)
+            sim = _build(n, sim_class)
             powers, on_mask, set_points = _scenario(n)
             sim.set_node_powers(powers, on_mask=on_mask)
             sim.set_set_point(set_points[0])
@@ -142,15 +143,15 @@ class _Entry:
 
 
 def _measure(n: int) -> _Entry:
-    fast = _build(n, "numpy")
-    loop = _build(n, "python")
+    fast = _build(n, RoomSimulation)
+    loop = _build(n, LoopRoomSimulation)
     _drive(fast, n, CHECK_STEPS)
     _drive(loop, n, CHECK_STEPS)
     identical = _states_equal(fast, loop)
-    assert identical, f"n={n}: engines diverged on the bench scenario"
+    assert identical, f"n={n}: stepper and oracle diverged on the scenario"
 
-    seconds_numpy = _time_engine(n, "numpy", TIMED_STEPS_NUMPY)
-    seconds_python = _time_engine(n, "python", TIMED_STEPS_PYTHON)
+    seconds_numpy = _time_stepper(n, RoomSimulation, TIMED_STEPS_NUMPY)
+    seconds_python = _time_stepper(n, LoopRoomSimulation, TIMED_STEPS_PYTHON)
     sps_numpy = TIMED_STEPS_NUMPY / seconds_numpy
     sps_python = TIMED_STEPS_PYTHON / seconds_python
     return _Entry(

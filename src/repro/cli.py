@@ -342,14 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         "section (dashboard target only; default "
         "benchmarks/results/mpc.json when it exists)",
     )
-    parser.add_argument(
-        "--sim-engine",
-        choices=("numpy", "python"),
-        default="numpy",
-        help="transient-simulation engine: the vectorized numpy pipeline "
-        "(default) or the per-node python reference loop; both produce "
-        "bit-identical trajectories (see docs/observability.md)",
-    )
     return parser
 
 
@@ -358,7 +350,6 @@ def _run_traced_scenario(
     machines: int,
     load: Optional[float],
     policy: str,
-    sim_engine: str = "numpy",
 ):
     """One fully observed controller run: metrics + tracing + watchdogs.
 
@@ -372,9 +363,7 @@ def _run_traced_scenario(
     from repro.core.controller import RuntimeController
     from repro.workload.traces import diurnal_trace
 
-    ctx = default_context(
-        seed=seed, n_machines=machines, sim_engine=sim_engine
-    )
+    ctx = default_context(seed=seed, n_machines=machines)
     capacity = sum(ctx.model.capacities)
     peak = load if load is not None else 0.7 * capacity
     trace = diurnal_trace(base=0.3 * peak, peak=peak, duration=86400.0)
@@ -493,10 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
             model = load_system_model(args.model)
         else:
-            ctx = default_context(
-                seed=args.seed, n_machines=args.machines,
-                sim_engine=args.sim_engine,
-            )
+            ctx = default_context(seed=args.seed, n_machines=args.machines)
             model = ctx.model
         optimizer = JointOptimizer(
             model,
@@ -571,7 +557,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             n_machines=args.machines,
             quick=args.quick,
             scenarios=scenarios,
-            sim_engine=args.sim_engine,
         )
         for entry in document["scenarios"]:
             print(f"{entry['name']} (load {entry['load_fraction']:.0%}):")
@@ -614,7 +599,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             n_machines=args.machines,
             quick=args.quick,
             horizon=args.horizon,
-            sim_engine=args.sim_engine,
         )
         for entry in document["scenarios"]:
             peak = entry["peak_load_fraction"]
@@ -681,11 +665,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
             model = load_system_model(args.model)
         else:
-            ctx = default_context(
-                seed=args.seed,
-                n_machines=args.machines,
-                sim_engine=args.sim_engine,
-            )
+            ctx = default_context(seed=args.seed, n_machines=args.machines)
             model = ctx.model
         if args.pods is not None and args.save:
             print(
@@ -727,8 +707,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         import pathlib
 
         buffer, wd = _run_traced_scenario(
-            args.seed, args.machines, args.load, args.policy,
-            sim_engine=args.sim_engine,
+            args.seed, args.machines, args.load, args.policy
         )
         out = pathlib.Path(args.out or "trace.jsonl")
         out.write_text(buffer.to_jsonl())
@@ -774,8 +753,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(render_dashboard(buffer, serving=serving, mpc=mpc))
         else:
             buffer, wd = _run_traced_scenario(
-                args.seed, args.machines, args.load, args.policy,
-                sim_engine=args.sim_engine,
+                args.seed, args.machines, args.load, args.policy
             )
             print(render_dashboard(buffer, watchdog=wd, serving=serving,
                                    mpc=mpc))
@@ -790,11 +768,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # One instrumented end-to-end run: profile the testbed, then
             # solve (at --load, or at 50% of capacity).  The registry dump
             # covers the campaign, the index build, and the solve.
-            ctx = default_context(
-                seed=args.seed,
-                n_machines=args.machines,
-                sim_engine=args.sim_engine,
-            )
+            ctx = default_context(seed=args.seed, n_machines=args.machines)
             load = (
                 args.load
                 if args.load is not None
@@ -810,10 +784,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.target == "report":
         from repro.analysis.report import write_report
 
-        ctx = default_context(
-            seed=args.seed, n_machines=args.machines,
-            sim_engine=args.sim_engine,
-        )
+        ctx = default_context(seed=args.seed, n_machines=args.machines)
         target = args.save or "reproduction_report.md"
         path = write_report(target, ctx)
         print(f"reproduction report written to {path}")
@@ -822,10 +793,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.target == "profile":
         from repro.core.serialization import save_system_model
 
-        ctx = default_context(
-            seed=args.seed, n_machines=args.machines,
-            sim_engine=args.sim_engine,
-        )
+        ctx = default_context(seed=args.seed, n_machines=args.machines)
         print(
             f"profiled {args.machines} machines: "
             f"P = {ctx.model.power.w1:.3f}*L + {ctx.model.power.w2:.2f}, "
@@ -849,10 +817,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
             optimizer = JointOptimizer(load_system_model(args.model))
         else:
-            ctx = default_context(
-                seed=args.seed, n_machines=args.machines,
-                sim_engine=args.sim_engine,
-            )
+            ctx = default_context(seed=args.seed, n_machines=args.machines)
             optimizer = ctx.optimizer
         if args.budget is not None:
             max_load, result = optimizer.max_load_under_budget(args.budget)
@@ -889,10 +854,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             result = standalone[name]()
         else:
             if ctx is None:
-                ctx = default_context(
-                    seed=args.seed, n_machines=args.machines,
-                    sim_engine=args.sim_engine,
-                )
+                ctx = default_context(seed=args.seed, n_machines=args.machines)
             result = contextual[name](ctx)
         if args.plot and hasattr(result, "series"):
             from repro.analysis.plots import ascii_plot

@@ -296,7 +296,6 @@ def run_demand_loop(
     sim_dt: float = 2.0,
     attach_injector: bool = False,
     controller_name: str = "controller",
-    sim_engine: str = "numpy",
     plant: Optional[ChillerPlant] = None,
     weather: Optional[WeatherTrace] = None,
 ) -> DemandLoopResult:
@@ -332,8 +331,7 @@ def run_demand_loop(
             testbed, controller, scenario.faults, scenario.trace.load_at,
             follow_demand, duration=scenario.trace.duration,
             injector=injector, control_dt=control_dt, sim_dt=sim_dt,
-            attach_injector=attach_injector, sim_engine=sim_engine,
-            plant=plant, weather=wx,
+            attach_injector=attach_injector, plant=plant, weather=wx,
         )
         violation = 0.0
         offered_ts = 0.0
@@ -466,7 +464,6 @@ def run_mpc_campaign(
     control_dt: float = 60.0,
     sim_dt: float = 2.0,
     context=None,
-    sim_engine: str = "numpy",
     chiller: Optional[ChillerPlant] = None,
     weather: Optional[WeatherTrace] = None,
 ) -> tuple[dict, dict]:
@@ -490,9 +487,7 @@ def run_mpc_campaign(
     if context is None:
         from repro.experiments.common import default_context
 
-        context = default_context(
-            seed=seed, n_machines=n_machines, sim_engine=sim_engine
-        )
+        context = default_context(seed=seed, n_machines=n_machines)
     testbed = context.testbed
     if chiller is not None and weather is None:
         raise ConfigurationError(
@@ -540,7 +535,6 @@ def run_mpc_campaign(
                     sim_dt=sim_dt,
                     attach_injector=attach,
                     controller_name=name,
-                    sim_engine=sim_engine,
                     plant=chiller,
                     weather=weather,
                 )

@@ -15,7 +15,7 @@ and finite differences against the engine recover ``A``, ``B_power``,
 ``b_supply`` and ``offset`` *exactly* (to floating-point roundoff) — no
 truncation error, because there is no higher-order term to truncate.
 :class:`LinearizedPlant` performs that extraction by probing the
-engine's own ``_advance_numpy`` stepper with basis states/inputs, so the
+engine's own ``_advance`` stepper with basis states/inputs, so the
 linear model inherits the integrator bit for bit, and memoizes the
 matrices per on-mask (the mask changes the flow topology: an off node
 couples to the room through a weak passive conductance instead of its
@@ -105,7 +105,7 @@ class LinearizedPlant:
         self.dt = float(dt)
         self.substeps = max(1, int(np.ceil(dt / rk_dt - 1e-9)))
         self.rk_dt = self.dt / self.substeps
-        self._probe = RoomSimulation(room, cooler, engine="numpy")
+        self._probe = RoomSimulation(room, cooler)
         self.n = room.node_count
         self.max_cached_masks = max_cached_masks
         self._cache: OrderedDict[bytes, PlantMatrices] = OrderedDict()
@@ -169,7 +169,7 @@ class LinearizedPlant:
         probe.t_room = float(state[2 * n])
         probe.powers = np.asarray(powers, dtype=float)
         for _ in range(self.substeps):
-            probe._advance_numpy(self.rk_dt, t_ac)
+            probe._advance(self.rk_dt, t_ac)
         return self.pack_state(probe.t_cpu, probe.t_box, probe.t_room)
 
     def matrices(self, on_mask) -> PlantMatrices:

@@ -22,10 +22,10 @@ broadcast over the upper triangle, orders from a batched stable argsort
 over the event-time grid, and ``Lmax`` from row-wise cumulative sums.
 The resulting status table is column-oriented (parallel ``t``/``k``/
 ``Lmax`` arrays sorted by ``Lmax``); :class:`Status` objects and the
-``orders`` mapping are materialized lazily for API compatibility.  A
-pure-Python reference build (``engine="python"``) computes bit-identical
-tables and anchors the equivalence tests and the scale benchmark
-(``benchmarks/bench_consolidation_scale.py``).
+``orders`` mapping are materialized lazily for API compatibility.  The
+equivalence tests pin the tables bit for bit against a pure-Python
+reference build of the paper's listing, kept as a test oracle in
+``tests/oracles/``.
 
 Implementation notes (documented deviations, none affecting complexity):
 
@@ -261,11 +261,6 @@ class ConsolidationIndex:
     capacities:
         Optional per-machine capacities in load units; the refined query
         skips subsets that cannot physically carry the requested load.
-    engine:
-        ``"numpy"`` (default) builds the tables with the vectorized
-        pipeline; ``"python"`` uses the pure-Python reference build that
-        produces bit-identical tables (kept for equivalence tests and as
-        the scale benchmark's baseline).
     """
 
     def __init__(
@@ -277,11 +272,8 @@ class ConsolidationIndex:
         t_min: Optional[float] = None,
         t_max: Optional[float] = None,
         capacities: Optional[Sequence[float]] = None,
-        engine: str = "numpy",
     ) -> None:
-        self._init_params(
-            pairs, w2, rho, theta0, t_min, t_max, capacities, engine
-        )
+        self._init_params(pairs, w2, rho, theta0, t_min, t_max, capacities)
         self._preprocess()
 
     # ------------------------------------------------------------------ #
@@ -297,17 +289,12 @@ class ConsolidationIndex:
         t_min: Optional[float],
         t_max: Optional[float],
         capacities: Optional[Sequence[float]],
-        engine: str,
     ) -> None:
         self.pairs = _validate_pairs(pairs)
         if w2 < 0.0:
             raise ConfigurationError(f"w2 must be non-negative, got {w2}")
         if rho <= 0.0:
             raise ConfigurationError(f"rho must be positive, got {rho}")
-        if engine not in ("numpy", "python"):
-            raise ConfigurationError(
-                f"unknown consolidation engine {engine!r}"
-            )
         self.w2 = w2
         self.rho = rho
         self.theta0 = theta0
@@ -320,7 +307,6 @@ class ConsolidationIndex:
         self.capacities = (
             None if capacities is None else [float(c) for c in capacities]
         )
-        self.engine = engine
         arr = np.asarray(self.pairs, dtype=np.float64)
         self._a = np.ascontiguousarray(arr[:, 0])
         self._b = np.ascontiguousarray(arr[:, 1])
@@ -343,7 +329,6 @@ class ConsolidationIndex:
         t_min: Optional[float],
         t_max: Optional[float],
         capacities: Optional[Sequence[float]],
-        engine: str,
         event_t: np.ndarray,
         event_p: np.ndarray,
         event_q: np.ndarray,
@@ -359,9 +344,7 @@ class ConsolidationIndex:
         :class:`ConfigurationError` instead of silently mis-answering.
         """
         index = cls.__new__(cls)
-        index._init_params(
-            pairs, w2, rho, theta0, t_min, t_max, capacities, engine
-        )
+        index._init_params(pairs, w2, rho, theta0, t_min, t_max, capacities)
         n = len(index.pairs)
         times = np.asarray(times, dtype=np.float64)
         orders_mat = np.asarray(orders_mat, dtype=np.int32)
@@ -399,17 +382,10 @@ class ConsolidationIndex:
     # Algorithm 1
     # ------------------------------------------------------------------ #
 
-    def _coordinates(self, t: float) -> np.ndarray:
-        return self._a - t * self._b
-
     def _preprocess(self) -> None:
         with obs.timed("consolidation/preprocess"):
-            if self.engine == "python":
-                self._build_tables_python()
-            else:
-                self._build_tables_numpy()
+            self._build_tables()
             obs.set_span_attributes(
-                engine=self.engine,
                 machines=len(self.pairs),
                 statuses=self.status_count,
             )
@@ -417,7 +393,7 @@ class ConsolidationIndex:
         obs.set_gauge("consolidation.events", self.event_count)
         obs.set_gauge("consolidation.statuses", self.status_count)
 
-    def _build_tables_numpy(self) -> None:
+    def _build_tables(self) -> None:
         """Vectorized Algorithm 1: one broadcast for events, one batched
         argsort for orders, row-wise cumulative sums for ``Lmax``."""
         a, b = self._a, self._b
@@ -468,54 +444,6 @@ class ConsolidationIndex:
         self._tab_row = perm // np.int32(n)
         self._tab_k = perm - self._tab_row * np.int32(n)
         self._tab_k += np.int32(1)
-
-    def _build_tables_python(self) -> None:
-        """Reference Algorithm 1 with per-row Python loops.
-
-        Kept deliberately close to the paper's listing (and to the
-        pre-vectorization implementation): it is the baseline the scale
-        benchmark compares against, and the equivalence tests assert its
-        tables are bit-identical to the numpy pipeline's.
-        """
-        n = len(self.pairs)
-        events: list[tuple[float, int, int]] = []
-        for i in range(n):
-            a_i, b_i = self.pairs[i]
-            for j in range(i + 1, n):
-                a_j, b_j = self.pairs[j]
-                if b_i == b_j:
-                    continue  # parallel particles never meet
-                pass_time = (a_i - a_j) / (b_i - b_j)
-                if pass_time <= 0.0:
-                    continue  # met in the past (or never, given t >= 0)
-                events.append((pass_time, i, j))
-        events.sort()
-        self._event_t = np.array([e[0] for e in events], dtype=np.float64)
-        self._event_p = np.array([e[1] for e in events], dtype=np.int32)
-        self._event_q = np.array([e[2] for e in events], dtype=np.int32)
-        times = sorted({0.0, *(e[0] for e in events)})
-        order_rows: list[list[int]] = []
-        flat: list[float] = []
-        for row, t in enumerate(times):
-            eps = _EPSILON_SCALE * max(1.0, abs(t))
-            if row + 1 < len(times):
-                eps = min(eps, 0.5 * (times[row + 1] - t))
-            xn = self._coordinates(t + eps)
-            order = sorted(range(n), key=lambda i: (-xn[i], i))
-            order_rows.append(order)
-            x = self._coordinates(t)
-            acc = 0.0
-            for i in order:
-                acc += float(x[i])
-                flat.append(acc)
-        perm = sorted(range(len(flat)), key=flat.__getitem__)
-        self._times = np.array(times, dtype=np.float64)
-        self._orders_mat = np.array(order_rows, dtype=np.int32).reshape(
-            len(times), n
-        )
-        self._tab_lmax = np.array([flat[i] for i in perm], dtype=np.float64)
-        self._tab_row = np.array([i // n for i in perm], dtype=np.int32)
-        self._tab_k = np.array([i % n + 1 for i in perm], dtype=np.int32)
 
     # ------------------------------------------------------------------ #
     # Lazy views over the column-oriented tables

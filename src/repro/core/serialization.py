@@ -274,7 +274,6 @@ def load_consolidation_index(
         t_min=None if np.isnan(t_min) else t_min,
         t_max=None if np.isnan(t_max) else t_max,
         capacities=capacities,
-        engine="numpy",
         event_t=arrays["event_t"],
         event_p=arrays["event_p"],
         event_q=arrays["event_q"],

@@ -488,7 +488,7 @@ class PodShardedIndex:
                 )
                 for p, pod_tables in zip(pending, tables):
                     built[p] = ConsolidationIndex._from_tables(
-                        engine="numpy", **specs[p], **pod_tables
+                        **specs[p], **pod_tables
                     )
                 if self.cache_dir is not None:
                     self.cache_dir.mkdir(parents=True, exist_ok=True)

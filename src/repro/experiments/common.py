@@ -46,13 +46,12 @@ def default_context(
     seed: int = 2012,
     n_machines: int = 20,
     config: Optional[TestbedConfig] = None,
-    sim_engine: str = "numpy",
 ) -> EvaluationContext:
     """Build (or fetch from cache) the standard evaluation context."""
-    key = (seed, n_machines, config, sim_engine)
+    key = (seed, n_machines, config)
     if key not in _CONTEXT_CACHE:
         cfg = config or TestbedConfig(n_machines=n_machines)
-        testbed = build_testbed(cfg, seed=seed, sim_engine=sim_engine)
+        testbed = build_testbed(cfg, seed=seed)
         profiling = testbed.profile()
         optimizer = JointOptimizer(profiling.system_model)
         _CONTEXT_CACHE[key] = EvaluationContext(

@@ -207,7 +207,6 @@ def run_closed_loop(
     grace_steps: int = 1,
     attach_injector: bool = False,
     controller_name: str = "controller",
-    sim_engine: str = "numpy",
 ) -> ClosedLoopResult:
     """Drive one controller through one fault scenario, ground truth on.
 
@@ -239,7 +238,6 @@ def run_closed_loop(
             testbed, controller, scenario, lambda t: base_load, follow_plan,
             duration=total, injector=injector, control_dt=control_dt,
             sim_dt=sim_dt, attach_injector=attach_injector,
-            sim_engine=sim_engine,
         )
         grace = grace_steps * control_dt + 1e-9
         violation = 0.0
@@ -337,7 +335,6 @@ def run_campaign(
     sim_dt: float = 2.0,
     grace_steps: int = 1,
     context=None,
-    sim_engine: str = "numpy",
 ) -> tuple[list[CampaignResult], dict]:
     """Sweep scenarios over the naive/resilient/oracle controllers.
 
@@ -351,9 +348,7 @@ def run_campaign(
     if context is None:
         from repro.experiments.common import default_context
 
-        context = default_context(
-            seed=seed, n_machines=n_machines, sim_engine=sim_engine
-        )
+        context = default_context(seed=seed, n_machines=n_machines)
     refs = (
         list(scenarios)
         if scenarios is not None
@@ -380,7 +375,6 @@ def run_campaign(
                 grace_steps=grace_steps,
                 attach_injector=attach,
                 controller_name=name,
-                sim_engine=sim_engine,
             )
         results.append(CampaignResult(reference=ref, runs=runs))
     document = _campaign_document(

@@ -172,7 +172,6 @@ def march(
     control_dt: float = 60.0,
     sim_dt: float = 2.0,
     attach_injector: bool = False,
-    sim_engine: str = "numpy",
     plant: Optional[ChillerPlant] = None,
     weather: Optional[WeatherTrace] = None,
 ) -> Trajectory:
@@ -217,7 +216,7 @@ def march(
     # PI state zeroed) so back-to-back scenarios can never leak integral
     # state between runs.
     cooler = testbed.fresh_cooler()
-    sim = RoomSimulation(testbed.room, cooler, engine=sim_engine)
+    sim = RoomSimulation(testbed.room, cooler)
     # Per-run plant copy: mode machine starts mechanical and acts on
     # this run's cooler, so scenarios can't leak hysteresis state.
     run_plant = (

@@ -102,7 +102,6 @@ class Testbed:
         power_models: Sequence[ServerPowerModel],
         rng: np.random.Generator,
         simulation=None,
-        sim_engine: str = "numpy",
     ) -> None:
         if len(power_models) != room.node_count:
             raise ConfigurationError(
@@ -114,13 +113,11 @@ class Testbed:
         self.power_models = list(power_models)
         self.rng = rng
         # A custom simulation (e.g. the zonal substrate) may be supplied;
-        # it must honour the RoomSimulation interface.  ``sim_engine``
-        # selects the transient-integrator implementation of the default
-        # RoomSimulation ("numpy" or "python"; both bit-identical).
+        # it must honour the RoomSimulation interface.
         self.simulation = (
             simulation
             if simulation is not None
-            else RoomSimulation(room, cooler, engine=sim_engine)
+            else RoomSimulation(room, cooler)
         )
 
     @property
@@ -295,12 +292,7 @@ class Testbed:
             deterministic=deterministic_arrivals,
         )
         cooler = self.fresh_cooler()
-        if isinstance(self.simulation, RoomSimulation):
-            sim = RoomSimulation(
-                self.room, cooler, engine=self.simulation.engine
-            )
-        else:
-            sim = type(self.simulation)(self.room, cooler)
+        sim = type(self.simulation)(self.room, cooler)
         sim.set_set_point(decision.t_sp)
         energy = 0.0
         power_samples: list[float] = []

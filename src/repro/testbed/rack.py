@@ -197,15 +197,13 @@ def build_cooler(config: TestbedConfig) -> CoolingUnit:
 def build_testbed(
     config: TestbedConfig | None = None,
     seed: int = 2012,
-    sim_engine: str = "numpy",
 ) -> "Testbed":
     """Assemble the full simulated testbed from a config and seed.
 
     The returned :class:`~repro.testbed.experiment.Testbed` owns the
     ground truth; callers interact with it through profiling and policy
     evaluation, never by peeking at the true coefficients (tests do peek,
-    deliberately, to validate the fits).  ``sim_engine`` selects the
-    transient-integrator implementation ("numpy" or "python").
+    deliberately, to validate the fits).
     """
     from repro.testbed.experiment import Testbed
 
@@ -220,5 +218,4 @@ def build_testbed(
         cooler=cooler,
         power_models=power_models,
         rng=rng,
-        sim_engine=sim_engine,
     )

@@ -14,18 +14,13 @@ Two ways to evaluate the simulated testbed:
   solves a whole batch of operating points in one vectorized pass and
   returns a :class:`SteadyStateBatch`.
 
-The transient integrator has two engines selected at construction time:
-
-- ``engine="numpy"`` (default) evaluates the derivatives as pure array
-  arithmetic and folds the four RK4 stages into stacked-state updates —
-  no Python-level per-node iteration;
-- ``engine="python"`` keeps the original per-node loop as the readable
-  reference implementation.
-
-Both engines produce **bit-identical** trajectories: the vectorized
-kernel preserves the exact expression structure (and accumulation order)
-of the loop, so every elementwise IEEE operation rounds the same way.
-``tests/test_simulation_engine.py`` pins this equivalence on randomized
+The transient integrator evaluates the derivatives as pure array
+arithmetic and folds the four RK4 stages into stacked-state updates, with
+no Python-level per-node iteration.  It preserves the exact expression
+structure (and accumulation order) of the original per-node loop, so
+every elementwise IEEE operation rounds the same way:
+``tests/test_simulation_engine.py`` pins it **bit for bit** against that
+loop (kept as a test oracle in ``tests/oracles/``) on randomized
 scenarios, including off nodes, saturated coolers, set-point steps, and
 active fault injectors.
 
@@ -50,9 +45,6 @@ from repro.thermal.room import MachineRoom
 #: fans stopped there is no forced air flow; a small natural-convection term
 #: lets an off machine relax to room temperature instead of staying hot.
 OFF_NODE_CONDUCTANCE = 1.0
-
-#: Transient-integration engines (see the module docstring).
-ENGINES = ("numpy", "python")
 
 
 @dataclass(frozen=True)
@@ -167,10 +159,6 @@ class RoomSimulation:
     with :meth:`step` / :meth:`run` or asks for the long-run operating
     point directly with :meth:`steady_state` /
     :meth:`steady_state_many`.
-
-    ``engine`` selects the derivative/RK4 implementation: ``"numpy"``
-    (vectorized, default) or ``"python"`` (per-node loop reference).
-    Both are bit-identical; see the module docstring.
     """
 
     def __init__(
@@ -178,21 +166,14 @@ class RoomSimulation:
         room: MachineRoom,
         cooler: CoolingUnit,
         initial_temperature: float = units.celsius_to_kelvin(22.0),
-        engine: str = "numpy",
     ) -> None:
         if abs(cooler.supply_flow - room.supply_flow) > 1e-9:
             raise ConfigurationError(
                 "cooler and room disagree on the supply flow: "
                 f"{cooler.supply_flow} vs {room.supply_flow} m^3/s"
             )
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown simulation engine {engine!r} "
-                f"(choose one of {ENGINES})"
-            )
         self.room = room
         self.cooler = cooler
-        self.engine = engine
         n = room.node_count
         self.t_cpu = np.full(n, initial_temperature, dtype=float)
         self.t_box = np.full(n, initial_temperature, dtype=float)
@@ -208,8 +189,8 @@ class RoomSimulation:
         self.fault_injector = None
         # Per-node constants of the vectorized kernels.  The room is
         # frozen, so these never change after construction.  _flow_c
-        # carries flow * C_AIR pre-multiplied: the loop engine computes
-        # the same left-associated product inline.
+        # carries flow * C_AIR pre-multiplied: the reference loop
+        # computes the same left-associated product inline.
         self._theta = np.array([nd.theta for nd in room.nodes])
         self._nu_cpu = np.array([nd.nu_cpu for nd in room.nodes])
         self._nu_box = np.array([nd.nu_box for nd in room.nodes])
@@ -232,8 +213,8 @@ class RoomSimulation:
         self._rf_eff = np.empty(n)
         self._mask_f = np.empty(n)
         # bypass_flow(on_mask) * C_AIR; the cached value comes from
-        # MachineRoom's own generator sum so it matches the loop engine
-        # bit for bit.
+        # MachineRoom's own generator sum so it matches the reference
+        # loop bit for bit.
         self._bypass_c = 0.0
         # Preallocated stacked-state and scratch buffers of the RK4 hot
         # path (all stage arithmetic runs through out= with no
@@ -264,6 +245,10 @@ class RoomSimulation:
         self._k2_v = _views(self._k2)
         self._k3_v = _views(self._k3)
         self._k4_v = _views(self._k4)
+        # State/derivative buffers of _derivatives, kept apart from the
+        # stepper's so an off-step evaluation never clobbers them.
+        self._dy_v = _views(np.empty(m))
+        self._dk_v = _views(np.empty(m))
         # Room scalars hoisted out of the per-stage kernel (attribute
         # chains on every stage cost real per-step time at small n).
         self._n = n
@@ -325,45 +310,21 @@ class RoomSimulation:
     def _derivatives(
         self, t_cpu: np.ndarray, t_box: np.ndarray, t_room: float, t_ac: float
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Thermal-state time derivatives under the configured engine."""
-        if self.engine == "numpy":
-            return self._derivatives_numpy(t_cpu, t_box, t_room, t_ac)
-        return self._derivatives_python(t_cpu, t_box, t_room, t_ac)
+        """Thermal-state time derivatives at an arbitrary state.
 
-    def _derivatives_python(
-        self, t_cpu: np.ndarray, t_box: np.ndarray, t_room: float, t_ac: float
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        d_cpu = np.zeros_like(t_cpu)
-        d_box = np.zeros_like(t_box)
-        room_heat = 0.0
-        for i, node in enumerate(self.room.nodes):
-            exchange = (t_cpu[i] - t_box[i]) * node.theta
-            if self.on_mask[i]:
-                t_in = (
-                    node.supply_fraction * t_ac
-                    + (1.0 - node.supply_fraction) * t_room
-                )
-                d_cpu[i] = (self.powers[i] - exchange) / node.nu_cpu
-                d_box[i] = (
-                    exchange
-                    + node.flow * units.C_AIR * (t_in - t_box[i])
-                ) / node.nu_box
-                room_heat += node.flow * units.C_AIR * (t_box[i] - t_room)
-            else:
-                # Fans off: only a weak passive coupling to the room.
-                leak = OFF_NODE_CONDUCTANCE * (t_room - t_box[i])
-                d_cpu[i] = -exchange / node.nu_cpu
-                d_box[i] = (exchange + leak) / node.nu_box
-                room_heat -= leak
-        room_heat += (
-            self.room.bypass_flow(self.on_mask)
-            * units.C_AIR
-            * (t_ac - t_room)
-        )
-        room_heat += self.room.envelope_conductance * (
-            self.room.t_env - t_room
-        )
-        return d_cpu, d_box, room_heat / self.room.nu_room
+        Evaluated by the RK4 stage kernel under the current inputs, in
+        its own stacked buffers: the stepper's ``_k4`` (read by
+        :meth:`settle_rates`) and ``_yt`` (the divergence probe) are
+        left untouched.
+        """
+        n = self._n
+        self._load_inputs(t_ac)
+        y_v, out_v = self._dy_v, self._dk_v
+        np.copyto(y_v[1], t_cpu)
+        np.copyto(y_v[2], t_box)
+        y_v[0][2 * n] = t_room
+        self._stage_kernel(y_v, t_ac, out_v)
+        return out_v[1].copy(), out_v[2].copy(), float(out_v[0][2 * n])
 
     def _refresh_mask_constants(self) -> None:
         """Rebuild the mask-dependent constant arrays if the on-mask
@@ -383,80 +344,24 @@ class RoomSimulation:
         np.copyto(self._mask_f, on)
         self._bypass_c = self.room.bypass_flow(on) * units.C_AIR
 
-    def _derivatives_numpy(
-        self, t_cpu: np.ndarray, t_box: np.ndarray, t_room: float, t_ac: float
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        # Same physics as _derivatives_python, as whole-array
-        # expressions.  Each rewrite is rounding-exact: multiplication
-        # is commutative bit for bit, `0.0 - x` == `-x`, and
-        # `c * (a - b)` == `-(c * (b - a))` (all modulo the sign of
-        # zero, which no downstream sum can observe).
+    def _load_inputs(self, t_ac: float) -> None:
+        """Refresh the stage kernel's input constants: the mask-dependent
+        arrays, the effective powers and the supply-air term."""
         self._refresh_mask_constants()
-        on = self.on_mask
-        exchange = (t_cpu - t_box) * self._theta
-        t_target = self._sf_eff * t_ac + self._rf_eff * t_room
-        d_cpu = (np.where(on, self.powers, 0.0) - exchange) / self._nu_cpu
-        d_box = (
-            exchange + self._coupling * (t_target - t_box)
-        ) / self._nu_box
-        contrib = self._coupling * (t_box - t_room)
-        # Strict left fold: np.sum's pairwise reduction would differ
-        # from the loop engine's sequential accumulation in the last ulp.
-        room_heat = float(np.add.accumulate(contrib)[-1])
-        room_heat += self._bypass_c * (t_ac - t_room)
-        room_heat += self.room.envelope_conductance * (
-            self.room.t_env - t_room
-        )
-        return d_cpu, d_box, room_heat / self.room.nu_room
+        np.multiply(self._mask_f, self.powers, out=self._powers_eff)
+        np.multiply(self._sf_eff, t_ac, out=self._sf_ac)
 
-    def _advance_python(self, dt: float, t_ac: float) -> None:
-        def deriv(state: tuple[np.ndarray, np.ndarray, float]):
-            return self._derivatives_python(state[0], state[1], state[2], t_ac)
-
-        s0 = (self.t_cpu, self.t_box, self.t_room)
-        k1 = deriv(s0)
-        s1 = (
-            self.t_cpu + 0.5 * dt * k1[0],
-            self.t_box + 0.5 * dt * k1[1],
-            self.t_room + 0.5 * dt * k1[2],
-        )
-        k2 = deriv(s1)
-        s2 = (
-            self.t_cpu + 0.5 * dt * k2[0],
-            self.t_box + 0.5 * dt * k2[1],
-            self.t_room + 0.5 * dt * k2[2],
-        )
-        k3 = deriv(s2)
-        s3 = (
-            self.t_cpu + dt * k3[0],
-            self.t_box + dt * k3[1],
-            self.t_room + dt * k3[2],
-        )
-        k4 = deriv(s3)
-        self.t_cpu = self.t_cpu + dt / 6.0 * (
-            k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]
-        )
-        self.t_box = self.t_box + dt / 6.0 * (
-            k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]
-        )
-        self.t_room = self.t_room + dt / 6.0 * (
-            k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]
-        )
-        self._last_stage = (k4[0], k4[1], k4[2])
-
-    def _advance_numpy(self, dt: float, t_ac: float) -> None:
+    def _advance(self, dt: float, t_ac: float) -> None:
         # One stacked state vector y = [t_cpu, t_box, t_room]; the four
         # RK4 stages become whole-array arithmetic on preallocated
         # buffers.  The stage updates keep the expression shapes of the
-        # loop engine (scalar 0.5 * dt first, then array multiply, then
-        # add), so every element rounds identically; `out=` changes
+        # reference loop (scalar 0.5 * dt first, then array multiply,
+        # then add), so every element rounds identically; `out=` changes
         # where results land, never how they round.
         n = self._n
-        self._refresh_mask_constants()
         # Step-level invariants: powers/mask and t_ac are fixed while
         # the four stages evaluate.
-        np.multiply(self._mask_f, self.powers, out=self._powers_eff)
-        np.multiply(self._sf_eff, t_ac, out=self._sf_ac)
+        self._load_inputs(t_ac)
         y0, yt = self._y0, self._yt
         k1, k2, k3, k4 = self._k1, self._k2, self._k3, self._k4
         mul, add = np.multiply, np.add
@@ -475,7 +380,7 @@ class RoomSimulation:
         add(y0, yt, out=yt)
         self._stage_kernel(self._yt_v, t_ac, self._k4_v)
         # y0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), left-associated
-        # exactly like the loop engine's update.
+        # exactly like the reference loop's update.
         mul(k2, 2.0, out=yt)
         add(k1, yt, out=yt)
         mul(k3, 2.0, out=k1)
@@ -501,12 +406,17 @@ class RoomSimulation:
         out_v: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
         """One derivative evaluation of a stacked state into an output
-        buffer — `_derivatives_numpy` with step-level invariants hoisted
-        and all intermediates in scratch buffers.
+        buffer, with step-level invariants hoisted (see
+        :meth:`_load_inputs`) and all intermediates in scratch buffers.
 
         ``y_v`` and ``out_v`` are the precomputed
         ``(buffer, cpu, box, nodes)`` view tuples of the stacked buffers.
         """
+        # Same physics as the per-node reference loop, as whole-array
+        # expressions.  Each rewrite is rounding-exact: multiplication
+        # is commutative bit for bit, `0.0 - x` == `-x`, and
+        # `c * (a - b)` == `-(c * (b - a))` (all modulo the sign of
+        # zero, which no downstream sum can observe).
         y, t_cpu, t_box, _ = y_v
         t_room = y[-1]
         out, d_cpu, box_term, d_nodes = out_v
@@ -527,6 +437,9 @@ class RoomSimulation:
         contrib = self._contrib
         sub(t_box, t_room, out=contrib)
         mul(contrib, self._coupling, out=contrib)
+        # Strict left fold: np.sum's pairwise reduction would differ
+        # from the reference loop's sequential accumulation in the last
+        # ulp.
         np.add.accumulate(contrib, out=self._acc)
         room_heat = float(self._acc[-1])
         t_room_f = float(t_room)
@@ -544,10 +457,7 @@ class RoomSimulation:
         t_ac, p_ac = self.cooler.step(self.t_room, dt)
         self.t_ac = t_ac
         self._last_p_ac = p_ac
-        if self.engine == "numpy":
-            self._advance_numpy(dt, t_ac)
-        else:
-            self._advance_python(dt, t_ac)
+        self._advance(dt, t_ac)
         self.time += dt
         obs.count("simulation.steps")
         if _trace._tracing:
@@ -562,19 +472,12 @@ class RoomSimulation:
         wd = _watchdog._active
         if wd is not None:
             wd.check_simulation(self)
-        if self.engine == "numpy":
-            # One fused probe instead of two isfinite scans: any NaN or
-            # Inf in the stacked state (t_cpu, t_box, and t_room alike)
-            # poisons the dot product, and squared Kelvin temperatures
-            # cannot overflow on their own.
-            yt = self._yt
-            finite = bool(np.isfinite(np.dot(yt, yt)))
-        else:
-            finite = bool(
-                np.all(np.isfinite(self.t_cpu))
-                and np.all(np.isfinite(self.t_box))
-                and np.isfinite(self.t_room)
-            )
+        # One fused probe instead of two isfinite scans: any NaN or Inf
+        # in the stepped state (t_cpu, t_box, and t_room alike, stacked
+        # in _yt) poisons the dot product, and squared Kelvin
+        # temperatures cannot overflow on their own.
+        yt = self._yt
+        finite = bool(np.isfinite(np.dot(yt, yt)))
         if not (
             finite
             and units.MIN_PHYSICAL_TEMPERATURE

@@ -21,6 +21,13 @@ class TestCli:
         assert main(["figZZ"]) == 2
         assert "unknown target" in capsys.readouterr().err
 
+    def test_sim_engine_flag_is_rejected(self, capsys):
+        # One integrator ships; there is no engine to select.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--load", "200", "--sim-engine", "numpy"])
+        assert exc.value.code == 2
+        assert "--sim-engine" in capsys.readouterr().err
+
     def test_fig1_runs_standalone(self, capsys):
         assert main(["fig1"]) == 0
         out = capsys.readouterr().out

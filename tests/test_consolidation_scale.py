@@ -2,9 +2,10 @@
 
 Covers the scale PR's contract:
 
-- the numpy pipeline and the pure-Python reference build **bit-identical**
+- the numpy pipeline and the pure-Python loop oracle
+  (:class:`tests.oracles.LoopConsolidationIndex`) build **bit-identical**
   tables (including degenerate inputs: duplicated ``b`` velocities and
-  simultaneous crossings) and identical query answers;
+  simultaneous crossings) and give identical query answers;
 - the gap-aware "just after the event" nudge resolves near-coincident
   crossings correctly (the old fixed nudge skipped over them);
 - the refined query's scan cap keeps adversarial duplicate-prefix tables
@@ -34,8 +35,9 @@ from repro.errors import ConfigurationError, InfeasibleError
 from repro.obs import MetricsRegistry
 from repro.workload.traces import step_trace
 from tests.conftest import make_system_model
+from tests.oracles import LoopConsolidationIndex
 
-#: Table attributes that must agree byte for byte across engines.
+#: Table attributes that must agree byte for byte with the oracle.
 _TABLES = ("_event_t", "_event_p", "_event_q", "_times", "_orders_mat",
            "_tab_row", "_tab_k", "_tab_lmax")
 
@@ -58,8 +60,8 @@ def _random_spec(rng, n, duplicate_b=True, with_bounds=True):
 
 
 def _assert_engines_identical(spec, loads):
-    fast = ConsolidationIndex(engine="numpy", **spec)
-    slow = ConsolidationIndex(engine="python", **spec)
+    fast = ConsolidationIndex(**spec)
+    slow = LoopConsolidationIndex(**spec)
     for name in _TABLES:
         assert np.array_equal(
             getattr(fast, name), getattr(slow, name)
@@ -82,7 +84,8 @@ def _assert_engines_identical(spec, loads):
 
 
 class TestEngineEquivalence:
-    """The numpy and Python builds are the same algorithm, bit for bit."""
+    """The numpy build and the loop oracle are the same algorithm, bit
+    for bit."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2012])
     @pytest.mark.parametrize("n", [4, 9, 17])
@@ -176,11 +179,12 @@ class TestGapAwareNudge:
         assert times[0] == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < times[1] - times[0] < 1e-9
 
-    @pytest.mark.parametrize("engine", ["numpy", "python"])
-    def test_order_between_near_coincident_events(self, engine):
-        index = ConsolidationIndex(
-            self.PAIRS, w2=1.0, rho=1.0, engine=engine
-        )
+    @pytest.mark.parametrize(
+        "index_class", [ConsolidationIndex, LoopConsolidationIndex],
+        ids=["numpy", "python"],
+    )
+    def test_order_between_near_coincident_events(self, index_class):
+        index = index_class(self.PAIRS, w2=1.0, rho=1.0)
         timeline = index.order_timeline()
         # Just after t = 1.0 (and before the second crossing), p2 is
         # still above p3; just after the second crossing they swap.

@@ -23,7 +23,7 @@ def plant(small_testbed) -> LinearizedPlant:
 
 def _engine_rollout(testbed, plant, state, powers, t_ac, mask):
     """The ground-truth RK4 engine over one control interval."""
-    sim = RoomSimulation(testbed.room, testbed.cooler, engine="numpy")
+    sim = RoomSimulation(testbed.room, testbed.cooler)
     n = plant.n
     sim.on_mask = np.asarray(mask, dtype=bool)
     sim.t_cpu = np.array(state[:n], dtype=float)
@@ -31,7 +31,7 @@ def _engine_rollout(testbed, plant, state, powers, t_ac, mask):
     sim.t_room = float(state[2 * n])
     sim.powers = np.asarray(powers, dtype=float)
     for _ in range(plant.substeps):
-        sim._advance_numpy(plant.rk_dt, t_ac)
+        sim._advance(plant.rk_dt, t_ac)
     return LinearizedPlant.pack_state(sim.t_cpu, sim.t_box, sim.t_room)
 
 

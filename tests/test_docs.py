@@ -130,14 +130,23 @@ class TestObservabilityDocument:
             assert f"`{kind}`" in section, kind
 
     def test_simulation_performance_section_is_current(self):
-        """The engine knob and bench schema docs must track the code."""
+        """The one-engine story and bench schema docs must track the
+        code: the reference loops are test oracles, not an option."""
         from repro import obs
-        from repro.thermal.simulation import ENGINES
+        from tests import oracles
 
         text = (REPO / "docs" / "observability.md").read_text()
         assert "## Simulation performance" in text
-        for engine in ENGINES:
-            assert f'engine="{engine}"' in text, engine
+        section = text.split("## Simulation performance", 1)[1]
+        section = section.split("\n## ")[0]
+        assert "tests/oracles" in section
+        for name in oracles.__all__:
+            assert name in section, name
+        docs = [REPO / "README.md", *(REPO / "docs").rglob("*.md")]
+        for path in docs:
+            doc = path.read_text()
+            for stale in ("sim_engine", "--sim-engine", 'engine="python"'):
+                assert stale not in doc, (path.name, stale)
         assert "steady_state_many" in text
         assert 'validate_artifact("simulation-speed"' in text
         assert "simulation-speed" in obs.ARTIFACTS  # the documented spec

@@ -1,12 +1,14 @@
-"""Engine equivalence: the vectorized RK4 stepper vs the Python loop.
+"""Kernel equivalence: the vectorized RK4 stepper vs the Python loop.
 
-The contract (ISSUE 5, following the PR 3 consolidation precedent): the
-``engine="numpy"`` stepper produces **bit-identical** trajectories to
-``engine="python"`` on every seeded scenario — off nodes, saturated
-cooler modes, set-point steps, and all three fault-injector seams.
-Every comparison here is exact (``==`` / ``array_equal``), never
-``allclose``.
+The contract: :class:`RoomSimulation`'s vectorized stepper produces
+**bit-identical** trajectories to the per-node loop oracle
+(:class:`tests.oracles.LoopRoomSimulation`) on every seeded scenario —
+off nodes, saturated cooler modes, set-point steps, and all three
+fault-injector seams.  Every comparison here is exact (``==`` /
+``array_equal``), never ``allclose``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,25 +16,28 @@ import pytest
 from repro import units
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultScenario, FaultSpec
+from repro.testbed.experiment import Testbed
 from repro.testbed.rack import (
     TestbedConfig,
     build_cooler,
+    build_power_models,
     build_room,
     build_testbed,
 )
-from repro.thermal.simulation import ENGINES, RoomSimulation
+from repro.thermal.simulation import RoomSimulation
+from tests.oracles import LoopRoomSimulation
 
 
 def engine_pair(config=None, seed=7):
-    """Two simulations over the *same* room, one per engine.
+    """Two simulations over the *same* room: shipped and loop oracle.
 
     The room is immutable so it can be shared; each simulation gets its
     own cooling unit (the PI loop is stateful).
     """
     config = config or TestbedConfig(n_machines=8)
     room = build_room(config, np.random.default_rng(seed))
-    fast = RoomSimulation(room, build_cooler(config), engine="numpy")
-    loop = RoomSimulation(room, build_cooler(config), engine="python")
+    fast = RoomSimulation(room, build_cooler(config))
+    loop = LoopRoomSimulation(room, build_cooler(config))
     return fast, loop
 
 
@@ -145,15 +150,18 @@ class TestTrajectoryEquivalence:
         assert np.array_equal(d_fast[1], d_loop[1])
         assert d_fast[2] == d_loop[2]
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_settling_reuses_final_stage_derivatives(self, engine):
+    @pytest.mark.parametrize(
+        "sim_class", [RoomSimulation, LoopRoomSimulation],
+        ids=["numpy", "python"],
+    )
+    def test_settling_reuses_final_stage_derivatives(self, sim_class):
         # Regression: run_until_steady used to re-evaluate _derivatives
         # after every step just to measure settle rates.  The stepper's
         # fourth-stage (k4) derivatives are that signal; no extra
         # evaluation may happen during settling.
         config = TestbedConfig(n_machines=8)
         room = build_room(config, np.random.default_rng(7))
-        sim = RoomSimulation(room, build_cooler(config), engine=engine)
+        sim = sim_class(room, build_cooler(config))
         powers, on_mask = random_inputs(8, 16)
         sim.set_node_powers(powers, on_mask=on_mask)
         calls = []
@@ -204,8 +212,8 @@ def seam_scenario():
 class TestFaultInjectorSeams:
     def test_simulation_seam_trajectories_identical(self):
         # Seam 1: the stepper hook.  ac_derate halves q_max mid-run and
-        # ac_setpoint_drift shifts the actuator set point; both engines
-        # must integrate through the disturbance identically.
+        # ac_setpoint_drift shifts the actuator set point; the stepper
+        # and the oracle must integrate through the disturbance identically.
         fast, loop = engine_pair()
         powers, on_mask = random_inputs(8, 13)
         injectors = []
@@ -244,7 +252,7 @@ class TestFaultInjectorSeams:
     def test_set_point_command_seam_identical(self):
         # Seam 3: the command path.  With drift active, set_set_point
         # routes through the injector; the effective actuator value and
-        # the subsequent trajectory must match across engines.
+        # the subsequent trajectory must match the oracle's.
         fast, loop = engine_pair()
         powers, on_mask = random_inputs(8, 15)
         for sim in (fast, loop):
@@ -369,25 +377,46 @@ class TestSteadyStateMany:
 
 
 class TestEngineSelection:
-    def test_numpy_is_the_default(self):
-        fast, _ = engine_pair()
-        assert fast.engine == "numpy"
-        config = TestbedConfig(n_machines=4)
-        room = build_room(config, np.random.default_rng(1))
-        assert RoomSimulation(room, build_cooler(config)).engine == "numpy"
+    def test_run_workload_keeps_custom_simulation_class(self):
+        # run_workload rebuilds the simulation around a fresh cooler; a
+        # custom class supplied to the Testbed must survive the rebuild.
+        from repro.core.policies import PolicyDecision
 
-    def test_unknown_engine_rejected(self):
-        config = TestbedConfig(n_machines=4)
-        room = build_room(config, np.random.default_rng(1))
-        with pytest.raises(ConfigurationError, match="unknown simulation"):
-            RoomSimulation(room, build_cooler(config), engine="fortran")
-        assert ENGINES == ("numpy", "python")
+        class CountingLoop(LoopRoomSimulation):
+            advances = 0
 
-    def test_build_testbed_threads_engine(self):
-        bed = build_testbed(TestbedConfig(n_machines=4), sim_engine="python")
-        assert bed.simulation.engine == "python"
-        bed = build_testbed(TestbedConfig(n_machines=4))
-        assert bed.simulation.engine == "numpy"
+            def _advance(self, dt, t_ac):
+                type(self).advances += 1
+                super()._advance(dt, t_ac)
+
+        config = TestbedConfig(n_machines=4)
+        default = build_testbed(config, seed=5)
+        rng = np.random.default_rng(5)
+        room = build_room(config, rng)
+        custom = Testbed(
+            config=config,
+            room=room,
+            cooler=build_cooler(config),
+            power_models=build_power_models(config),
+            rng=rng,
+            simulation=CountingLoop(room, build_cooler(config)),
+        )
+        sp = units.celsius_to_kelvin(24.0)
+        decision = PolicyDecision(
+            scenario="custom-sim",
+            on_ids=(0, 1, 2),
+            loads=np.array([20.0, 20.0, 20.0, 0.0]),
+            t_sp=sp,
+            t_ac_target=sp - 5.0,
+        )
+        kwargs = dict(duration=60.0, warmup=20.0, deterministic_arrivals=True)
+        expected = default.run_workload(decision, **kwargs)
+        got = custom.run_workload(decision, **kwargs)
+        assert CountingLoop.advances == 60
+        for field in dataclasses.fields(expected):
+            a = getattr(got, field.name)
+            b = getattr(expected, field.name)
+            assert np.array_equal(a, b), field.name
 
     def test_evaluate_many_matches_evaluate(self):
         from repro.core.policies import PolicyDecision

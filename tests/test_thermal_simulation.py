@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.testbed.rack import TestbedConfig, build_cooler, build_room
 from repro.thermal.simulation import RoomSimulation
+from tests.oracles import LoopRoomSimulation
 
 
 def make_sim(n=5, seed=1, **config_overrides) -> RoomSimulation:
@@ -202,16 +203,17 @@ class TestTransientIntegration:
         with pytest.raises(ConfigurationError):
             sim.run(-1.0)
 
-    @pytest.mark.parametrize("engine", ["numpy", "python"])
-    def test_nan_in_box_temperature_trips_divergence_guard(self, engine):
+    @pytest.mark.parametrize(
+        "sim_class", [RoomSimulation, LoopRoomSimulation],
+        ids=["numpy", "python"],
+    )
+    def test_nan_in_box_temperature_trips_divergence_guard(self, sim_class):
         # Regression: the divergence check used to validate t_cpu and
         # t_room but not t_box, so a NaN in the box temperatures passed
         # the guard and poisoned every later step.
         config = TestbedConfig(n_machines=5)
         rng = np.random.default_rng(1)
-        sim = RoomSimulation(
-            build_room(config, rng), build_cooler(config), engine=engine
-        )
+        sim = sim_class(build_room(config, rng), build_cooler(config))
         sim.set_node_powers([50.0] * 5)
         sim.step(0.5)
         sim.t_box[2] = float("nan")
@@ -219,13 +221,14 @@ class TestTransientIntegration:
             with pytest.raises(SimulationError, match="diverged"):
                 sim.step(0.5)
 
-    @pytest.mark.parametrize("engine", ["numpy", "python"])
-    def test_nan_in_cpu_temperature_trips_divergence_guard(self, engine):
+    @pytest.mark.parametrize(
+        "sim_class", [RoomSimulation, LoopRoomSimulation],
+        ids=["numpy", "python"],
+    )
+    def test_nan_in_cpu_temperature_trips_divergence_guard(self, sim_class):
         config = TestbedConfig(n_machines=5)
         rng = np.random.default_rng(1)
-        sim = RoomSimulation(
-            build_room(config, rng), build_cooler(config), engine=engine
-        )
+        sim = sim_class(build_room(config, rng), build_cooler(config))
         sim.set_node_powers([50.0] * 5)
         sim.step(0.5)
         sim.t_cpu[0] = float("inf")
