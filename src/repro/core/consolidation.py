@@ -51,10 +51,14 @@ Implementation notes (documented deviations, none affecting complexity):
   neighbouring statuses with the exact Eq. 23 cost and is what
   :class:`~repro.core.optimizer.JointOptimizer` uses by default.  The
   re-scoring scan is bounded (at most ``8 * window`` rows) so duplicate
-  prefixes cannot degrade a query into a table walk, and repeated
-  queries amortize through per-row prefix-sum caches plus a bounded
-  result memo (see :meth:`query_many`).  Tests quantify the gap against
-  the brute-force reference.
+  prefixes cannot degrade a query into a table walk.  It runs as one
+  numpy pass per load over row arrays built once, on the first refined
+  scan: prefix sums of ``a``, ``b`` and capacity for every (row, ``k``)
+  and an exact subset id that deduplicates candidates (Zobrist keys,
+  confirmed on packed bitsets).  Repeated loads hit a bounded result
+  memo (see :meth:`query_many`).  Tests quantify the gap against the
+  brute-force reference and pin the scan to the per-position loop
+  oracle in ``tests/oracles/``.
 
 Indexes are reusable across runs: :meth:`ConsolidationIndex.save` /
 :meth:`ConsolidationIndex.load` round-trip the tables through a keyed
@@ -66,6 +70,7 @@ cached index when given ``index_cache_dir``.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections.abc import Mapping as _MappingABC
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
@@ -88,6 +93,16 @@ _SCAN_CAP_FACTOR = 8
 #: Bounded memo of refined query results (the index is immutable, so a
 #: repeated ``(load, window)`` always has the same answer).
 _MEMO_CAPACITY = 4096
+
+#: Seed of the per-machine Zobrist keys that hash order prefixes.
+_ZOBRIST_SEED = 2012
+
+#: Prefix bitsets are confirmed in row blocks of about this many
+#: 64-bit words, so the exact check never holds all of them at once.
+_BITSET_BLOCK_WORDS = 1 << 19
+
+#: Absolute tolerance of the refined scan's "strictly cheaper" test.
+_COST_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -202,6 +217,106 @@ def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, ordered
 
 
+def _zobrist_keys(n: int) -> np.ndarray:
+    """One seeded random 64-bit key per machine; a subset hashes to the
+    XOR of its members' keys."""
+    rng = np.random.default_rng(_ZOBRIST_SEED)
+    return rng.integers(
+        0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True
+    )
+
+
+def _subset_ids(orders: np.ndarray) -> np.ndarray:
+    """Exact subset id of every order prefix, flattened row-major.
+
+    ``ids[r * n + k - 1] == ids[s * n + j - 1]`` exactly when the first
+    ``k`` entries of row ``r`` and the first ``j`` of row ``s`` are the
+    same set.  Rows reach the same prefix set again and again (ties and
+    rounding reorder near-coincident particles back and forth), so the
+    ids are global, not per row.
+
+    Zobrist keys group the prefixes in one sort; every member of a group
+    is then compared with the group's first member on packed prefix
+    bitsets, built a block of rows at a time, and a member whose set
+    differs (a key collision) moves to a fresh id shared only with
+    members of the very same set.
+    """
+    m, n = orders.shape
+    size = m * n
+    # Pack (truncated key, flat position) into one uint64 so a plain
+    # sort groups equal keys, each group led by its first position.  A
+    # collision of the truncated keys is split below like any other.
+    shift = np.uint64(max(1, (size - 1).bit_length()))
+    keys = _zobrist_keys(n)[orders]
+    np.bitwise_xor.accumulate(keys, axis=1, out=keys)
+    packed = keys.reshape(-1)
+    del keys
+    packed >>= shift
+    packed <<= shift
+    packed |= np.arange(size, dtype=np.uint64)
+    packed.sort()
+    lead = np.empty(size, dtype=bool)
+    lead[0] = True
+    np.not_equal(packed[1:] >> shift, packed[:-1] >> shift, out=lead[1:])
+    packed &= (np.uint64(1) << shift) - np.uint64(1)
+    flat = packed.astype(np.int64)
+    del packed
+    ids = np.empty(size, dtype=np.int32)
+    ids[flat] = np.cumsum(lead, dtype=np.int32) - 1
+    first = flat[lead]  # each group's first flat position
+    del flat, lead
+    # Words per bitset: a multiple of 8, so a prefix's per-word
+    # inequality flags (one byte each) read as whole uint64s.
+    words = 8 * -(-n // 512)
+    rep_bits = np.zeros((first.shape[0], words), dtype=np.uint64)
+    fresh: dict[bytes, int] = {}
+    step = n * max(1, _BITSET_BLOCK_WORDS // (n * words))
+    members = orders.reshape(-1)
+    for lo in range(0, size, step):
+        block = members[lo:lo + step]  # whole rows, flattened
+        bits = np.zeros((block.shape[0], words), dtype=np.uint64)
+        bits[np.arange(block.shape[0]), block >> 6] = (
+            np.uint64(1) << (block & 63).astype(np.uint64)
+        )
+        rows = bits.reshape(-1, n, words)
+        np.bitwise_or.accumulate(rows, axis=1, out=rows)
+        group = ids[lo:lo + block.shape[0]]
+        leads = np.flatnonzero(
+            first[group] == np.arange(lo, lo + group.shape[0])
+        )
+        rep_bits[group[leads]] = bits[leads]
+        differs = bits != np.take(rep_bits, group, axis=0)
+        for j in np.flatnonzero(differs.view(np.uint64).any(axis=1)):
+            ids[lo + j] = fresh.setdefault(
+                bits[j].tobytes(), first.shape[0] + len(fresh)
+            )
+    return ids
+
+
+def _first_cheapest(
+    power: np.ndarray, eligible: np.ndarray
+) -> Optional[int]:
+    """Position the refined scan keeps among the ``eligible`` entries of
+    ``power`` (``None`` if there are none).
+
+    Scanning in order, a candidate replaces the incumbent only when it
+    is cheaper by more than ``_COST_TOL``, so each replacement is a
+    strict new running minimum: only those positions are visited.  NaN
+    costs never win.
+    """
+    power = np.where(eligible & ~np.isnan(power), power, np.inf)
+    if power.shape[0] == 0:
+        return None
+    before = np.empty_like(power)
+    before[0] = np.inf
+    np.minimum.accumulate(power[:-1], out=before[1:])
+    best, best_power = None, np.inf
+    for i in np.flatnonzero(power < before).tolist():
+        if power[i] < best_power - _COST_TOL:
+            best, best_power = i, power[i]
+    return best
+
+
 def consolidation_cache_key(
     pairs: Sequence[Pair],
     w2: float,
@@ -313,7 +428,8 @@ class ConsolidationIndex:
         # Lazy caches (filled on demand; never persisted).
         self._events_cache: Optional[list[Event]] = None
         self._row_by_time: Optional[dict[float, int]] = None
-        self._prefix_cache: dict[int, tuple] = {}
+        self._scan_rows: Optional[tuple] = None
+        self._scan_lock = threading.Lock()
         self._memo: dict[tuple[float, int], tuple[int, ...]] = {}
         self._status_view = _StatusView(self)
         self._orders_view = _OrdersView(self)
@@ -499,36 +615,6 @@ class ConsolidationIndex:
         """The sorted ``k``-prefix of the order at table row ``row``."""
         return np.sort(self._orders_mat[row, :k]).tolist()
 
-    def _prefix(self, row: int) -> tuple:
-        """Cached per-row prefix aggregates for the refined scan.
-
-        Returns ``(a_pref, b_pref, cap_pref, masks)`` where entry
-        ``k - 1`` covers the first ``k`` particles of the row's order:
-        prefix sums of ``a``, ``b``, capacity, and a bitmask identifying
-        the subset (used for O(1) dedup).  Building a row is O(n) and
-        rows are shared by every query that touches them.
-        """
-        cached = self._prefix_cache.get(row)
-        if cached is None:
-            order = self._orders_mat[row]
-            a_pref = np.cumsum(self._a[order])
-            b_pref = np.cumsum(self._b[order])
-            cap_pref = (
-                None
-                if self.capacities is None
-                else np.cumsum(
-                    np.asarray(self.capacities, dtype=np.float64)[order]
-                )
-            )
-            masks: list[int] = []
-            mask = 0
-            for i in order.tolist():
-                mask |= 1 << i
-                masks.append(mask)
-            cached = (a_pref, b_pref, cap_pref, masks)
-            self._prefix_cache[row] = cached
-        return cached
-
     # ------------------------------------------------------------------ #
     # Algorithm 2
     # ------------------------------------------------------------------ #
@@ -616,12 +702,7 @@ class ConsolidationIndex:
         """
         with obs.timed("consolidation/query"):
             load = float(load)
-            if window is None:
-                window = 4 * len(self.pairs)
-            if window < 1:
-                raise ConfigurationError(
-                    f"window must be at least 1, got {window}"
-                )
+            window = self._window(window)
             pos = int(
                 np.searchsorted(self._tab_lmax, load, side="right")
             )
@@ -633,6 +714,16 @@ class ConsolidationIndex:
             chosen = self._refined_cached(load, pos, window)
             obs.set_span_attributes(load=load, machines_on=len(chosen))
         return chosen
+
+    def _window(self, window: Optional[int]) -> int:
+        """The refined re-scoring window: default ``4 * n``, at least 1."""
+        if window is None:
+            return 4 * len(self.pairs)
+        if window < 1:
+            raise ConfigurationError(
+                f"window must be at least 1, got {window}"
+            )
+        return window
 
     def _refined_cached(
         self, load: float, pos: int, window: int
@@ -648,64 +739,102 @@ class ConsolidationIndex:
         self._memo[key] = tuple(chosen)
         return chosen
 
+    def _scan_arrays(self) -> tuple:
+        """Row-aligned arrays of the refined scan, built on first use.
+
+        Returns ``(ids, a_pref, b_pref, cap_pref)``, flattened row-major:
+        entry ``row * n + k - 1`` covers the first ``k`` particles of the
+        row's order — its exact subset id (see :func:`_subset_ids`) and
+        the prefix sums of ``a``, ``b`` and capacity (``cap_pref`` is
+        ``None`` without capacities).  One O(m n) build, at most 28 bytes
+        per status, paid by the first refined scan: construction,
+        :meth:`load` and a server's warm-up never build them, and
+        :meth:`save` never writes them.
+        """
+        if self._scan_rows is None:
+            with self._scan_lock:  # concurrent first scans build once
+                if self._scan_rows is None:
+                    self._scan_rows = self._build_scan_arrays()
+        return self._scan_rows
+
+    def _build_scan_arrays(self) -> tuple:
+        orders = self._orders_mat
+
+        def prefix(x: np.ndarray) -> np.ndarray:
+            # Left-to-right accumulation: bit-identical to a per-row
+            # np.cumsum over the row's order.
+            out = x[orders]
+            np.cumsum(out, axis=1, out=out)
+            return out.reshape(-1)
+
+        caps = (
+            None
+            if self.capacities is None
+            else prefix(np.asarray(self.capacities, dtype=np.float64))
+        )
+        return (_subset_ids(orders), prefix(self._a), prefix(self._b), caps)
+
     def _refined_scan(
         self, load: float, pos: int, window: int
     ) -> list[int]:
-        """The bounded re-scoring scan behind :meth:`query_refined`."""
+        """The bounded re-scoring scan behind :meth:`query_refined`.
+
+        Walks the table from ``pos`` and re-scores each subset the first
+        time it appears, stopping after ``window`` distinct subsets or
+        ``8 * window`` rows — one numpy pass over that slice.
+        """
+        ids, a_pref, b_pref, cap_pref = self._scan_arrays()
+        n = len(self.pairs)
         total = self.status_count
         scan_cap = _SCAN_CAP_FACTOR * window
-        tab_row, tab_k = self._tab_row, self._tab_k
-        best: Optional[tuple[int, int]] = None
-        best_power = float("inf")
-        clamped: Optional[tuple[int, int]] = None
-        clamped_power = float("inf")
-        seen: set[int] = set()
-        scanned = 0
-        i = pos
-        while i < total and len(seen) < window and scanned < scan_cap:
-            row = int(tab_row[i])
-            k = int(tab_k[i])
-            i += 1
-            scanned += 1
-            a_pref, b_pref, cap_pref, masks = self._prefix(row)
-            mask = masks[k - 1]
-            if mask in seen:
-                continue
-            seen.add(mask)
-            if cap_pref is not None and cap_pref[k - 1] + 1e-9 < load:
-                continue
-            t = (a_pref[k - 1] - load) / b_pref[k - 1]
-            if self.t_min is not None and t < self.t_min - 1e-12:
-                # Below the supply band: not optimal at its own ratio,
-                # but servable with the cooler pinned at the band edge —
-                # keep it as the clamped fallback.
-                t_c = (
-                    self.t_min
-                    if self.t_max is None
-                    else min(self.t_min, self.t_max)
-                )
-                power_c = k * self.w2 - self.rho * t_c + self.theta0
-                if power_c < clamped_power - 1e-12:
-                    clamped_power = power_c
-                    clamped = (row, k)
-                continue
-            t_eff = t if self.t_max is None else min(t, self.t_max)
-            power = k * self.w2 - self.rho * t_eff + self.theta0
-            if power < best_power - 1e-12:
-                best_power = power
-                best = (row, k)
-        obs.count("consolidation.query_refined_rescored", len(seen))
+        stop = min(pos + scan_cap, total)
+        flat = self._tab_row[pos:stop].astype(np.int64) * n
+        flat += self._tab_k[pos:stop] - 1
+        # Offsets into the slice of each subset's first appearance, in
+        # scan order, cut at the window-th distinct one.
+        _, first = np.unique(ids[flat], return_index=True)
+        first.sort()
+        first = first[:window]
+        rescored = int(first.shape[0])
+        scanned = int(first[-1]) + 1 if rescored == window else stop - pos
+        cand = flat[first]
+        k = cand % n + 1
+        if cap_pref is not None:
+            keep = ~(cap_pref[cand] + 1e-9 < load)
+            cand, k = cand[keep], k[keep]
+        t = (a_pref[cand] - load) / b_pref[cand]
+        if self.t_min is None:
+            below = np.zeros(t.shape, dtype=bool)
+        else:
+            # Below the supply band: not optimal at its own ratio, but
+            # servable with the cooler pinned at the band edge — such
+            # candidates compete only for the clamped fallback.
+            below = t < self.t_min - _COST_TOL
+        if self.t_max is not None:
+            # Exactly min(t, t_max); np.minimum would differ on a NaN.
+            t = np.where(self.t_max < t, self.t_max, t)
+        power = k * self.w2 - self.rho * t + self.theta0
+        best = _first_cheapest(power, ~below)
+        obs.count("consolidation.query_refined_rescored", rescored)
         obs.count("consolidation.query_refined_scanned", scanned)
-        if scanned >= scan_cap and i < total and len(seen) < window:
+        if scanned >= scan_cap and stop < total and rescored < window:
             obs.count("consolidation.query_refined_truncated")
-        if best is None and clamped is not None:
-            obs.count("consolidation.query_band_clamped")
-            best = clamped
+        if best is None and self.t_min is not None:
+            t_c = (
+                self.t_min
+                if self.t_max is None
+                else min(self.t_min, self.t_max)
+            )
+            best = _first_cheapest(
+                k * self.w2 - self.rho * t_c + self.theta0, below
+            )
+            if best is not None:
+                obs.count("consolidation.query_band_clamped")
         if best is None:
             raise InfeasibleError(
                 f"no candidate subset has the capacity for load {load}"
             )
-        return self._prefix_set(*best)
+        return self._prefix_set(int(cand[best]) // n, int(k[best]))
 
     def query_many(
         self,
@@ -718,9 +847,13 @@ class ConsolidationIndex:
 
         The binary-search positions are computed in a single vectorized
         ``searchsorted``, duplicate loads are answered once, and refined
-        scans share the per-row prefix caches and the result memo — so a
-        trace replay or a bisection ladder pays far less than issuing the
-        same queries one by one.
+        scans share the result memo — so a trace replay or a bisection
+        ladder pays far less than issuing the same queries one by one.
+        Each refined scan is one numpy pass over its table slice (subset
+        ids for dedup, then the capacity filter, band test and Eq. 23
+        cost for every candidate at once) on row arrays the index builds
+        once, on its first refined scan; that first call pays the
+        one-time O(m n) build.
 
         Parameters
         ----------
@@ -738,6 +871,9 @@ class ConsolidationIndex:
 
         Raises
         ------
+        ConfigurationError
+            If ``loads`` is not a one-dimensional numeric sequence, or
+            ``window`` is below 1.
         InfeasibleError
             On the first infeasible load, unless ``skip_infeasible``.
         """
@@ -752,14 +888,13 @@ class ConsolidationIndex:
             ) from exc
         if values.ndim != 1:
             raise ConfigurationError("loads must be one-dimensional")
+        window = self._window(window)
         if values.shape[0] == 0:
             return []
         with obs.timed("consolidation/query_many"):
             obs.count(
                 "consolidation.query_many_queries", values.shape[0]
             )
-            if window is None:
-                window = 4 * len(self.pairs)
             uniq, inverse = np.unique(values, return_inverse=True)
             positions = np.searchsorted(
                 self._tab_lmax, uniq, side="right"

@@ -391,6 +391,7 @@ _SPECS = (
                     "n": POSITIVE_INT,
                     **_fields(COUNT, "events", "statuses", "queries"),
                     **_fields(NONNEG, "build_seconds",
+                              "query_seconds_cold",
                               "query_seconds_single",
                               "query_seconds_batched"),
                     "baseline_build_seconds": nullable(NONNEG),
@@ -406,7 +407,8 @@ _SPECS = (
                     _baseline_stamps,
                 ),),
                 identity=("n",),
-                metrics=_SCALE_METRICS,
+                metrics=(*_SCALE_METRICS,
+                         MetricSpec("query_seconds_cold", "lower")),
             ),
             "sharded": Section(
                 {

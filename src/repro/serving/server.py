@@ -259,7 +259,11 @@ class AllocationServer:
 
     def _warm_start(self) -> None:
         """Force the index build (or ``.npz`` cache load) before the
-        first request, so no client pays the O(n^3 log n) cold start."""
+        first request, so no client pays the O(n^3 log n) cold start.
+
+        The refined scan's O(m n) row arrays are deliberately left to
+        the first batch: building them here would only move that cost
+        into start-up."""
         with obs.timed("serving/warm_start"):
             index = self.optimizer.query_index
         self.index_statuses = index.status_count

@@ -1,14 +1,15 @@
 """Reference implementations the shipped kernels are pinned against.
 
 Each oracle subclasses the shipped class and overrides only its hot
-kernel with the original, readable loop, so an equivalence test can
+kernels with the original, readable loops, so an equivalence test can
 drive both through the same public API and compare results bit for bit:
 
 - :class:`LoopRoomSimulation` — the per-node derivative loop and the
   tuple-state RK4 stepper behind
   :class:`~repro.thermal.simulation.RoomSimulation`;
-- :class:`LoopConsolidationIndex` — the per-row Algorithm-1 build
-  behind :class:`~repro.core.consolidation.ConsolidationIndex`.
+- :class:`LoopConsolidationIndex` — the per-row Algorithm-1 build and
+  the per-position refined Algorithm-2 scan behind
+  :class:`~repro.core.consolidation.ConsolidationIndex`.
 
 They are test code: nothing under ``src/`` imports them.
 """

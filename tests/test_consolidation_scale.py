@@ -42,6 +42,12 @@ _TABLES = ("_event_t", "_event_p", "_event_q", "_times", "_orders_mat",
            "_tab_row", "_tab_k", "_tab_lmax")
 
 
+#: Every array of a saved index document: the tables only, never the
+#: refined scan's lazily built row arrays.
+_NPZ_KEYS = {"format", "version", "cache_key", "pairs", "params",
+             "has_capacities", "capacities", *(name[1:] for name in _TABLES)}
+
+
 def _random_spec(rng, n, duplicate_b=True, with_bounds=True):
     a = rng.uniform(50.0, 400.0, n)
     b = rng.uniform(0.5, 5.0, n)
@@ -348,6 +354,18 @@ class TestQueryMany:
         with pytest.raises(ConfigurationError):
             index.query_many(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("skip_infeasible", [False, True])
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_rejects_window_below_one(self, index, window, skip_infeasible):
+        # Same contract as query_refined: a bad window is a
+        # configuration error, not an infeasible (or skipped) load.
+        with pytest.raises(ConfigurationError, match="window"):
+            index.query_refined(5.0, window=window)
+        with pytest.raises(ConfigurationError, match="window"):
+            index.query_many(
+                [5.0], window=window, skip_infeasible=skip_infeasible
+            )
+
 
 class TestPersistence:
     @pytest.fixture
@@ -369,6 +387,32 @@ class TestPersistence:
             10.0, 0.8 * sum(index.capacities), 10
         ).tolist():
             assert loaded.query_refined(load) == index.query_refined(load)
+
+    def test_round_trip_answers_like_a_fresh_build(self, tmp_path, rng):
+        spec = _random_spec(rng, 10)
+        fresh = ConsolidationIndex(**spec)
+        saved = ConsolidationIndex(**spec)
+        loads = rng.uniform(10.0, 1.2 * sum(spec["capacities"]), 12)
+        saved.query_many(loads, skip_infeasible=True)  # builds scan rows
+        path = saved.save(tmp_path / "idx.npz")
+        with np.load(path, allow_pickle=False) as data:
+            assert set(data.files) == _NPZ_KEYS
+        loaded = ConsolidationIndex.load(path)
+        assert loaded._scan_rows is None
+        for window in (1, 3, 17, None):
+            for load in loads.tolist():
+                try:
+                    expected = fresh.query_refined(load, window)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        loaded.query_refined(load, window)
+                else:
+                    assert loaded.query_refined(load, window) == expected
+            fresh._memo.clear()
+            loaded._memo.clear()
+            assert loaded.query_many(
+                loads, window=window, skip_infeasible=True
+            ) == fresh.query_many(loads, window=window, skip_infeasible=True)
 
     def test_round_trip_preserves_none_bounds(self, tmp_path):
         index = ConsolidationIndex(
