@@ -217,21 +217,20 @@ def solve_closed_form(
         total_server = float(server_power.sum())
         t_sp = model.cooler.set_point_for(t_ac, total_server)
         cooling = model.cooler.cooling_power(t_sp, t_ac)
-
-    solution = ClosedFormSolution(
-        loads=loads,
-        on_ids=tuple(on),
-        active_ids=tuple(active),
-        t_ac=t_ac,
-        t_ac_unclamped=t_ac_raw,
-        t_sp=t_sp,
-        common_temperature=common_t,
-        predicted_t_cpu=t_cpu,
-        predicted_server_power=server_power,
-        predicted_cooling_power=cooling,
-        clamped=clamped,
-        repaired=repaired,
-    )
+        solution = ClosedFormSolution(
+            loads=loads,
+            on_ids=tuple(on),
+            active_ids=tuple(active),
+            t_ac=t_ac,
+            t_ac_unclamped=t_ac_raw,
+            t_sp=t_sp,
+            common_temperature=common_t,
+            predicted_t_cpu=t_cpu,
+            predicted_server_power=server_power,
+            predicted_cooling_power=cooling,
+            clamped=clamped,
+            repaired=repaired,
+        )
     wd = _watchdog._active
     if wd is not None:
         wd.check_solution(model, solution, total_load)

@@ -578,16 +578,17 @@ class JointOptimizer:
                 clamped=solution.clamped,
                 repaired=solution.repaired,
             )
-            if rec is not None:
-                rec.method = method
-                rec.outcome.update(
-                    machines_on=len(solution.on_ids),
-                    t_ac=solution.t_ac,
-                    t_sp=solution.t_sp,
-                    predicted_total_power=solution.predicted_total_power,
-                    clamped=solution.clamped,
-                    repaired=solution.repaired,
-                )
+        if rec is not None:
+            # filled in after the record closes: not solve time
+            rec.method = method
+            rec.outcome.update(
+                machines_on=len(solution.on_ids),
+                t_ac=solution.t_ac,
+                t_sp=solution.t_sp,
+                predicted_total_power=solution.predicted_total_power,
+                clamped=solution.clamped,
+                repaired=solution.repaired,
+            )
         return OptimizationResult(
             loads=solution.loads,
             on_ids=solution.on_ids,

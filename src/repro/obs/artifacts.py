@@ -211,11 +211,25 @@ _MPC_CONTROLLERS = ("reactive", "resilient", "mpc", "oracle")
 
 _CLIMATE_PRESETS = {"coastal-temperate", "hot-humid", "cold-continental"}
 
+#: Deepest stage path an observability document may hold; the deepest
+#: real one (MPC horizon solve to index query) has 7 segments.
+MAX_STAGE_SEGMENTS = 16
+
 
 def _baseline_stamps(entry: Mapping) -> bool:
     stamps = (entry["baseline_build_seconds"], entry["speedup"],
               entry["identical_answers"])
     return len({stamp is None for stamp in stamps}) == 1
+
+
+def _stage_path_nests(path: str) -> bool:
+    # A span inside itself repeats a segment back to back or a pair of
+    # segments; one repeated segment alone is fine ("/" may be in names).
+    parts = path.split("/")
+    pairs = list(zip(parts, parts[1:]))
+    return (len(parts) <= MAX_STAGE_SEGMENTS
+            and len(set(pairs)) == len(pairs)
+            and all(a != b for a, b in pairs))
 
 
 def _exact_gaps(document: Mapping) -> bool:
@@ -379,6 +393,12 @@ _SPECS = (
                 optional=True,
             ),
         },
+        invariants=(Check(
+            "stage_paths_nest",
+            f"a stage path is deeper than {MAX_STAGE_SEGMENTS} segments "
+            "or nests a span inside itself (a leaked span stack)",
+            lambda doc: all(map(_stage_path_nests, doc["stages"])),
+        ),),
     ),
     # benchmarks/bench_consolidation_scale.py.
     ArtifactSpec(

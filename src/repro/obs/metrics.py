@@ -15,11 +15,12 @@ list of completed :class:`~repro.obs.records.RunRecord` objects.  The
 registry is plain data: enabling/disabling instrumentation and the
 module-global default registry live in :mod:`repro.obs.runtime`.
 
-Everything here is process-local and intentionally lock-free: the
-reproduction is single-threaded (numpy releases the GIL only inside
-kernels), and the near-zero-cost disabled mode matters more than
-concurrent mutation safety.  Snapshots are JSON-safe dictionaries and
-round-trip through :meth:`MetricsRegistry.from_snapshot`.
+One lock-free registry serves every thread (the daemon's event loop
+and compute thread update it at once): get-or-create and appends are
+atomic under the GIL, but a racing float ``+=`` can, rarely, lose an
+update — the price of the near-zero-cost disabled mode.  Snapshots are
+JSON-safe dictionaries and round-trip through
+:meth:`MetricsRegistry.from_snapshot`.
 """
 
 from __future__ import annotations

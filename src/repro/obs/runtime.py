@@ -24,13 +24,17 @@ Call-site vocabulary:
 - ``count(name)`` / ``set_gauge(name, v)`` / ``observe(name, v)`` —
   fire-and-forget instrument updates.
 
-State is process-local and single-threaded by design (see
-:mod:`repro.obs.metrics`).
+The switch and the registry are process-global; the stacks of open spans
+and records are :class:`contextvars.ContextVar` tuples, one per thread and
+asyncio task, so concurrent work never shares paths, parents or records.
+An exit that is not its task's innermost counts ``obs.span_mismatch`` and
+removes only its own entry.
 """
 
 from __future__ import annotations
 
 import functools
+from contextvars import ContextVar
 from time import perf_counter
 from typing import Callable, Mapping, Optional
 
@@ -40,12 +44,11 @@ from repro.obs.records import RunRecord
 
 _enabled: bool = False
 _registry: MetricsRegistry = MetricsRegistry()
-#: Active span names, innermost last (paths are joined with "/").
-_span_stack: list[str] = []
-#: Active run records, innermost last; parallel list of the span-stack
-#: depth at which each record started (for stage attribution).
-_record_stack: list[RunRecord] = []
-_record_depths: list[int] = []
+#: This thread's (or task's) open ``timed`` spans, innermost last.
+_spans: ContextVar[tuple] = ContextVar("repro_obs_spans", default=())
+#: Its open run records as ``(record, prefix)``: a stage key is a span
+#: path minus its first ``prefix`` characters (the record's base path).
+_records: ContextVar[tuple] = ContextVar("repro_obs_records", default=())
 
 
 def enabled() -> bool:
@@ -66,12 +69,12 @@ def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
 
 
 def disable() -> None:
-    """Turn recording off.  The registry keeps its accumulated data."""
+    """Turn recording off and clear this thread's (or task's) open spans
+    and records.  The registry keeps its accumulated data."""
     global _enabled
     _enabled = False
-    _span_stack.clear()
-    _record_stack.clear()
-    _record_depths.clear()
+    _spans.set(())
+    _records.set(())
 
 
 def get_registry() -> MetricsRegistry:
@@ -80,11 +83,11 @@ def get_registry() -> MetricsRegistry:
 
 
 def reset() -> None:
-    """Clear the active registry (instruments, records, span state)."""
+    """Clear the active registry and this thread's (or task's) open
+    spans and records."""
     _registry.reset()
-    _span_stack.clear()
-    _record_stack.clear()
-    _record_depths.clear()
+    _spans.set(())
+    _records.set(())
 
 
 # ---------------------------------------------------------------------- #
@@ -97,8 +100,9 @@ def count(name: str, amount: float = 1.0) -> None:
     if not _enabled:
         return
     _registry.counter(name).inc(amount)
-    if _record_stack:
-        _record_stack[-1].add_count(name, amount)
+    records = _records.get()
+    if records:
+        records[-1][0].add_count(name, amount)
 
 
 def set_gauge(name: str, value: float) -> None:
@@ -128,43 +132,41 @@ class timed:
     only while observability is enabled.
     """
 
-    __slots__ = ("name", "duration", "_t0", "_recording", "_traced",
-                 "_trace_id")
+    __slots__ = ("name", "duration", "_path", "_t0", "_token", "_pushed",
+                 "_trace")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.duration: Optional[float] = None
-        self._t0 = 0.0
-        self._recording = False
-        self._traced = False
-        self._trace_id: Optional[int] = None
 
     def __enter__(self) -> "timed":
-        self._recording = _enabled
-        if self._recording:
-            _span_stack.append(self.name)
-        self._traced = _trace._tracing
-        if self._traced:
-            self._trace_id = _trace.begin_span(self.name)
+        self._pushed = None
+        if _enabled:
+            stack = _spans.get()
+            self._path = (f"{stack[-1]._path}/{self.name}" if stack
+                          else self.name)
+            self._pushed = stack + (self,)
+            self._token = _spans.set(self._pushed)
+        self._trace = _trace.begin_span(self.name) if _trace._tracing else None
         self._t0 = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         duration = perf_counter() - self._t0
         self.duration = duration
-        if self._traced:
-            _trace.end_span(self._trace_id)
-        if self._recording and _span_stack and _span_stack[-1] is self.name:
-            path = "/".join(_span_stack)
-            _span_stack.pop()
+        if self._trace is not None:
+            _trace.end_span(self._trace)
+        pushed, self._pushed = self._pushed, None  # no self-cycle
+        if pushed is not None:
+            _trace.unwind(_spans, self._token, pushed)
             if _enabled:
+                path = self._path
                 _registry.histogram("time." + path).observe(duration)
-                if _record_stack:
-                    base = _record_depths[-1]
-                    record = _record_stack[-1]
-                    if len(_span_stack) >= base:
-                        rel = "/".join(_span_stack[base:] + [self.name])
-                        record.add_stage(rel, duration)
+                records = _records.get()
+                if records:
+                    record, prefix = records[-1]
+                    if len(path) > prefix:
+                        record.add_stage(path[prefix:], duration)
         return False
 
     def __call__(self, fn: Callable) -> Callable:
@@ -190,8 +192,8 @@ class record_run:
     record is appended to the registry's ``records`` list.
     """
 
-    __slots__ = ("kind", "inputs", "method", "_record", "_t0", "_traced",
-                 "_trace_id")
+    __slots__ = ("kind", "inputs", "method", "_record", "_t0", "_token",
+                 "_pushed", "_trace")
 
     def __init__(
         self,
@@ -202,17 +204,13 @@ class record_run:
         self.kind = kind
         self.inputs = inputs
         self.method = method
-        self._record: Optional[RunRecord] = None
-        self._t0 = 0.0
-        self._traced = False
-        self._trace_id: Optional[int] = None
 
     def __enter__(self) -> Optional[RunRecord]:
-        self._traced = _trace._tracing
-        if self._traced:
-            self._trace_id = _trace.begin_span(
-                self.kind, **(dict(self.inputs) if self.inputs else {})
-            )
+        self._trace = (
+            _trace.begin_span(self.kind, self.inputs)
+            if _trace._tracing else None
+        )
+        self._record = None
         if not _enabled:
             return None
         record = RunRecord(
@@ -221,31 +219,32 @@ class record_run:
             method=self.method,
         )
         self._record = record
-        _record_stack.append(record)
-        _record_depths.append(len(_span_stack))
+        spans = _spans.get()
+        prefix = len(spans[-1]._path) + 1 if spans else 0
+        self._pushed = _records.get() + ((record, prefix),)
+        self._token = _records.set(self._pushed)
         self._t0 = perf_counter()
         return record
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._traced:
-            _trace.end_span(self._trace_id)
+        if self._trace is not None:
+            _trace.end_span(self._trace)
         record = self._record
         if record is None:
             return False
         record.total_seconds = perf_counter() - self._t0
         if exc_type is not None:
             record.outcome.setdefault("error", exc_type.__name__)
-        if _record_stack and _record_stack[-1] is record:
-            _record_stack.pop()
-            _record_depths.pop()
+        _trace.unwind(_records, self._token, self._pushed)
         if _enabled:
             _registry.records.append(record)
         return False
 
 
 def current_record() -> Optional[RunRecord]:
-    """The innermost in-flight record, if any."""
-    return _record_stack[-1] if _record_stack else None
+    """This thread's (or task's) innermost in-flight record, if any."""
+    records = _records.get()
+    return records[-1][0] if records else None
 
 
 def last_record(kind: Optional[str] = None) -> Optional[RunRecord]:

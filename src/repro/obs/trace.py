@@ -32,12 +32,14 @@ Two interchange formats are supported, both lossless:
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 from contextlib import contextmanager
+from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from repro.errors import ConfigurationError
 
@@ -52,6 +54,11 @@ MAX_TRACE_EVENTS = 100_000
 
 _JSONL_HEADER_KIND = "repro.trace"
 
+#: The one span-id allocator of the process: every buffer and sink
+#: draws from it, so an id names one span even across buffers
+#: (``next`` on a count is atomic under the GIL).
+_span_ids = itertools.count(1)
+
 
 @dataclass
 class TraceSpan:
@@ -60,7 +67,7 @@ class TraceSpan:
     Attributes
     ----------
     span_id:
-        Unique (per buffer) integer id, assigned at begin time.
+        Unique (per process) integer id, assigned at begin time.
     parent_id:
         Span id of the enclosing open span, or ``None`` for a root.
     name:
@@ -145,6 +152,14 @@ class TraceEvent:
         )
 
 
+def _check_schema(header: Mapping) -> None:
+    if header.get("schema") != TRACE_SCHEMA_VERSION:
+        raise ConfigurationError(
+            f"unsupported trace schema {header.get('schema')!r} "
+            f"(expected {TRACE_SCHEMA_VERSION})"
+        )
+
+
 class TraceBuffer:
     """In-memory store of spans and events, with bounded capacity."""
 
@@ -163,7 +178,6 @@ class TraceBuffer:
         self.events: list[TraceEvent] = []
         self.dropped_spans = 0
         self.dropped_events = 0
-        self._next_id = 1
 
     def __len__(self) -> int:
         return len(self.spans) + len(self.events)
@@ -184,13 +198,12 @@ class TraceBuffer:
             self.dropped_spans += 1
             return None
         span = TraceSpan(
-            span_id=self._next_id,
+            span_id=next(_span_ids),
             parent_id=parent_id,
             name=name,
             start=perf_counter() if start is None else start,
             attributes=dict(attributes) if attributes else {},
         )
-        self._next_id += 1
         self.spans.append(span)
         return span
 
@@ -276,11 +289,7 @@ class TraceBuffer:
             raise ConfigurationError(
                 f"not a repro trace file (kind={header.get('kind')!r})"
             )
-        if header.get("schema") != TRACE_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported trace schema {header.get('schema')!r} "
-                f"(expected {TRACE_SCHEMA_VERSION})"
-            )
+        _check_schema(header)
         buffer = cls()
         buffer.dropped_spans = int(header.get("dropped_spans", 0))
         buffer.dropped_events = int(header.get("dropped_events", 0))
@@ -295,8 +304,6 @@ class TraceBuffer:
                 raise ConfigurationError(
                     f"unknown trace record type {kind!r}"
                 )
-        if buffer.spans:
-            buffer._next_id = max(s.span_id for s in buffer.spans) + 1
         return buffer
 
     # ------------------------------------------------------------------ #
@@ -368,51 +375,25 @@ class TraceBuffer:
         if not isinstance(document, Mapping):
             raise ConfigurationError("chrome trace must be a mapping")
         other = document.get("otherData", {})
-        if other.get("schema") != TRACE_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported trace schema {other.get('schema')!r} "
-                f"(expected {TRACE_SCHEMA_VERSION})"
-            )
+        _check_schema(other)
         buffer = cls()
         buffer.dropped_spans = int(other.get("dropped_spans", 0))
         buffer.dropped_events = int(other.get("dropped_events", 0))
         for entry in document.get("traceEvents", []):
             args = entry.get("args", {})
+            named = {**args, "name": entry["name"]}
             if entry.get("ph") == "X":
-                buffer.spans.append(
-                    TraceSpan(
-                        span_id=int(args["span_id"]),
-                        parent_id=(
-                            None if args.get("parent_id") is None
-                            else int(args["parent_id"])
-                        ),
-                        name=entry["name"],
-                        start=float(args["t0"]),
-                        end=(
-                            None if args.get("t1") is None
-                            else float(args["t1"])
-                        ),
-                        attributes=dict(args.get("attributes", {})),
-                    )
-                )
+                buffer.spans.append(TraceSpan.from_dict(
+                    {**named, "start": args["t0"], "end": args.get("t1")}
+                ))
             elif entry.get("ph") == "i":
-                buffer.events.append(
-                    TraceEvent(
-                        name=entry["name"],
-                        time=float(args["t0"]),
-                        span_id=(
-                            None if args.get("span_id") is None
-                            else int(args["span_id"])
-                        ),
-                        attributes=dict(args.get("attributes", {})),
-                    )
-                )
+                buffer.events.append(TraceEvent.from_dict(
+                    {**named, "time": args["t0"]}
+                ))
             else:
                 raise ConfigurationError(
                     f"unsupported chrome trace phase {entry.get('ph')!r}"
                 )
-        if buffer.spans:
-            buffer._next_id = max(s.span_id for s in buffer.spans) + 1
         return buffer
 
 
@@ -493,13 +474,7 @@ class RotatingTraceExporter:
         ):
             self._rotate()
         if not self.path.exists() or self.path.stat().st_size == 0:
-            header = {
-                "kind": _JSONL_HEADER_KIND,
-                "schema": TRACE_SCHEMA_VERSION,
-                "dropped_spans": 0,
-                "dropped_events": 0,
-            }
-            lines.insert(0, json.dumps(header))
+            lines.insert(0, TraceBuffer().to_jsonl().rstrip("\n"))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -531,8 +506,6 @@ def read_rotated_trace(
         merged.events.extend(piece.events)
         merged.dropped_spans += piece.dropped_spans
         merged.dropped_events += piece.dropped_events
-    if merged.spans:
-        merged._next_id = max(s.span_id for s in merged.spans) + 1
     return merged
 
 
@@ -542,9 +515,47 @@ def read_rotated_trace(
 
 _tracing: bool = False
 _buffer: TraceBuffer = TraceBuffer()
-#: Ids of the currently open spans, innermost last.  A ``None`` entry
-#: marks a span the buffer dropped (so nesting stays balanced).
-_open: list[Optional[int]] = []
+#: This thread's or asyncio task's open spans, innermost last.
+_open: ContextVar[tuple] = ContextVar("repro_obs_open_spans", default=())
+
+
+def unwind(var: ContextVar, token: Token, pushed: tuple) -> None:
+    """Pop ``pushed[-1]``, the entry ``token = var.set(pushed)`` added:
+    one ``var.reset`` when it is innermost.  Otherwise (out of order, or
+    from another context) count ``obs.span_mismatch`` and remove only
+    this entry; an entry already cleared is left alone."""
+    current = var.get()
+    try:
+        var.reset(token)
+    except (ValueError, RuntimeError):  # token of another context
+        clean = False
+    else:
+        if current is pushed:
+            return
+        var.set(current)  # undo: the stack changed since the push
+        clean = True
+    entry = pushed[-1]
+    kept = tuple(e for e in current if e is not entry)
+    if len(kept) < len(current):
+        var.set(kept)
+        clean = clean and current[-1] is entry
+    if not clean:
+        from repro.obs.runtime import get_registry
+
+        get_registry().counter("obs.span_mismatch").inc()
+
+
+class OpenSpan:
+    """An open-span stack entry, from :func:`begin_span` to
+    :func:`end_span`: the :class:`TraceSpan` (``None`` if a full buffer
+    dropped it) and the parent id of spans opened inside it."""
+
+    __slots__ = ("span", "child_parent_id", "sink", "_token", "_pushed")
+
+    def __init__(self, span, child_parent_id, sink) -> None:
+        self.span: Optional[TraceSpan] = span
+        self.child_parent_id: Optional[int] = child_parent_id
+        self.sink = sink
 
 
 def tracing_enabled() -> bool:
@@ -566,10 +577,11 @@ def enable_tracing(buffer: Optional[TraceBuffer] = None) -> TraceBuffer:
 
 
 def disable_tracing() -> None:
-    """Turn tracing off.  The buffer keeps its accumulated data."""
+    """Turn tracing off and clear this thread's (or task's) open spans;
+    the buffer keeps its accumulated data."""
     global _tracing
     _tracing = False
-    _open.clear()
+    _open.set(())
 
 
 @contextmanager
@@ -595,49 +607,59 @@ def get_trace_buffer() -> TraceBuffer:
 
 
 def reset_trace() -> None:
-    """Clear the active buffer and any open-span state."""
+    """Clear the active buffer and this thread's (or task's) open spans."""
     _buffer.clear()
-    _open.clear()
+    _open.set(())
 
 
 def current_span_id() -> Optional[int]:
-    """Id of the innermost open span, if any."""
-    for span_id in reversed(_open):
-        if span_id is not None:
-            return span_id
-    return None
+    """Id of this task's innermost recorded open span, if any."""
+    stack = _open.get()
+    return stack[-1].child_parent_id if stack else None
 
 
-def begin_span(name: str, **attributes) -> Optional[int]:
-    """Open a span under the innermost open span; returns its id.
+def begin_span(
+    name: str,
+    attributes: Optional[Mapping] = None,
+    sink: Optional[Callable[[TraceSpan], None]] = None,
+) -> Optional[OpenSpan]:
+    """Open a span under this thread's (or task's) innermost open span.
 
-    No-op (returns ``None``) while tracing is disabled.  Prefer the
-    :class:`span` context manager (or ``obs.timed``, which opens spans
-    automatically) over calling this directly.
+    Without a ``sink`` it goes into the active buffer, and this is a
+    no-op (``None``) while tracing is off.  With one it always records,
+    and ``sink`` gets the span when it ends (the serving daemon's tail).
+    Prefer :class:`span` (or ``obs.timed``) over calling this directly.
     """
-    if not _tracing:
+    if sink is None and not _tracing:
         return None
-    span = _buffer.start_span(
-        name, parent_id=current_span_id(), attributes=attributes or None
+    stack = _open.get()
+    parent_id = stack[-1].child_parent_id if stack else None
+    if sink is None:
+        span_ = _buffer.start_span(name, parent_id, attributes)
+    else:
+        span_ = TraceSpan(next(_span_ids), parent_id, name, perf_counter(),
+                          attributes=dict(attributes or {}))
+    handle = OpenSpan(
+        span_, parent_id if span_ is None else span_.span_id, sink
     )
-    span_id = None if span is None else span.span_id
-    _open.append(span_id)
-    return span_id
+    handle._pushed = stack + (handle,)
+    handle._token = _open.set(handle._pushed)
+    return handle
 
 
-def end_span(span_id: Optional[int], **attributes) -> None:
-    """Close the innermost open span (which must be ``span_id``)."""
-    if not _open:
+def end_span(handle: Optional[OpenSpan], **attributes) -> None:
+    """Close the span ``handle`` opened (a no-op for ``None``)."""
+    if handle is None:
         return
-    _open.pop()
-    if span_id is None:
-        return
-    for span in reversed(_buffer.spans):
-        if span.span_id == span_id:
-            span.end = perf_counter()
-            if attributes:
-                span.attributes.update(attributes)
-            return
+    span_ = handle.span
+    if span_ is not None:
+        span_.end = perf_counter()
+        if attributes:
+            span_.attributes.update(attributes)
+        if handle.sink is not None:
+            handle.sink(span_)
+    pushed, handle._pushed = handle._pushed, None  # no self-cycle
+    unwind(_open, handle._token, pushed)
 
 
 class span:
@@ -645,24 +667,26 @@ class span:
 
     Unlike :class:`repro.obs.runtime.timed` this records no histogram —
     it exists for call sites that want a timeline entry with structured
-    attributes regardless of the metrics switch.
+    attributes regardless of the metrics switch.  ``sink`` is as for
+    :func:`begin_span`; ``handle`` is the :class:`OpenSpan` while open.
     """
 
-    __slots__ = ("name", "attributes", "_span_id")
+    __slots__ = ("name", "attributes", "sink", "handle")
 
-    def __init__(self, name: str, **attributes) -> None:
+    def __init__(self, name: str, sink=None, **attributes) -> None:
         self.name = name
         self.attributes = attributes
-        self._span_id: Optional[int] = None
+        self.sink = sink
+        self.handle: Optional[OpenSpan] = None
 
     def __enter__(self) -> "span":
-        if _tracing:
-            self._span_id = begin_span(self.name, **self.attributes)
+        if _tracing or self.sink is not None:
+            self.handle = begin_span(self.name, self.attributes, self.sink)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if _tracing or _open:
-            end_span(self._span_id)
+        handle, self.handle = self.handle, None
+        end_span(handle)
         return False
 
 
@@ -680,13 +704,9 @@ def add_event(name: str, **attributes) -> None:
 
 
 def set_span_attributes(**attributes) -> None:
-    """Attach attributes to the innermost open span (no-op if none)."""
+    """Attach attributes to this task's innermost open span, if any."""
     if not _tracing:
         return
-    span_id = current_span_id()
-    if span_id is None:
-        return
-    for span_ in reversed(_buffer.spans):
-        if span_.span_id == span_id:
-            span_.attributes.update(attributes)
-            return
+    stack = _open.get()
+    if stack and stack[-1].span is not None:
+        stack[-1].span.attributes.update(attributes)

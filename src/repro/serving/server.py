@@ -53,7 +53,7 @@ from repro.errors import (
     ServingUnavailableError,
 )
 from repro.obs.metrics import DEFAULT_HORIZONS, Histogram
-from repro.obs.trace import RotatingTraceExporter
+from repro.obs.trace import RotatingTraceExporter, TraceSpan
 from repro.obs.watchdog import WatchdogSet, serving_monitors
 from repro.serving.batcher import MicroBatcher
 from repro.serving.protocol import (
@@ -238,8 +238,8 @@ class AllocationServer:
         self.index_statuses = 0
         self.index_cache_key: Optional[str] = None
         #: Open request spans by ``trace_id`` (loop thread writes,
-        #: compute thread annotates): ``{trace_id: (span, enqueued_at)}``.
-        self._trace_pending: dict[int, tuple] = {}
+        #: compute thread annotates).
+        self._trace_pending: dict[int, TraceSpan] = {}
         #: ``("unix", path)`` or ``("tcp", host, port)`` once bound.
         self.address: Optional[tuple] = None
         self._inflight = 0
@@ -457,7 +457,6 @@ class AllocationServer:
             return error_response(_recover_request_id(message), exc)
         op = request.op
         self.requests[op] = self.requests.get(op, 0) + 1
-        span = None
         ok = True
         try:
             if self._draining and op not in (
@@ -480,23 +479,26 @@ class AllocationServer:
                 elif op == "trace":
                     result = self.telemetry.trace_tail(request.limit)
                 else:
+                    span = None
                     if request.trace_id is not None:
-                        span = self.telemetry.start_span(
+                        span = obs.trace.begin_span(
                             "serving.request",
-                            op=op,
-                            trace_id=request.trace_id,
-                            request_id=request.id,
+                            {"op": op, "trace_id": request.trace_id,
+                             "request_id": request.id},
+                            sink=self.telemetry.record_span,
                         )
-                        self._trace_pending[request.trace_id] = (
-                            span, time.perf_counter(),
-                        )
+                        self._trace_pending[request.trace_id] = span.span
                     self._inflight += 1
                     try:
                         result = await self._batcher.submit(request)
+                    except ReproError:
+                        ok = False
+                        raise
                     finally:
                         self._inflight -= 1
-                        if request.trace_id is not None:
+                        if span is not None:
                             self._trace_pending.pop(request.trace_id, None)
+                            obs.trace.end_span(span, ok=ok)
             response = ok_response(request.id, result)
         except ReproError as exc:
             ok = False
@@ -506,8 +508,6 @@ class AllocationServer:
         elapsed = time.perf_counter() - t0
         self.latency[op].observe(elapsed)
         self.telemetry.observe_request(op, elapsed, error=not ok)
-        if span is not None:
-            self.telemetry.end_span(span, ok=ok)
         return response
 
     async def _serve_connection(self, reader, writer) -> None:
@@ -564,44 +564,42 @@ class AllocationServer:
         trace_ids = [
             r.trace_id for r in requests if r.trace_id is not None
         ]
-        batch_span = self.telemetry.start_span(
-            "serving.batch", batch=len(requests), trace_ids=trace_ids
-        )
-        for request in requests:
-            pending = self._trace_pending.get(request.trace_id)
-            if pending is not None:
-                self.telemetry.annotate(
-                    pending[0],
-                    batch_span_id=batch_span.span_id,
-                    wait_seconds=t_compute - pending[1],
-                )
+        pending = [
+            s for s in map(self._trace_pending.get, trace_ids) if s is not None
+        ]
         with obs.timed("serving/batch"):
-            outcomes: list = [None] * len(requests)
-            grouped = []
-            for i, request in enumerate(requests):
-                if (
-                    request.op == "allocate"
-                    and not request.exclude
-                    and self.optimizer.selection == "index"
-                ):
-                    grouped.append(i)
-                else:
-                    outcomes[i] = self._compute_single(request)
-            if grouped:
-                self._compute_grouped_allocations(
-                    requests, grouped, outcomes, batch_span=batch_span
-                )
+            with obs.trace.span(
+                "serving.batch", sink=self.telemetry.record_span,
+                batch=len(requests), trace_ids=trace_ids,
+            ) as batch:
+                batch_span = batch.handle.span
+                for request_span in pending:
+                    request_span.attributes.update(
+                        batch_span_id=batch_span.span_id,
+                        wait_seconds=t_compute - request_span.start,
+                    )
+                outcomes: list = [None] * len(requests)
+                grouped = []
+                for i, request in enumerate(requests):
+                    if (
+                        request.op == "allocate"
+                        and not request.exclude
+                        and self.optimizer.selection == "index"
+                    ):
+                        grouped.append(i)
+                    else:
+                        outcomes[i] = self._compute_single(request)
+                if grouped:
+                    self._compute_grouped_allocations(
+                        requests, grouped, outcomes
+                    )
+                batch_span.attributes["grouped"] = len(grouped)
             obs.set_span_attributes(
                 batch=len(requests), grouped=len(grouped)
             )
         compute_seconds = time.perf_counter() - t_compute
-        for request in requests:
-            pending = self._trace_pending.get(request.trace_id)
-            if pending is not None:
-                self.telemetry.annotate(
-                    pending[0], compute_seconds=compute_seconds
-                )
-        self.telemetry.end_span(batch_span, grouped=len(grouped))
+        for request_span in pending:
+            request_span.attributes["compute_seconds"] = compute_seconds
         return outcomes
 
     def _compute_single(self, request: Request):
@@ -634,7 +632,6 @@ class AllocationServer:
         requests: list[Request],
         grouped: list[int],
         outcomes: list,
-        batch_span=None,
     ) -> None:
         """All plain ``allocate`` ops of a batch in one index pass.
 
@@ -658,13 +655,13 @@ class AllocationServer:
                 loads.append(load)
         if not positions:
             return
-        query_span = self.telemetry.start_span(
-            "serving.query_many", parent=batch_span, loads=len(loads)
-        )
-        on_sets = self.optimizer.query_index.query_many(
-            loads, skip_infeasible=True
-        )
-        self.telemetry.end_span(query_span)
+        with obs.trace.span(
+            "serving.query_many", sink=self.telemetry.record_span,
+            loads=len(loads),
+        ):
+            on_sets = self.optimizer.query_index.query_many(
+                loads, skip_infeasible=True
+            )
         shared: dict[float, Any] = {}
         coalesced = 0
         for i, load, chosen in zip(positions, loads, on_sets):

@@ -11,22 +11,24 @@ can answer "what are req/s and p99 over the last 10 s / 1 m / 5 m"
 exactly, and the SLO monitors in :mod:`repro.obs.watchdog` can evaluate
 burn rates against the same horizons.
 
-It is also the daemon's trace store.  The process-global
-:class:`~repro.obs.trace.TraceBuffer` belongs to the user (tests and
-benchmarks enable/clear it at will), so the server keeps its own
-bounded deque of recently *closed* spans and events: request spans,
-batch spans, and the ``query_many`` child spans, linked by ids, plus
-``slo.violation`` events.  The ``trace`` op serves the tail of that
-deque as a self-contained trace-JSONL document, and an optional
+It is also where the daemon's spans end up.  The daemon opens its
+``serving.request``, ``serving.batch`` and ``serving.query_many`` spans
+through :mod:`repro.obs.trace` like any other span — each takes its
+parent from its own task's open-span stack — but with
+:meth:`ServingTelemetry.record_span` as the sink, so they are recorded
+whatever the user's tracing switch says and never land in the
+process-global :class:`~repro.obs.trace.TraceBuffer` (which belongs to
+the user).  The store keeps the newest closed spans and events
+(``slo.violation``) in bounded deques; the ``trace`` op serves their
+tail as a self-contained trace-JSONL document, and an optional
 :class:`~repro.obs.trace.RotatingTraceExporter` persists every closed
 record to disk (flushed from the watchdog loop, never on the request
 path).
 
-Thread model: the event loop opens/closes request spans and feeds the
-request instruments; the compute thread opens/closes batch spans and
-annotates the request spans it serves.  One lock guards all of it —
-every operation is a few list/dict writes, so contention is negligible
-next to a solve.
+Thread model: the event loop feeds the request instruments and closes
+request spans; the compute thread closes batch spans.  One lock guards
+the store — every operation is a few list/dict writes, so contention is
+negligible next to a solve.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ MAX_TRACE_LIMIT = 1000
 
 
 class ServingTelemetry:
-    """Windowed metrics plus a bounded span store for one daemon.
+    """Windowed metrics plus a bounded store of closed spans for one
+    daemon.
 
     Parameters
     ----------
@@ -71,6 +74,8 @@ class ServingTelemetry:
     exporter:
         Optional :class:`~repro.obs.trace.RotatingTraceExporter`; when
         set, every closed span/event is also queued for :meth:`flush`.
+    keep_spans, keep_events:
+        How many of the newest closed spans/events the store keeps.
     clock:
         Monotonic-seconds callable feeding the windowed instruments
         (swap in a fake for deterministic tests).  Span timestamps use
@@ -105,8 +110,7 @@ class ServingTelemetry:
         self._queue_depth = SlidingHistogram("serving.queue_depth", window)
         self._batch_size = SlidingHistogram("serving.batch_size", window)
         self._loop_lag = SlidingHistogram("serving.loop_lag_seconds", window)
-        # Trace store.
-        self._next_span_id = 1
+        # Closed-span store.
         self._recent_spans: deque = deque(maxlen=keep_spans)
         self._recent_events: deque = deque(maxlen=keep_events)
         self._pending_spans: list[TraceSpan] = []
@@ -185,57 +189,15 @@ class ServingTelemetry:
             return self._loop_lag.max_value(horizon, now=self.clock())
 
     # ------------------------------------------------------------------ #
-    # Span store (request → batch → query_many linkage)
+    # Closed-span store (request → batch → query_many linkage)
     # ------------------------------------------------------------------ #
 
-    def start_span(
-        self, name: str, parent: Optional[TraceSpan] = None, **attributes
-    ) -> TraceSpan:
-        """Open a span in the daemon's private trace namespace.
-
-        Unlike :class:`~repro.obs.trace.TraceBuffer` there is no
-        innermost-open-span stack — the loop and compute threads
-        interleave — so the parent is always explicit.
-        """
-        with self._lock:
-            span_id = self._next_span_id
-            self._next_span_id += 1
-        return TraceSpan(
-            span_id=span_id,
-            parent_id=None if parent is None else parent.span_id,
-            name=name,
-            start=perf_counter(),
-            attributes=dict(attributes),
-        )
-
-    def annotate(self, span: TraceSpan, **attributes) -> None:
-        """Attach attributes to a still-open span."""
-        span.attributes.update(attributes)
-
-    def end_span(self, span: TraceSpan, **attributes) -> None:
-        """Close a span and commit it to the recent/pending stores."""
-        span.end = perf_counter()
-        if attributes:
-            span.attributes.update(attributes)
+    def record_span(self, span: TraceSpan) -> None:
+        """Keep one closed span — the sink the daemon's spans end into."""
         with self._lock:
             self._recent_spans.append(span)
             if self.exporter is not None:
                 self._pending_spans.append(span)
-
-    def add_event(
-        self, name: str, span_id: Optional[int] = None, **attributes
-    ) -> TraceEvent:
-        event = TraceEvent(
-            name=name,
-            time=perf_counter(),
-            span_id=span_id,
-            attributes=dict(attributes),
-        )
-        with self._lock:
-            self._recent_events.append(event)
-            if self.exporter is not None:
-                self._pending_events.append(event)
-        return event
 
     def record_violation(self, violation) -> None:
         """Fold one watchdog :class:`~repro.obs.watchdog.Violation` in.
@@ -243,14 +205,14 @@ class ServingTelemetry:
         Emits the ``slo.violation`` trace event and keeps per-monitor
         counts/headroom for the ``stats``/``telemetry`` ops.
         """
-        self.add_event(
-            "slo.violation",
-            monitor=violation.monitor,
-            metric=violation.metric,
-            headroom=violation.headroom,
-            message=violation.message,
-        )
+        event = TraceEvent("slo.violation", perf_counter(), attributes={
+            "monitor": violation.monitor, "metric": violation.metric,
+            "headroom": violation.headroom, "message": violation.message,
+        })
         with self._lock:
+            self._recent_events.append(event)
+            if self.exporter is not None:
+                self._pending_events.append(event)
             self.violation_counts[violation.monitor] = (
                 self.violation_counts.get(violation.monitor, 0) + 1
             )
@@ -277,8 +239,6 @@ class ServingTelemetry:
         buffer = TraceBuffer()
         buffer.spans = spans
         buffer.events = events
-        if spans:
-            buffer._next_id = max(s.span_id for s in spans) + 1
         return {
             "spans": len(spans),
             "events": len(events),

@@ -17,6 +17,7 @@ from repro.analysis.benchcheck import MetricSpec
 from repro.core.optimizer import JointOptimizer
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
+from repro.obs.artifacts import MAX_STAGE_SEGMENTS
 from repro.testbed.synthetic import make_system_model
 
 RESULTS_DIR = (
@@ -114,6 +115,40 @@ def test_validator_rejects_malformed_trace_section(solved_registry, trace):
     document["trace"] = trace
     with pytest.raises(ConfigurationError):
         obs.validate_artifact("observability", document)
+
+
+_LEAKED_ALLOCATE = "/".join(["serving/allocate"] * 50)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        _LEAKED_ALLOCATE,  # the shape a shared span stack leaked
+        _LEAKED_ALLOCATE + "/serving/batch",
+        "serving/allocate/serving/ping/serving/allocate",
+        "selection/selection",
+        "/".join(f"s{i}" for i in range(MAX_STAGE_SEGMENTS + 1)),
+    ],
+)
+def test_validator_rejects_leaked_stage_paths(solved_registry, path):
+    document = obs.bench_observability(solved_registry)
+    document["stages"][path] = dict(document["stages"]["selection"])
+    with pytest.raises(ConfigurationError, match="leaked span stack"):
+        obs.validate_artifact("observability", document)
+
+
+def test_validator_accepts_deep_nesting_with_repeated_prefixes(
+    solved_registry,
+):
+    document = obs.bench_observability(solved_registry)
+    for path in (
+        "control/mpc_campaign/control/mpc_horizon/control/linearize",
+        "control/mpc_campaign/controller/replan/selection/"
+        "consolidation/query",
+        "/".join(f"s{i}" for i in range(MAX_STAGE_SEGMENTS)),
+    ):
+        document["stages"][path] = dict(document["stages"]["selection"])
+    obs.validate_artifact("observability", document)
 
 
 def _scale_entry(**overrides):

@@ -3,7 +3,7 @@
 Covers the live-observability layer end to end: the windowed obs
 primitives (ring-of-buckets counters/histograms and their honesty
 flags), the rotating span exporter (lossless at rotation boundaries,
-oldest-whole-file truncation), the daemon-private span store under
+oldest-whole-file truncation), the daemon's closed-span store under
 concurrency, the serving SLO monitors under both policies, the
 request -> batch -> query_many span chain retrieved over the wire,
 and the ``repro bench-check`` regression gate.
@@ -37,6 +37,7 @@ from repro.obs import (
     read_rotated_trace,
     serving_monitors,
 )
+from repro.obs import trace
 from repro.obs.metrics import MAX_WINDOW_BUCKET_SAMPLES
 from repro.serving import (
     ServingClient,
@@ -166,9 +167,12 @@ class TestRotatingExporter:
         telemetry = ServingTelemetry(window=10.0, horizons=(10.0,))
         out = []
         for i in range(count):
-            span = telemetry.start_span("s", index=buffer_start + i)
-            telemetry.end_span(span)
-            out.append(span)
+            span = trace.begin_span(
+                "s", {"index": buffer_start + i},
+                sink=telemetry.record_span,
+            )
+            trace.end_span(span)
+            out.append(span.span)
         return out
 
     def test_rotation_is_lossless_at_the_boundary(self, tmp_path):
@@ -211,20 +215,22 @@ class TestRotatingExporter:
 class TestServingTelemetrySpans:
     def test_concurrent_linkage_survives_round_trips(self):
         telemetry = ServingTelemetry(window=60.0, horizons=(60.0,))
+        sink = telemetry.record_span
 
         def worker(worker_id: int) -> None:
             for i in range(25):
-                request = telemetry.start_span(
-                    "serving.request", worker=worker_id, seq=i
+                request = trace.begin_span(
+                    "serving.request", {"worker": worker_id, "seq": i},
+                    sink=sink,
                 )
-                batch = telemetry.start_span("serving.batch")
-                child = telemetry.start_span(
-                    "serving.query_many", parent=batch
+                batch = trace.begin_span("serving.batch", sink=sink)
+                child = trace.begin_span("serving.query_many", sink=sink)
+                request.span.attributes.update(
+                    batch_span_id=batch.span.span_id
                 )
-                telemetry.annotate(request, batch_span_id=batch.span_id)
-                telemetry.end_span(child)
-                telemetry.end_span(batch)
-                telemetry.end_span(request, ok=True)
+                trace.end_span(child)
+                trace.end_span(batch)
+                trace.end_span(request, ok=True)
 
         threads = [
             threading.Thread(target=worker, args=(w,)) for w in range(4)
@@ -260,7 +266,9 @@ class TestServingTelemetrySpans:
     def test_trace_tail_respects_limit_and_cap(self):
         telemetry = ServingTelemetry(window=10.0, horizons=(10.0,))
         for i in range(30):
-            telemetry.end_span(telemetry.start_span("s", index=i))
+            trace.end_span(trace.begin_span(
+                "s", {"index": i}, sink=telemetry.record_span
+            ))
         tail = telemetry.trace_tail(limit=5)
         assert tail["spans"] == 5
         buffer = TraceBuffer.from_jsonl(tail["jsonl"])

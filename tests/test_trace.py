@@ -72,6 +72,47 @@ class TestBuffer:
         with pytest.raises(ConfigurationError):
             TraceBuffer(max_spans=0)
 
+    def test_span_skipped_while_suspended_leaves_the_outer_open(
+        self, tracing
+    ):
+        # A span that never opened must not close its enclosing span.
+        with obs.trace.span("outer"):
+            with obs.suspended_tracing():
+                with obs.trace.span("hot"):
+                    pass
+            assert obs.trace.current_span_id() == (
+                tracing.spans_named("outer")[0].span_id
+            )
+            with obs.trace.span("after"):
+                pass
+        outer = tracing.spans_named("outer")[0]
+        assert [s.name for s in tracing.spans] == ["outer", "after"]
+        assert outer.end is not None
+        assert tracing.spans_named("after")[0].parent_id == outer.span_id
+        assert obs.trace.current_span_id() is None
+
+
+class TestSinkSpans:
+    def test_record_whatever_the_switch_and_skip_the_buffer(self, tracing):
+        sunk = []
+        with obs.trace.span("outer"):
+            with obs.trace.span("daemon", sink=sunk.append, op="x"):
+                with obs.trace.span("inner"):
+                    pass
+        obs.disable_tracing()
+        with obs.trace.span("untraced", sink=sunk.append):
+            pass
+        assert [s.name for s in sunk] == ["daemon", "untraced"]
+        assert all(s.end is not None for s in sunk)
+        assert [s.name for s in tracing.spans] == ["outer", "inner"]
+        outer, inner = tracing.spans
+        daemon, untraced = sunk
+        assert daemon.parent_id == outer.span_id
+        assert inner.parent_id == daemon.span_id
+        assert untraced.parent_id is None
+        assert len({outer.span_id, inner.span_id, daemon.span_id,
+                    untraced.span_id}) == 4
+
 
 class TestDisabledMode:
     def test_everything_is_a_no_op(self):
