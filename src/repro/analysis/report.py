@@ -428,7 +428,10 @@ def render_dashboard(
     lines.append("")
 
     # -- timeline of top-level spans --------------------------------------
-    roots = [s for s in buffer.spans if s.parent_id is None]
+    # A span whose parent is not in the buffer (dropped, or recorded by
+    # another buffer such as the serving daemon's tail) is top-level here.
+    span_ids = {s.span_id for s in buffer.spans}
+    roots = [s for s in buffer.spans if s.parent_id not in span_ids]
     lines.append("## Timeline (top-level spans)")
     lines.append("")
     if roots:

@@ -33,6 +33,7 @@ from repro.serving.protocol import (
     OPS,
     PROTOCOL_VERSION,
     TELEMETRY_FORMATS,
+    EncodedResult,
     Request,
     decode_request,
     encode,
@@ -54,6 +55,7 @@ __all__ = [
     "MAX_LINE_BYTES",
     "TELEMETRY_FORMATS",
     "Request",
+    "EncodedResult",
     "parse_request",
     "decode_request",
     "encode",

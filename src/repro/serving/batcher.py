@@ -152,8 +152,9 @@ class MicroBatcher:
                 "serving batcher is not accepting requests "
                 "(draining or not started)"
             )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait((request, future))
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        self._queue.put_nowait((request, future, loop.time()))
         return await future
 
     # ------------------------------------------------------------------ #
@@ -182,8 +183,9 @@ class MicroBatcher:
                 if nxt is _STOP:
                     return items, True
                 items.append(nxt)
-            # Timed collection window for company still on the wire.
-            deadline = loop.time() + self.batch_window
+            # Timed collection window for company still on the wire,
+            # counted from the first request's arrival.
+            deadline = first[2] + self.batch_window
             while len(items) < self.max_batch:
                 timeout = deadline - loop.time()
                 if timeout <= 0.0:
@@ -212,7 +214,7 @@ class MicroBatcher:
             obs.observe("serving.batch_size", len(items))
             if self.on_batch is not None:
                 self.on_batch(len(items))
-            requests = [request for request, _ in items]
+            requests = [request for request, _, _ in items]
             try:
                 outcomes = await self._dispatch(requests)
                 if len(outcomes) != len(items):
@@ -222,7 +224,7 @@ class MicroBatcher:
                     )
             except Exception as exc:  # noqa: BLE001 — worker must survive
                 outcomes = [exc] * len(items)
-            for (_, future), outcome in zip(items, outcomes):
+            for (_, future, _), outcome in zip(items, outcomes):
                 if future.cancelled():
                     continue
                 if isinstance(outcome, Exception):

@@ -47,6 +47,9 @@ Every parsed request is also stamped with a process-unique ``trace_id``
 letting the server link each batch span to the request spans it served.
 
 Responses are ``{"id": ..., "ok": true, "result": {...}}`` on success.
+A result may be an :class:`EncodedResult`: a read-only mapping that
+carries its own compact JSON body, which :func:`encode` splices into
+the response line instead of encoding the mapping again.
 Failures are *structured*, reusing the :mod:`repro.errors` hierarchy:
 ``{"id": ..., "ok": false, "error": {"type": "InfeasibleError",
 "message": "..."}}`` — the client re-raises the matching exception
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -106,15 +110,27 @@ class Request:
     trace_id: Optional[int] = field(default=None, compare=False)
 
 
+def _finite(key: str, value: Any) -> float:
+    """``value`` as a finite float; ``json.loads`` accepts ``NaN`` and
+    ``Infinity``, and an integer literal can overflow a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{key!r} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{key!r} must be finite, got {value!r}")
+    return number
+
+
 def _number(payload: Mapping, key: str, *, required: bool) -> Optional[float]:
     value = payload.get(key)
     if value is None:
         if required:
             raise ConfigurationError(f"{key!r} is required for this op")
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+    return _finite(key, value)
 
 
 def _id_list(payload: Mapping, key: str) -> Optional[tuple[int, ...]]:
@@ -158,14 +174,11 @@ def parse_request(payload: Any) -> Request:
         budget = _number(payload, "budget", required=True)
     elif op == "what-if":
         raw = payload.get("loads")
-        if not isinstance(raw, list) or not raw or any(
-            isinstance(v, bool) or not isinstance(v, (int, float))
-            for v in raw
-        ):
+        if not isinstance(raw, list) or not raw:
             raise ConfigurationError(
                 "'loads' must be a non-empty list of numbers"
             )
-        loads = tuple(float(v) for v in raw)
+        loads = tuple(_finite("loads", v) for v in raw)
         on_ids = _id_list(payload, "on_ids")
     elif op == "telemetry":
         fmt = payload.get("format")
@@ -207,9 +220,39 @@ def decode_request(line: str) -> Request:
     return parse_request(payload)
 
 
+class EncodedResult(dict):
+    """A read-only ``result`` mapping that carries its wire body.
+
+    ``body`` is the mapping's compact JSON (``separators=(",", ":")``),
+    encoded once at construction; :func:`encode` splices it into the
+    response line.  The server's answer memo hands one instance to
+    every response for the same load, so the mapping refuses mutation,
+    and its nested lists and dicts are shared too: treat them as
+    read-only.
+    """
+
+    __slots__ = ("body",)
+
+    def __init__(self, result: Mapping) -> None:
+        super().__init__(result)
+        self.body = json.dumps(self, separators=(",", ":")).encode()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an EncodedResult is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 def ok_response(request_id: Optional[Any], result: Mapping) -> dict:
-    """A success envelope for ``result``."""
-    return {"id": request_id, "ok": True, "result": dict(result)}
+    """A success envelope for ``result``.
+
+    An :class:`EncodedResult` goes into the envelope as it is, shared
+    and read-only; any other mapping is copied into a fresh dict.
+    """
+    if not isinstance(result, EncodedResult):
+        result = dict(result)
+    return {"id": request_id, "ok": True, "result": result}
 
 
 def error_response(request_id: Optional[Any], exc: Exception) -> dict:
@@ -231,8 +274,29 @@ def error_response(request_id: Optional[Any], exc: Exception) -> dict:
     }
 
 
+#: Key order of an :func:`ok_response` envelope.
+_OK_KEYS = ("id", "ok", "result")
+
+
 def encode(message: Mapping) -> bytes:
-    """One wire line (UTF-8 JSON + newline) for a request or response."""
+    """One wire line (UTF-8 JSON + newline) for a request or response.
+
+    The line is ``json.dumps(message, separators=(",", ":"))``.  For a
+    success envelope whose result is an :class:`EncodedResult`, only
+    the ``id`` is encoded and the result's cached body is spliced in;
+    the bytes are the same.
+    """
+    result = message.get("result")
+    if (
+        isinstance(result, EncodedResult)
+        and tuple(message) == _OK_KEYS
+        and message["ok"] is True
+    ):
+        request_id = json.dumps(message["id"], separators=(",", ":"))
+        return b"".join((
+            b'{"id":', request_id.encode(), b',"ok":true,"result":',
+            result.body, b"}\n",
+        ))
     return (json.dumps(message, separators=(",", ":")) + "\n").encode()
 
 

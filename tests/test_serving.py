@@ -10,6 +10,7 @@ round-tripping as structured errors without killing the connection.
 
 import asyncio
 import json
+import math
 import os
 import signal
 import socket
@@ -28,6 +29,7 @@ from repro.core.serialization import (
 from repro.errors import ServingUnavailableError
 from repro.serving import (
     AllocationServer,
+    EncodedResult,
     MicroBatcher,
     Request,
     ServingClient,
@@ -42,6 +44,7 @@ from repro.serving import (
     raise_error,
     run_load,
 )
+from repro.serving import server as server_module
 from repro.testbed.synthetic import make_system_model
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -49,6 +52,25 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _optimizer(n: int = 6) -> JointOptimizer:
     return JointOptimizer(make_system_model(n=n))
+
+
+def _serve(optimizer, scenario, **config):
+    """Run ``await scenario(server)`` against a started in-process
+    server, drain it, and return the scenario's result."""
+
+    async def main():
+        server = AllocationServer(optimizer, ServingConfig(**config))
+        await server.start()
+        try:
+            return await scenario(server)
+        finally:
+            await server.drain()
+
+    return asyncio.run(main())
+
+
+def _allocate(load, request_id=0):
+    return {"op": "allocate", "id": request_id, "load": load}
 
 
 class TestProtocol:
@@ -105,6 +127,73 @@ class TestProtocol:
         with pytest.raises(ConfigurationError):
             raise_error({"weird": "envelope"})
 
+    @pytest.mark.parametrize("request_id", [
+        7, 2.5, None, 'say "hi" \u00e9\u2603', [1, "a", None],
+        {"k": [1, 2], "\u00fc": "x"},
+    ])
+    def test_spliced_encode_matches_json_dumps(self, request_id):
+        result = EncodedResult({
+            "on_ids": [0, 3], "t_ac": 17.25, "loads": {"0": 1.5, "3": 2.0},
+            "note": "caf\u00e9", "clamped": False,
+        })
+        message = ok_response(request_id, result)
+        assert message["result"] is result  # passed through, not copied
+        expected = json.dumps(message, separators=(",", ":")) + "\n"
+        assert encode(message) == expected.encode()
+
+    def test_encoded_result_is_read_only(self):
+        result = EncodedResult({"a": [1]})
+        assert result == {"a": [1]}
+        assert result.body == b'{"a":[1]}'
+        for mutate in (
+            lambda: result.__setitem__("a", 2),
+            lambda: result.__delitem__("a"),
+            lambda: result.update(b=1),
+            lambda: result.pop("a"),
+            lambda: result.setdefault("b", 1),
+            lambda: result.clear(),
+        ):
+            with pytest.raises(TypeError):
+                mutate()
+        # Another key order than ok_response's is encoded in full.
+        reordered = {"ok": True, "id": 1, "result": result}
+        assert encode(reordered) == (
+            json.dumps(reordered, separators=(",", ":")) + "\n"
+        ).encode()
+
+    @pytest.mark.parametrize("payload", [
+        {"op": "allocate", "load": math.nan},
+        {"op": "allocate", "load": math.inf},
+        {"op": "allocate", "load": 10 ** 400},
+        {"op": "maxL", "budget": math.nan},
+        {"op": "maxL", "budget": -math.inf},
+        {"op": "what-if", "loads": [math.nan, 10.0]},
+        {"op": "what-if", "loads": [10.0, math.inf]},
+    ])
+    def test_non_finite_numbers_are_rejected(self, payload):
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_request(payload)
+        with pytest.raises(ConfigurationError, match="finite"):
+            decode_request(json.dumps(payload))
+
+    def test_nan_what_if_does_not_poison_its_batch(self):
+        optimizer = _optimizer()
+        load = 0.4 * sum(optimizer.model.capacities)
+
+        async def scenario(server):
+            return await asyncio.gather(
+                server.handle('{"op": "what-if", "id": 1, '
+                              '"loads": [NaN, 10.0]}'),
+                server.handle(json.dumps(_allocate(load, 2))),
+            )
+
+        what_if, allocate = _serve(optimizer, scenario, batch_window=0.05)
+        assert what_if["ok"] is False
+        assert what_if["error"]["type"] == "ConfigurationError"
+        assert allocate["ok"] is True
+        direct = optimizer.solve(load)
+        assert allocate["result"]["on_ids"] == list(direct.on_ids)
+
 
 class TestMicroBatcher:
     def _run(self, coroutine):
@@ -130,6 +219,30 @@ class TestMicroBatcher:
         assert results == [k * 10 for k in range(16)]
         assert len(batches) == 1 and sorted(batches[0]) == list(range(16))
         assert batches and len(batches[0]) == 16
+
+    def test_window_counts_from_the_first_submit(self):
+        dispatched = []
+
+        async def dispatch(batch):
+            dispatched.append(time.monotonic())
+            return list(batch)
+
+        async def scenario():
+            batcher = MicroBatcher(dispatch, batch_window=0.2)
+            batcher.start()
+            start = time.monotonic()
+            first = asyncio.ensure_future(batcher.submit(1))
+            await asyncio.sleep(0)  # the first request is queued
+            # The loop stays busy (say, parsing a burst) before the
+            # collector wakes; that time counts against the window.
+            time.sleep(0.2)
+            await first
+            await batcher.drain()
+            return start
+
+        start = self._run(scenario())
+        assert len(dispatched) == 1
+        assert dispatched[0] - start < 0.35
 
     def test_batching_off_dispatches_singletons(self):
         batches = []
@@ -297,6 +410,118 @@ class TestServerLifecycle:
         assert batched.coalesced > 0  # 60 requests over 5 levels
         assert batched.mean_batch_size > 1.0
         assert unbatched.mean_batch_size == 1.0
+
+
+class TestAnswerMemo:
+    def test_hit_in_a_later_batch_equals_a_fresh_solve(self):
+        optimizer = _optimizer(n=12)
+        load = 0.55 * sum(optimizer.model.capacities)
+
+        async def scenario(server):
+            first = await server.handle(json.dumps(_allocate(load, 1)))
+            second = await server.handle(json.dumps(_allocate(load, 2)))
+            return first, second, server.stats()
+
+        first, second, stats = _serve(optimizer, scenario)
+        assert stats["batches"] == 2
+        assert stats["answer_memo"]["hits"] == 1
+        assert stats["answer_memo"]["entries"] == 1
+        assert second["result"] is first["result"]
+        direct = optimizer.solve(load).solution
+        wire = json.loads(encode(second))
+        assert wire["id"] == 2
+        for result in (second["result"], wire["result"]):
+            assert result["on_ids"] == [int(i) for i in direct.on_ids]
+            assert result["loads"] == {
+                str(int(i)): float(direct.loads[i]) for i in direct.on_ids
+            }
+            assert result["predicted_total_power"] == pytest.approx(
+                direct.predicted_total_power, rel=1e-12
+            )
+
+    def test_eviction_holds_the_byte_bound(self, monkeypatch):
+        optimizer = _optimizer()
+        capacity = sum(optimizer.model.capacities)
+        a, b, c = (f * capacity for f in (0.3, 0.45, 0.6))
+
+        async def scenario(server):
+            memo = server._answer_memo
+            body_c = len(EncodedResult(server._allocation_payload(
+                optimizer.solve(c).solution, "index"
+            )).body)
+            for load in (a, b, a):  # the second ``a`` hits: most recent
+                await server.handle(_allocate(load))
+            # One byte short of holding a, b and c: c must evict b only.
+            bound = memo.body_bytes + body_c - 1
+            monkeypatch.setattr(
+                server_module, "ANSWER_MEMO_MAX_BYTES", bound
+            )
+            await server.handle(_allocate(c))
+            after_c = memo.stats()
+            kept = await server.handle(_allocate(a))
+            evicted = await server.handle(_allocate(b))
+            return bound, after_c, kept, evicted, memo.stats()
+
+        bound, after_c, kept, evicted, final = _serve(optimizer, scenario)
+        assert after_c["entries"] == 2 and after_c["evictions"] == 1
+        assert after_c["body_bytes"] <= bound
+        assert kept["ok"] and evicted["ok"]
+        # ``a`` hit twice; ``b`` was recomputed and evicted ``c``.
+        assert final["hits"] == 2
+        assert final["entries"] == 2 and final["evictions"] == 2
+        assert final["body_bytes"] <= bound
+
+    def test_other_paths_never_touch_the_memo(self):
+        optimizer = _optimizer()
+        capacity = sum(optimizer.model.capacities)
+
+        async def scenario(server):
+            responses = [
+                await server.handle(request) for request in (
+                    _allocate(9 * capacity),        # infeasible
+                    _allocate(0.0),                 # not positive
+                    {"op": "allocate", "load": 0.4 * capacity,
+                     "exclude": [0]},
+                    {"op": "maxL", "budget": 1e9},
+                    {"op": "what-if", "loads": [0.4 * capacity]},
+                    _allocate(9 * capacity),
+                )
+            ]
+            return responses, server.stats()["answer_memo"]
+
+        responses, memo = _serve(optimizer, scenario)
+        assert [r["ok"] for r in responses] == [
+            False, False, True, True, True, False,
+        ]
+        assert memo == {
+            "entries": 0, "body_bytes": 0, "hits": 0, "evictions": 0,
+        }
+
+    def test_coalesced_counts_are_unchanged(self):
+        optimizer = _optimizer()
+        capacity = sum(optimizer.model.capacities)
+        loads = quantized_loads(60, capacity, levels=5, seed=9)
+        distinct = len(set(loads))
+
+        async def scenario(server):
+            counts = []
+            for _ in range(2):
+                responses = await asyncio.gather(*(
+                    server.handle(_allocate(load, k))
+                    for k, load in enumerate(loads)
+                ))
+                assert all(r["ok"] for r in responses)
+                counts.append((
+                    server._batcher.batches, server.coalesced,
+                    server.stats()["answer_memo"]["hits"],
+                ))
+            return counts
+
+        counts = _serve(optimizer, scenario, batch_window=0.05)
+        coalesced = len(loads) - distinct
+        assert counts == [
+            (1, coalesced, 0), (2, 2 * coalesced, distinct),
+        ]
 
 
 class TestSocketTransports:
@@ -540,3 +765,19 @@ class TestDashboardServingSection:
         from repro.analysis.report import render_dashboard
 
         assert "## Serving" not in render_dashboard(obs.TraceBuffer())
+
+    def test_timeline_lists_spans_whose_parent_is_elsewhere(self):
+        from repro import obs
+        from repro.analysis.report import render_dashboard
+
+        buffer = obs.TraceBuffer()
+        root = buffer.start_span("local.root", start=0.0)
+        buffer.start_span("local.child", parent_id=root.span_id, start=0.1)
+        # Parented to a span that lives in another buffer (the daemon's
+        # tail, say), so this buffer holds no parent for it.
+        buffer.start_span("orphan.work", parent_id=-1, start=0.2)
+        text = render_dashboard(buffer)
+        timeline = text.split("## Timeline")[1].split("## Constraint")[0]
+        assert "local.root" in timeline
+        assert "orphan.work" in timeline
+        assert "local.child" not in timeline

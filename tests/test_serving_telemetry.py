@@ -431,6 +431,28 @@ class TestServerIntegration:
         merged = read_rotated_trace(trace_path)
         assert len(merged.spans_named("serving.request")) >= 3
 
+    def test_answer_memo_in_stats_and_prometheus(self, tmp_path):
+        optimizer = _optimizer()
+        capacity = sum(optimizer.model.capacities)
+        sock = tmp_path / "memo.sock"
+        config = ServingConfig(socket_path=sock, batch_window=0.001)
+        with background_server(optimizer, config):
+            with ServingClient(socket_path=sock) as client:
+                first = client.allocate(load=0.4 * capacity)
+                again = client.allocate(load=0.4 * capacity)
+                client.allocate(load=0.6 * capacity)
+                memo = client.stats()["answer_memo"]
+                scrape = client.telemetry(format="prometheus")
+        assert again == first
+        assert memo["entries"] == 2 and memo["hits"] == 1
+        assert memo["evictions"] == 0 and memo["body_bytes"] > 0
+        assert obs.validate_prometheus(scrape["text"])["families"] >= 10
+        lines = scrape["text"].splitlines()
+        assert "# TYPE repro_serving_answer_memo_hits_total counter" in lines
+        assert "repro_serving_answer_memo_hits_total 1" in lines
+        assert "# TYPE repro_serving_answer_memo_entries gauge" in lines
+        assert "repro_serving_answer_memo_entries 2" in lines
+
     def test_raise_policy_marks_failure_but_keeps_serving(self, tmp_path):
         optimizer = _optimizer()
         capacity = sum(optimizer.model.capacities)
