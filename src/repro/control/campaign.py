@@ -286,6 +286,19 @@ def heat_wave_scenario(
 # --------------------------------------------------------------------- #
 
 
+def _demand(trace, sim_dt: float):
+    """``trace.load_at`` for the march and the MPC forecast.
+
+    Both read the trace at multiples of ``sim_dt``, so a
+    :class:`LoadTrace` serves them from its pre-sampled grid
+    (:meth:`LoadTrace.grid`), bit for bit its ``load_at``; any other
+    object with a ``load_at`` is read through it directly.
+    """
+    if isinstance(trace, LoadTrace):
+        return trace.grid(sim_dt).load_at
+    return trace.load_at
+
+
 def run_demand_loop(
     testbed,
     controller,
@@ -328,7 +341,8 @@ def run_demand_loop(
         },
     ) as rec:
         run = march(
-            testbed, controller, scenario.faults, scenario.trace.load_at,
+            testbed, controller, scenario.faults,
+            _demand(scenario.trace, sim_dt),
             follow_demand, duration=scenario.trace.duration,
             injector=injector, control_dt=control_dt, sim_dt=sim_dt,
             attach_injector=attach_injector, plant=plant, weather=wx,
@@ -387,7 +401,7 @@ def _build_controller(
     injector: FaultInjector,
     *,
     horizon: int,
-    control_dt: float,
+    sim_dt: float,
     plant: LinearizedPlant,
 ):
     """(controller, attach_injector)."""
@@ -399,7 +413,8 @@ def _build_controller(
         controller = MPCController(
             context.optimizer,
             plant,
-            forecast=scenario.trace.load_at,
+            # Forecast times are whole control intervals: on the grid.
+            forecast=_demand(scenario.trace, sim_dt),
             horizon=horizon,
         )
         return controller, True
@@ -524,7 +539,7 @@ def run_mpc_campaign(
                 injector = FaultInjector(scenario.faults)
                 controller, attach = _build_controller(
                     name, scenario_context, scenario, injector,
-                    horizon=horizon, control_dt=control_dt, plant=plant,
+                    horizon=horizon, sim_dt=sim_dt, plant=plant,
                 )
                 runs[name] = run_demand_loop(
                     testbed,

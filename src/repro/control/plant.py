@@ -15,9 +15,10 @@ and finite differences against the engine recover ``A``, ``B_power``,
 ``b_supply`` and ``offset`` *exactly* (to floating-point roundoff) — no
 truncation error, because there is no higher-order term to truncate.
 :class:`LinearizedPlant` performs that extraction by probing the
-engine's own ``_advance`` stepper with basis states/inputs, so the
-linear model inherits the integrator bit for bit, and memoizes the
-matrices per on-mask (the mask changes the flow topology: an off node
+engine's own ``_advance`` stepper with basis states/inputs — all of
+them as the columns of one stacked rollout — so the linear model
+inherits the integrator bit for bit, and memoizes the matrices per
+on-mask (the mask changes the flow topology: an off node
 couples to the room through a weak passive conductance instead of its
 fan stream).
 
@@ -154,23 +155,46 @@ class LinearizedPlant:
     # Extraction
     # ------------------------------------------------------------------ #
 
-    def _rollout(
-        self, state: np.ndarray, powers: np.ndarray, t_ac: float
-    ) -> np.ndarray:
-        """One control interval of the RK4 engine from ``state``.
+    def _extract(
+        self, mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(a, b_power, b_supply, offset)`` of ``mask`` from one rollout.
 
-        The probe's mask must already be set; the cooler PI loop is
-        bypassed (``t_ac`` is held constant over the interval).
+        Every probe is one column of a single ``(m, m + n + 2)`` state
+        block stepped through the engine's ``_advance``: column 0 is the
+        zero state (``offset``), columns ``1..m`` the unit states
+        (``A``), the next ``n`` columns unit powers (``B_power``; an off
+        node's unit power is masked out by the engine, so its column
+        equals ``offset`` and its difference is exactly zero), and the
+        last column a unit supply temperature (``b_supply``).  Each
+        column rounds as its own rollout would, so stacking changes the
+        cost, not the bits.
         """
         probe = self._probe
-        n = self.n
-        probe.t_cpu = np.array(state[:n], dtype=float)
-        probe.t_box = np.array(state[n: 2 * n], dtype=float)
-        probe.t_room = float(state[2 * n])
-        probe.powers = np.asarray(powers, dtype=float)
+        m, n = self.state_dim, self.n
+        width = m + n + 2
+        state = np.zeros((m, width))
+        state[:, 1 : m + 1] = np.eye(m)
+        powers = np.zeros((n, width))
+        powers[:, m + 1 : m + n + 1] = np.eye(n)
+        t_ac = np.zeros(width)
+        t_ac[-1] = 1.0
+        probe.on_mask = mask
+        probe.t_cpu = state[:n].copy()
+        probe.t_box = state[n : 2 * n].copy()
+        probe.t_room = state[2 * n].copy()
+        probe.powers = powers
         for _ in range(self.substeps):
             probe._advance(self.rk_dt, t_ac)
-        return self.pack_state(probe.t_cpu, probe.t_box, probe.t_room)
+        final = np.vstack([probe.t_cpu, probe.t_box, probe.t_room])
+        offset = final[:, 0].copy()
+        delta = final - offset[:, None]
+        return (
+            np.ascontiguousarray(delta[:, 1 : m + 1]),
+            np.ascontiguousarray(delta[:, m + 1 : m + n + 1]),
+            delta[:, -1].copy(),
+            offset,
+        )
 
     def matrices(self, on_mask) -> PlantMatrices:
         """The discrete linear map for ``on_mask`` (memoized, LRU).
@@ -181,7 +205,8 @@ class LinearizedPlant:
         ``B_power``, and a unit supply temperature gives ``b_supply``.
         Because the dynamics are linear for a fixed mask, superposition
         makes these probes *exact* — validated against the transient
-        engine in ``tests/test_control_plant.py``.
+        engine in ``tests/test_control_plant.py``.  All probes run as
+        the columns of one stacked rollout (see :meth:`_extract`).
         """
         mask = np.asarray(on_mask, dtype=bool)
         if mask.shape != (self.n,):
@@ -195,27 +220,7 @@ class LinearizedPlant:
             obs.count("mpc.plant_cache_hits")
             return cached
         with obs.timed("control/linearize"):
-            m = self.state_dim
-            n = self.n
-            self._probe.on_mask = mask
-            zeros_m = np.zeros(m)
-            zeros_n = np.zeros(n)
-            offset = self._rollout(zeros_m, zeros_n, 0.0)
-            a = np.empty((m, m))
-            basis = np.zeros(m)
-            for j in range(m):
-                basis[j] = 1.0
-                a[:, j] = self._rollout(basis, zeros_n, 0.0) - offset
-                basis[j] = 0.0
-            b_power = np.zeros((m, n))
-            unit_p = np.zeros(n)
-            for i in range(n):
-                if not mask[i]:
-                    continue  # an off node's power never enters the map
-                unit_p[i] = 1.0
-                b_power[:, i] = self._rollout(zeros_m, unit_p, 0.0) - offset
-                unit_p[i] = 0.0
-            b_supply = self._rollout(zeros_m, zeros_n, 1.0) - offset
+            a, b_power, b_supply, offset = self._extract(mask.copy())
             obs.set_span_attributes(
                 machines_on=int(mask.sum()), dt=self.dt,
                 substeps=self.substeps,

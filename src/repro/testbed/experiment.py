@@ -111,6 +111,15 @@ class Testbed:
         self.room = room
         self.cooler = cooler
         self.power_models = list(power_models)
+        # The power laws as per-machine arrays, for true_server_powers.
+        self._w1 = np.array([pm.w1 for pm in self.power_models], dtype=float)
+        self._w2 = np.array([pm.w2 for pm in self.power_models], dtype=float)
+        self._curvature = np.array(
+            [pm.curvature for pm in self.power_models], dtype=float
+        )
+        self._capacity = np.array(
+            [pm.capacity for pm in self.power_models], dtype=float
+        )
         self.rng = rng
         # A custom simulation (e.g. the zonal substrate) may be supplied;
         # it must honour the RoomSimulation interface.
@@ -168,10 +177,30 @@ class Testbed:
     def true_server_powers(
         self, loads: Sequence[float], on_ids: Sequence[int]
     ) -> np.ndarray:
-        """Ground-truth per-machine electrical power for a decision, W."""
+        """Ground-truth per-machine electrical power for a decision, W.
+
+        :meth:`ServerPowerModel.power` of every machine in ``on_ids``,
+        as one array pass with the same expression order: loads above
+        capacity are clamped, a negative load raises, and the square is
+        libm ``pow`` (``np.float_power``), as Python's ``x**2`` computes
+        it — ``np.square`` rounds differently in about 0.1% of cases.
+        """
         powers = np.zeros(self.n_machines)
-        for i in on_ids:
-            powers[i] = self.power_models[i].power(float(loads[i]))
+        ids = np.fromiter(on_ids, dtype=np.intp)
+        if ids.size == 0:
+            return powers
+        load = np.asarray(loads, dtype=float)[ids]
+        negative = np.flatnonzero(load < 0.0)
+        if negative.size:
+            raise ConfigurationError(
+                f"load must be non-negative, got {float(load[negative[0]])}"
+            )
+        effective = np.minimum(load, self._capacity[ids])
+        powers[ids] = (
+            self._w2[ids]
+            + self._w1[ids] * effective
+            + self._curvature[ids] * np.float_power(effective, 2)
+        )
         return powers
 
     def steady_state_for(self, decision: PolicyDecision) -> SteadyState:

@@ -151,6 +151,51 @@ class SteadyStateBatch:
         )
 
 
+def _views(buf: np.ndarray, n: int):
+    """The ``(buffer, cpu, box, nodes)`` views of a stacked-state buffer
+    (slicing in the hot loop costs a surprising amount of the per-step
+    budget, so the views are made once)."""
+    return buf, buf[:n], buf[n : 2 * n], buf[: 2 * n]
+
+
+class _Lanes:
+    """Buffers and per-node constants of the RK4 kernel for one state
+    layout.
+
+    ``width=None`` is the simulation's own state: stacked vectors of
+    length ``2n + 1``.  ``width=K`` steps ``K`` states side by side as
+    the columns of ``(2n + 1, K)`` blocks, with per-column powers and
+    supply temperatures; the per-node constants are ``(n, 1)`` views of
+    the simulation's own arrays, so they broadcast across the columns
+    and follow its on-mask.  Every kernel operation is elementwise
+    except the room-heat fold, which runs down axis 0, so each column
+    rounds exactly as the same state stepped alone.
+    """
+
+    def __init__(self, sim: "RoomSimulation", width: Optional[int]) -> None:
+        n = sim._n
+        lanes = () if width is None else (width,)
+        column = np.s_[:] if width is None else np.s_[:, None]
+        self.width = width
+        # (y0, yt, k1, k2, k3, k4) view tuples; all stage arithmetic
+        # runs through out= with no per-step allocation.
+        self.stages = tuple(
+            _views(np.empty((2 * n + 1, *lanes)), n) for _ in range(6)
+        )
+        self.yt_v = self.stages[1]
+        self.theta = sim._theta[column]
+        self.coupling = sim._coupling[column]
+        self.sf_eff = sim._sf_eff[column]
+        self.rf_eff = sim._rf_eff[column]
+        self.mask_f = sim._mask_f[column]
+        self.nu_all = sim._nu_all[column]
+        self.powers_eff = np.empty((n, *lanes))
+        self.sf_ac = np.empty((n, *lanes))
+        self.exchange = np.empty((n, *lanes))
+        self.contrib = np.empty((n, *lanes))
+        self.acc = np.empty((n, *lanes))
+
+
 class RoomSimulation:
     """Transient simulation of a machine room plus its cooling unit.
 
@@ -216,42 +261,22 @@ class RoomSimulation:
         # MachineRoom's own generator sum so it matches the reference
         # loop bit for bit.
         self._bypass_c = 0.0
-        # Preallocated stacked-state and scratch buffers of the RK4 hot
-        # path (all stage arithmetic runs through out= with no
-        # per-step allocation).
-        m = 2 * n + 1
-        self._y0 = np.empty(m)
-        self._yt = np.empty(m)
-        self._k1 = np.empty(m)
-        self._k2 = np.empty(m)
-        self._k3 = np.empty(m)
-        self._k4 = np.empty(m)
-        self._scratch_a = np.empty(n)
-        self._contrib = np.empty(n)
-        self._acc = np.empty(n)
-        self._powers_eff = np.empty(n)
-        self._sf_ac = np.empty(n)
         # nu_cpu and nu_box stacked so both node halves of a stage
         # divide in one ufunc call (per-element rounding is unchanged).
         self._nu_all = np.concatenate([self._nu_cpu, self._nu_box])
-        # Precomputed (buffer, cpu, box, nodes) views into the fixed
-        # buffers (slicing in the hot loop costs a surprising amount of
-        # the per-step budget).
-        def _views(buf: np.ndarray):
-            return buf, buf[:n], buf[n : 2 * n], buf[: 2 * n]
-        self._y0_v = _views(self._y0)
-        self._yt_v = _views(self._yt)
-        self._k1_v = _views(self._k1)
-        self._k2_v = _views(self._k2)
-        self._k3_v = _views(self._k3)
-        self._k4_v = _views(self._k4)
+        self._n = n
+        # Buffers of the RK4 hot path for the simulation's own state;
+        # column-stacked states get their own lanes on first use.
+        self._lanes = _Lanes(self, None)
+        self._wide_lanes: dict[int, _Lanes] = {}
+        # The stepped state, where step()'s divergence probe reads it.
+        self._yt = self._lanes.yt_v[0]
         # State/derivative buffers of _derivatives, kept apart from the
         # stepper's so an off-step evaluation never clobbers them.
-        self._dy_v = _views(np.empty(m))
-        self._dk_v = _views(np.empty(m))
+        self._dy_v = _views(np.empty(2 * n + 1), n)
+        self._dk_v = _views(np.empty(2 * n + 1), n)
         # Room scalars hoisted out of the per-stage kernel (attribute
         # chains on every stage cost real per-step time at small n).
-        self._n = n
         self._env_c = room.envelope_conductance
         self._t_env = room.t_env
         self._nu_room = room.nu_room
@@ -313,17 +338,18 @@ class RoomSimulation:
         """Thermal-state time derivatives at an arbitrary state.
 
         Evaluated by the RK4 stage kernel under the current inputs, in
-        its own stacked buffers: the stepper's ``_k4`` (read by
+        its own stacked buffers: the stepper's ``k4`` (read by
         :meth:`settle_rates`) and ``_yt`` (the divergence probe) are
         left untouched.
         """
         n = self._n
-        self._load_inputs(t_ac)
+        lanes = self._lanes
+        self._load_inputs(lanes, t_ac)
         y_v, out_v = self._dy_v, self._dk_v
         np.copyto(y_v[1], t_cpu)
         np.copyto(y_v[2], t_box)
         y_v[0][2 * n] = t_room
-        self._stage_kernel(y_v, t_ac, out_v)
+        self._stage_kernel(lanes, y_v, t_ac, out_v)
         return out_v[1].copy(), out_v[2].copy(), float(out_v[0][2 * n])
 
     def _refresh_mask_constants(self) -> None:
@@ -344,41 +370,57 @@ class RoomSimulation:
         np.copyto(self._mask_f, on)
         self._bypass_c = self.room.bypass_flow(on) * units.C_AIR
 
-    def _load_inputs(self, t_ac: float) -> None:
+    def _load_inputs(self, lanes: _Lanes, t_ac) -> None:
         """Refresh the stage kernel's input constants: the mask-dependent
         arrays, the effective powers and the supply-air term."""
         self._refresh_mask_constants()
-        np.multiply(self._mask_f, self.powers, out=self._powers_eff)
-        np.multiply(self._sf_eff, t_ac, out=self._sf_ac)
+        np.multiply(lanes.mask_f, self.powers, out=lanes.powers_eff)
+        np.multiply(lanes.sf_eff, t_ac, out=lanes.sf_ac)
 
-    def _advance(self, dt: float, t_ac: float) -> None:
-        # One stacked state vector y = [t_cpu, t_box, t_room]; the four
-        # RK4 stages become whole-array arithmetic on preallocated
-        # buffers.  The stage updates keep the expression shapes of the
-        # reference loop (scalar 0.5 * dt first, then array multiply,
-        # then add), so every element rounds identically; `out=` changes
-        # where results land, never how they round.
+    def _advance(self, dt: float, t_ac) -> None:
+        """One RK4 step of length ``dt`` at supply temperature ``t_ac``.
+
+        The state is normally the simulation's own: ``t_cpu``/``t_box``
+        of shape ``(n,)``, a float ``t_room`` and a float ``t_ac``.  With
+        ``(n, K)`` node blocks, a ``(K,)`` ``t_room``, ``(n, K)`` powers
+        and a ``(K,)`` ``t_ac``, it steps ``K`` states at once, each
+        column bit for bit as if stepped alone (see :class:`_Lanes`).
+        """
+        # One stacked state y = [t_cpu, t_box, t_room]; the four RK4
+        # stages become whole-array arithmetic on preallocated buffers.
+        # The stage updates keep the expression shapes of the reference
+        # loop (scalar 0.5 * dt first, then array multiply, then add),
+        # so every element rounds identically; `out=` changes where
+        # results land, never how they round.
         n = self._n
+        t_cpu = self.t_cpu
+        lanes = (
+            self._lanes if t_cpu.ndim == 1
+            else self._lanes_of(t_cpu.shape[1])
+        )
         # Step-level invariants: powers/mask and t_ac are fixed while
         # the four stages evaluate.
-        self._load_inputs(t_ac)
-        y0, yt = self._y0, self._yt
-        k1, k2, k3, k4 = self._k1, self._k2, self._k3, self._k4
+        self._load_inputs(lanes, t_ac)
+        y0_v, yt_v, k1_v, k2_v, k3_v, k4_v = lanes.stages
+        y0, yt, k1, k2, k3, k4 = (
+            y0_v[0], yt_v[0], k1_v[0], k2_v[0], k3_v[0], k4_v[0]
+        )
         mul, add = np.multiply, np.add
-        np.copyto(self._y0_v[1], self.t_cpu)
-        np.copyto(self._y0_v[2], self.t_box)
+        kernel = self._stage_kernel
+        np.copyto(y0_v[1], t_cpu)
+        np.copyto(y0_v[2], self.t_box)
         y0[2 * n] = self.t_room
         half_dt = 0.5 * dt
-        self._stage_kernel(self._y0_v, t_ac, self._k1_v)
+        kernel(lanes, y0_v, t_ac, k1_v)
         mul(k1, half_dt, out=yt)
         add(y0, yt, out=yt)
-        self._stage_kernel(self._yt_v, t_ac, self._k2_v)
+        kernel(lanes, yt_v, t_ac, k2_v)
         mul(k2, half_dt, out=yt)
         add(y0, yt, out=yt)
-        self._stage_kernel(self._yt_v, t_ac, self._k3_v)
+        kernel(lanes, yt_v, t_ac, k3_v)
         mul(k3, dt, out=yt)
         add(y0, yt, out=yt)
-        self._stage_kernel(self._yt_v, t_ac, self._k4_v)
+        kernel(lanes, yt_v, t_ac, k4_v)
         # y0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), left-associated
         # exactly like the reference loop's update.
         mul(k2, 2.0, out=yt)
@@ -388,26 +430,34 @@ class RoomSimulation:
         add(yt, k4, out=yt)
         mul(yt, dt / 6.0, out=yt)
         add(y0, yt, out=yt)
-        self.t_cpu = self._yt_v[1].copy()
-        self.t_box = self._yt_v[2].copy()
+        self.t_cpu = yt_v[1].copy()
+        self.t_box = yt_v[2].copy()
+        if lanes.width is not None:
+            self.t_room = yt[2 * n].copy()
+            return
         self.t_room = float(yt[2 * n])
         # k4 is a stable buffer, untouched until the next step's stage
         # four — safe for settle_rates() to read without a copy.
-        self._last_stage = (
-            self._k4_v[1],
-            self._k4_v[2],
-            float(k4[2 * n]),
-        )
+        self._last_stage = (k4_v[1], k4_v[2], float(k4[2 * n]))
+
+    def _lanes_of(self, width: int) -> _Lanes:
+        """The kernel buffers for ``width`` column-stacked states."""
+        lanes = self._wide_lanes.get(width)
+        if lanes is None:
+            lanes = self._wide_lanes[width] = _Lanes(self, width)
+        return lanes
 
     def _stage_kernel(
         self,
+        lanes: _Lanes,
         y_v: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        t_ac: float,
+        t_ac,
         out_v: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
         """One derivative evaluation of a stacked state into an output
         buffer, with step-level invariants hoisted (see
-        :meth:`_load_inputs`) and all intermediates in scratch buffers.
+        :meth:`_load_inputs`) and all intermediates in the scratch
+        buffers of ``lanes``.
 
         ``y_v`` and ``out_v`` are the precomputed
         ``(buffer, cpu, box, nodes)`` view tuples of the stacked buffers.
@@ -421,30 +471,35 @@ class RoomSimulation:
         t_room = y[-1]
         out, d_cpu, box_term, d_nodes = out_v
         sub, mul, add = np.subtract, np.multiply, np.add
-        exchange = self._scratch_a
+        exchange = lanes.exchange
+        coupling = lanes.coupling
         sub(t_cpu, t_box, out=exchange)
-        mul(exchange, self._theta, out=exchange)
-        sub(self._powers_eff, exchange, out=d_cpu)
+        mul(exchange, lanes.theta, out=exchange)
+        sub(lanes.powers_eff, exchange, out=d_cpu)
         # target_temp = sf_eff * t_ac + rf_eff * t_room
-        mul(self._rf_eff, t_room, out=box_term)
-        add(self._sf_ac, box_term, out=box_term)
+        mul(lanes.rf_eff, t_room, out=box_term)
+        add(lanes.sf_ac, box_term, out=box_term)
         sub(box_term, t_box, out=box_term)
-        mul(box_term, self._coupling, out=box_term)
+        mul(box_term, coupling, out=box_term)
         add(exchange, box_term, out=box_term)
         # Both node halves divide by their stacked time constants in
         # one call; each element rounds exactly as the split divides.
-        np.divide(d_nodes, self._nu_all, out=d_nodes)
-        contrib = self._contrib
+        np.divide(d_nodes, lanes.nu_all, out=d_nodes)
+        contrib, acc = lanes.contrib, lanes.acc
         sub(t_box, t_room, out=contrib)
-        mul(contrib, self._coupling, out=contrib)
-        # Strict left fold: np.sum's pairwise reduction would differ
-        # from the reference loop's sequential accumulation in the last
-        # ulp.
-        np.add.accumulate(contrib, out=self._acc)
-        room_heat = float(self._acc[-1])
-        t_room_f = float(t_room)
-        room_heat += self._bypass_c * (t_ac - t_room_f)
-        room_heat += self._env_c * (self._t_env - t_room_f)
+        mul(contrib, coupling, out=contrib)
+        # Strict left fold down the nodes (per column when stacked):
+        # np.sum's pairwise reduction would differ from the reference
+        # loop's sequential accumulation in the last ulp.
+        np.add.accumulate(contrib, out=acc)
+        room_heat = acc[-1]
+        if lanes.width is None:
+            # Python floats: the same IEEE operations as the stacked
+            # rows below, without numpy's scalar overhead.
+            room_heat = float(room_heat)
+            t_room = float(t_room)
+        room_heat += self._bypass_c * (t_ac - t_room)
+        room_heat += self._env_c * (self._t_env - t_room)
         out[-1] = room_heat / self._nu_room
 
     def step(self, dt: float = 0.5) -> None:

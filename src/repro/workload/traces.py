@@ -16,6 +16,19 @@ from a seed and the time bucket, never from mutable generator state, so
 what lets :meth:`repro.core.controller.RuntimeController.run_trace`
 prefetch selection answers for a replay and actually hit them, and what
 makes campaign scores reproducible byte-for-byte.
+
+Vector twins
+------------
+
+Every constructor here also gives its trace a vectorized twin, and
+:meth:`LoadTrace.values_at` is bit-identical to :meth:`LoadTrace.load_at`
+at every time, not merely close: the twins repeat the scalar expression
+order, and where numpy's transcendental functions may round differently
+from ``math``'s in the last ulp, the twins call the ``math`` function
+per element.  Code relies on this: :meth:`LoadTrace.grid` pre-samples a
+trace once and serves ``load_at`` from the samples, so the MPC campaign
+(:mod:`repro.control.campaign`) reads its demand and its forecasts from
+one grid with unchanged results.
 """
 
 from __future__ import annotations
@@ -57,6 +70,14 @@ def _bucket_noise(seed: int, buckets: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` (a scalar ``math`` function) applied to every element of
+    ``x``: the vector twins call the function their scalar profile
+    calls, so the two agree bit for bit (``np.exp`` differs from
+    ``math.exp`` in the last ulp on some inputs)."""
+    return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
+
+
 def _derive_seed(rng: np.random.Generator) -> int:
     """One stable integer drawn from ``rng`` to key per-bucket noise."""
     return int(rng.integers(0, 2**63))
@@ -95,7 +116,8 @@ class LoadTrace:
         return max(0.0, value)
 
     def values_at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`load_at` over an array of times."""
+        """Vectorized :meth:`load_at` over an array of times (equal to
+        it bit for bit for the traces this module builds)."""
         times = np.asarray(times, dtype=float)
         clamped = np.clip(times, 0.0, self.duration)
         if self.vector_profile is not None:
@@ -106,7 +128,20 @@ class LoadTrace:
             values = np.array(
                 [float(self.profile(t)) for t in clamped], dtype=float
             )
-        return np.maximum(values, 0.0)
+        # load_at's max(0.0, value) argument order: a -0.0 comes out
+        # as 0.0 from both.
+        return np.maximum(0.0, values)
+
+    def grid(self, dt: float) -> "TraceGrid":
+        """The trace pre-sampled every ``dt`` seconds, built once per
+        ``dt`` and kept with the trace (see :class:`TraceGrid`)."""
+        # Not a dataclass field: a cache beside the frozen fields, like
+        # functools.cached_property keeps on instances.
+        grids = self.__dict__.setdefault("_grids", {})
+        found = grids.get(dt)
+        if found is None:
+            found = grids[dt] = TraceGrid(self, dt)
+        return found
 
     def sample(self, dt: float) -> np.ndarray:
         """The trace sampled every ``dt`` seconds (inclusive of t=0).
@@ -151,6 +186,41 @@ class LoadTrace:
                 best = float(window_values[index])
                 best_t = float(window[index])
         return best
+
+
+class TraceGrid:
+    """A trace's :meth:`LoadTrace.load_at`, served from one pre-sampled
+    :meth:`LoadTrace.values_at` grid.
+
+    The grid holds the trace at ``k * dt`` for every ``k`` up to the
+    duration.  :meth:`load_at` clamps a time as the trace does; a
+    clamped time that is exactly a grid point returns its sample, and
+    any other time falls back to the trace's own ``load_at``.  Since
+    ``values_at`` equals ``load_at`` bit for bit, so does the grid —
+    only a lookup costs a list index instead of a profile evaluation.
+    """
+
+    def __init__(self, trace: LoadTrace, dt: float) -> None:
+        if dt <= 0.0:
+            raise ConfigurationError(f"dt must be positive, got {dt}")
+        self.trace = trace
+        self.dt = float(dt)
+        times = np.arange(int(trace.duration / dt) + 2) * self.dt
+        times = times[times <= trace.duration]
+        # Python lists: indexing one is cheaper than a numpy scalar.
+        self._times: list[float] = times.tolist()
+        self._values: list[float] = trace.values_at(times).tolist()
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def load_at(self, t: float) -> float:
+        """Offered load at time ``t``: ``trace.load_at(t)`` exactly."""
+        clamped = min(max(t, 0.0), self.trace.duration)
+        k = round(clamped / self.dt)
+        if k < len(self._times) and self._times[k] == clamped:
+            return self._values[k]
+        return self.trace.load_at(t)
 
 
 def constant_trace(load: float, duration: float) -> LoadTrace:
@@ -244,7 +314,7 @@ def diurnal_trace(
 
     def vector_profile(ts: np.ndarray) -> np.ndarray:
         phase = 2.0 * np.pi * (ts - peak_time) / period
-        values = mid + amplitude * np.cos(phase)
+        values = mid + amplitude * _libm(math.cos, phase)
         if noise_std > 0.0:
             buckets = (ts // noise_dt).astype(np.int64)
             values = values + noise_std * _bucket_noise(seed, buckets)
@@ -310,7 +380,9 @@ def flash_crowd_trace(
             rising = (ts >= onset) & (ts < crest)
             values[rising] += spike * (ts[rising] - onset) / rise
         decaying = ts >= crest
-        values[decaying] += spike * np.exp(-(ts[decaying] - crest) / decay)
+        values[decaying] += spike * _libm(
+            math.exp, -(ts[decaying] - crest) / decay
+        )
         return values
 
     return LoadTrace(

@@ -9,12 +9,23 @@ drive both through the same public API and compare results bit for bit:
   :class:`~repro.thermal.simulation.RoomSimulation`;
 - :class:`LoopConsolidationIndex` — the per-row Algorithm-1 build and
   the per-position refined Algorithm-2 scan behind
-  :class:`~repro.core.consolidation.ConsolidationIndex`.
+  :class:`~repro.core.consolidation.ConsolidationIndex`;
+- :class:`LoopLinearizedPlant` — one RK4 rollout per probe behind the
+  stacked extraction of :class:`~repro.control.plant.LinearizedPlant`;
+- :class:`LoopTestbed` — one power-law call per machine behind
+  :meth:`~repro.testbed.experiment.Testbed.true_server_powers`.
 
 They are test code: nothing under ``src/`` imports them.
 """
 
 from tests.oracles.consolidation import LoopConsolidationIndex
+from tests.oracles.plant import LoopLinearizedPlant
 from tests.oracles.simulation import LoopRoomSimulation
+from tests.oracles.testbed import LoopTestbed
 
-__all__ = ["LoopConsolidationIndex", "LoopRoomSimulation"]
+__all__ = [
+    "LoopConsolidationIndex",
+    "LoopLinearizedPlant",
+    "LoopRoomSimulation",
+    "LoopTestbed",
+]

@@ -14,6 +14,7 @@ from repro.control.plant import LinearizedPlant
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
 from repro.thermal.simulation import RoomSimulation
+from tests.oracles import LoopLinearizedPlant
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,58 @@ class TestExactness:
             plant.step(state, powers_a, 290.0, mask),
             plant.step(state, powers_b, 290.0, mask),
         )
+
+
+def _masks(n: int) -> list[np.ndarray]:
+    """All-on, all-off, single-on and 8 random on-masks."""
+    single = np.zeros(n, dtype=bool)
+    single[n // 2] = True
+    rng = np.random.default_rng(18)
+    return [np.ones(n, dtype=bool), np.zeros(n, dtype=bool), single] + [
+        rng.random(n) < 0.6 for _ in range(8)
+    ]
+
+
+class TestStackedExtraction:
+    """The one stacked rollout against one rollout per probe."""
+
+    @pytest.mark.parametrize("bed", ["small_testbed", "testbed"])
+    def test_matches_per_probe_oracle_bit_for_bit(self, bed, request):
+        testbed = request.getfixturevalue(bed)
+        stacked = LinearizedPlant.from_testbed(testbed, dt=60.0)
+        oracle = LoopLinearizedPlant.from_testbed(testbed, dt=60.0)
+        for mask in _masks(stacked.n):
+            got = stacked.matrices(mask)
+            want = oracle.matrices(mask)
+            for name in ("a", "b_power", "b_supply", "offset"):
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(want, name),
+                    err_msg=f"{name} for mask {mask.astype(int)}",
+                )
+            # C order, as the per-probe fill makes them: the MPC's
+            # matrix products see the same memory layout.
+            assert got.a.flags.c_contiguous
+            assert got.b_power.flags.c_contiguous
+
+    def test_one_linearization_is_substeps_stacked_advances(
+        self, small_testbed
+    ):
+        plant = LinearizedPlant.from_testbed(small_testbed, dt=60.0)
+        probe = plant._probe
+        advance = probe._advance
+        widths = []
+
+        def counted(dt, t_ac):
+            widths.append(probe.t_cpu.shape)
+            advance(dt, t_ac)
+
+        probe._advance = counted
+        mask = np.array([True, False, True, True, False, True])
+        plant.matrices(mask)
+        n, m = plant.n, plant.state_dim
+        assert widths == [(n, m + n + 2)] * plant.substeps
+        plant.matrices(mask)  # memoized: no further rollout
+        assert len(widths) == plant.substeps
 
 
 class TestPrediction:

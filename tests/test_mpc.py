@@ -299,3 +299,49 @@ class TestBenchmarkEntryPoints:
         assert loops == ["reactive", "resilient", "mpc", "oracle"]
         assert len(observes) > 0
         assert set(results["steady"]) == set(campaign.MPC_CONTROLLERS)
+
+
+class TestReplayBitIdentity:
+    """The batched per-interval work (one stacked rollout per plant
+    linearization, demand and forecasts from pre-sampled grids, the
+    array pass over the power laws) changes no bit of a campaign."""
+
+    def test_quick_campaign_matches_the_reference_path(
+        self, ctx, monkeypatch
+    ):
+        import json
+        import types
+
+        from repro.control import campaign
+        from repro.testbed.experiment import Testbed
+        from repro.workload.traces import LoadTrace
+        from tests.oracles import LoopLinearizedPlant, LoopTestbed
+
+        def document():
+            _, doc = campaign.run_mpc_campaign(
+                seed=2012, n_machines=6, quick=True, context=ctx
+            )
+            return json.dumps(doc, sort_keys=True)
+
+        shipped = document()
+        used = {"plant": 0, "powers": 0, "grid": 0}
+
+        class ProbePerColumn(LoopLinearizedPlant):
+            def _extract(self, mask):
+                used["plant"] += 1
+                return super()._extract(mask)
+
+        def loop_powers(testbed, loads, on_ids):
+            used["powers"] += 1
+            return LoopTestbed.true_server_powers(testbed, loads, on_ids)
+
+        def raw_load_at(trace, dt):
+            used["grid"] += 1
+            return types.SimpleNamespace(load_at=trace.load_at)
+
+        monkeypatch.setattr(campaign, "LinearizedPlant", ProbePerColumn)
+        monkeypatch.setattr(Testbed, "true_server_powers", loop_powers)
+        monkeypatch.setattr(LoadTrace, "grid", raw_load_at)
+        reference = document()
+        assert all(used.values()), used  # every reference path ran
+        assert shipped == reference

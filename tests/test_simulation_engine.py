@@ -190,6 +190,42 @@ class TestTrajectoryEquivalence:
             assert fast.settle_rates() == loop.settle_rates()
 
 
+class TestStackedColumns:
+    """``_advance`` on ``(n, K)`` blocks steps each column exactly as
+    that state stepped alone (the plant extraction relies on it)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_columns_match_solo_steps(self, seed):
+        fast, _ = engine_pair(seed=300 + seed)
+        n = fast.room.node_count
+        rng = np.random.default_rng(seed)
+        _, on_mask = random_inputs(n, seed)
+        width = 5
+        t_cpu = 315.0 + 10.0 * rng.random((n, width))
+        t_box = 305.0 + 10.0 * rng.random((n, width))
+        t_room = 295.0 + 10.0 * rng.random(width)
+        powers = np.where(
+            on_mask[:, None], rng.uniform(40.0, 220.0, (n, width)), 0.0
+        )
+        t_ac = 285.0 + 10.0 * rng.random(width)
+        solo = []
+        for k in range(width):
+            fast.on_mask = on_mask
+            fast.t_cpu, fast.t_box = t_cpu[:, k].copy(), t_box[:, k].copy()
+            fast.t_room, fast.powers = float(t_room[k]), powers[:, k].copy()
+            for _ in range(4):
+                fast._advance(0.5, float(t_ac[k]))
+            solo.append((fast.t_cpu, fast.t_box, fast.t_room))
+        fast.t_cpu, fast.t_box = t_cpu.copy(), t_box.copy()
+        fast.t_room, fast.powers = t_room.copy(), powers
+        for _ in range(4):
+            fast._advance(0.5, t_ac)
+        for k, (cpu, box, room) in enumerate(solo):
+            assert np.array_equal(fast.t_cpu[:, k], cpu)
+            assert np.array_equal(fast.t_box[:, k], box)
+            assert fast.t_room[k] == room
+
+
 def seam_scenario():
     """One scenario exercising the cooler-manipulating fault kinds plus
     every sensor corruption (the three injector seams)."""

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.control.campaign import demand_scenarios, run_mpc_campaign
 from repro.core.policies import scenario_by_number
 from repro.errors import ConfigurationError
+from repro.experiments.common import default_context
+from repro.faults.loop import follow_demand
+from repro.testbed.experiment import Testbed
 from repro.testbed.rack import TestbedConfig, build_testbed
+from repro.testbed.transitions import measure_transition
 from repro.workload.cluster import ServerState
+from tests.oracles import LoopTestbed
 
 
 class TestRackConstruction:
@@ -137,3 +143,119 @@ class TestWorkloadRun:
         cluster = testbed.build_cluster()
         assert len(cluster) == testbed.n_machines
         assert all(s.state is ServerState.ON for s in cluster.servers)
+
+
+class TestTrueServerPowers:
+    """The array pass against one ``power`` call per machine."""
+
+    @staticmethod
+    def _loop(testbed, loads, on_ids):
+        return LoopTestbed.true_server_powers(testbed, loads, on_ids)
+
+    def _check(self, testbed, loads, on_ids):
+        got = testbed.true_server_powers(loads, on_ids)
+        np.testing.assert_array_equal(got, self._loop(testbed, loads, on_ids))
+        return got
+
+    def test_random_loads_and_masks(self, testbed):
+        rng = np.random.default_rng(4)
+        caps = np.array([pm.capacity for pm in testbed.power_models])
+        for _ in range(300):
+            loads = rng.uniform(0.0, 1.2, testbed.n_machines) * caps
+            mask = rng.random(testbed.n_machines) < 0.6
+            self._check(testbed, loads, np.flatnonzero(mask))
+
+    def test_square_rounds_like_python_pow(self):
+        # Python's x**2 is libm pow, which misrounds x*x on ~0.1% of
+        # inputs; np.square would not reproduce those.  A steep
+        # curvature carries the difference into the watts.
+        testbed = build_testbed(
+            TestbedConfig(n_machines=6, curvature=1.0), seed=3
+        )
+        rng = np.random.default_rng(9)
+        picky = [
+            x for x in rng.uniform(0.0, 40.0, 400_000).tolist()
+            if x**2 != x * x
+        ][:300]
+        assert len(picky) == 300
+        for k in range(0, 300, 6):
+            self._check(testbed, np.array(picky[k : k + 6]), range(6))
+
+    def test_caller_shapes(self, context):
+        testbed, optimizer = context.testbed, context.optimizer
+        n = testbed.n_machines
+        caps = np.array([pm.capacity for pm in testbed.power_models])
+        # The march: the balancer's dense loads over the live indices.
+        mask = np.zeros(n, dtype=bool)
+        mask[::2] = True
+        plan_loads = np.where(mask, 0.5 * caps, 0.0)
+        served = follow_demand(300.0, plan_loads, caps, mask)
+        self._check(testbed, served, np.flatnonzero(mask))
+        # The oracle: an optimizer plan's loads and on_ids tuple.
+        plan = optimizer.solve(0.45 * testbed.total_capacity)
+        self._check(testbed, plan.loads, plan.on_ids)
+        # Transitions, steady_state_for and evaluate_many: a decision.
+        decision = scenario_by_number(8).decide(
+            context.model, 0.3 * testbed.total_capacity, optimizer=optimizer
+        )
+        self._check(testbed, decision.loads, decision.on_ids)
+        # Plain Python sequences and a set of ids.
+        self._check(testbed, list(decision.loads), set(decision.on_ids))
+
+    def test_empty_on_set(self, testbed):
+        loads = np.full(testbed.n_machines, 10.0)
+        for empty in ((), [], frozenset(), np.array([], dtype=int)):
+            powers = self._check(testbed, loads, empty)
+            assert not powers.any()
+
+    def test_loads_above_capacity_are_clamped(self, testbed):
+        caps = np.array([pm.capacity for pm in testbed.power_models])
+        ids = range(testbed.n_machines)
+        over = self._check(testbed, 1.5 * caps, ids)
+        full = self._check(testbed, caps, ids)
+        np.testing.assert_array_equal(over, full)
+        assert over[0] == testbed.power_models[0].peak_power
+
+    def test_negative_load_raises(self, testbed):
+        loads = np.full(testbed.n_machines, 5.0)
+        loads[3] = -1.0
+        with pytest.raises(ConfigurationError, match="got -1.0"):
+            testbed.true_server_powers(loads, [0, 3, 5])
+        with pytest.raises(ConfigurationError, match="got -1.0"):
+            self._loop(testbed, loads, [0, 3, 5])
+        # An off machine's load is never read.
+        self._check(testbed, loads, [0, 5])
+
+    def test_every_caller_matches_the_loop(self, context, monkeypatch):
+        shipped = Testbed.true_server_powers
+        calls = []
+
+        def checked(self, loads, on_ids):
+            got = shipped(self, loads, on_ids)
+            want = LoopTestbed.true_server_powers(self, loads, on_ids)
+            np.testing.assert_array_equal(got, want)
+            calls.append(type(on_ids).__name__)
+            return got
+
+        monkeypatch.setattr(Testbed, "true_server_powers", checked)
+        testbed, model = context.testbed, context.model
+        low, high = (
+            scenario_by_number(8).decide(
+                model, f * testbed.total_capacity,
+                optimizer=context.optimizer,
+            )
+            for f in (0.2, 0.6)
+        )
+        measure_transition(testbed, low, high, max_duration=60.0)
+        testbed.evaluate_many([low, high])
+        small = default_context(seed=2012, n_machines=6)
+        scenario = demand_scenarios(
+            small.testbed.total_capacity, seed=2012, quick=True
+        )[1]
+        run_mpc_campaign(
+            seed=2012, n_machines=6, quick=True, context=small,
+            scenarios=[scenario],
+        )
+        # Decisions/plans pass tuples; the march passes index arrays.
+        assert {"tuple", "ndarray"} <= set(calls)
+        assert len(calls) > 1000

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.control.campaign import demand_scenarios, heat_wave_scenario
 from repro.errors import ConfigurationError
 from repro.workload.traces import (
+    LoadTrace,
+    TraceGrid,
     clamped_trace,
     constant_trace,
     diurnal_trace,
@@ -152,7 +155,90 @@ class TestVectorizedSampling:
         samples = trace.sample(dt=61.0)
         times = np.arange(0.0, trace.duration + 1e-9, 61.0)
         scalar = np.array([trace.load_at(t) for t in times])
-        np.testing.assert_allclose(samples, scalar, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(samples, scalar)
+
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_campaign_demand_bit_identical_on_half_second_grid(self, quick):
+        # The closed-loop campaigns read demand from pre-sampled grids,
+        # which is only exact if values_at never leaves load_at.
+        capacity = 600.0
+        traces = {
+            s.name: s.trace
+            for s in demand_scenarios(capacity, seed=2012, quick=quick)
+        }
+        traces["heat-wave"] = heat_wave_scenario(
+            capacity, seed=2012, quick=quick
+        ).trace
+        assert set(traces) == {
+            "diurnal", "flash-crowd", "derate-surge", "heat-wave"
+        }
+        for name, trace in traces.items():
+            times = np.arange(0.0, trace.duration + 1e-9, 0.5)
+            scalar = np.array([trace.load_at(t) for t in times])
+            np.testing.assert_array_equal(
+                trace.values_at(times), scalar, err_msg=name
+            )
+
+
+class TestTraceGrid:
+    def _trace(self):
+        return overlay_traces(
+            noisy_trace(
+                diurnal_trace(base=100.0, peak=400.0, duration=3000.0,
+                              period=3000.0),
+                noise_std=5.0, seed=4,
+            ),
+            flash_crowd_trace(base=0.0, spike=150.0, onset=900.0,
+                              duration=3000.0, decay=300.0, rise=20.0),
+        )
+
+    def test_lookups_equal_load_at_on_and_off_the_grid(self):
+        trace = self._trace()
+        grid = trace.grid(2.0)
+        assert len(grid) == 1501
+        times = np.concatenate([
+            np.arange(0.0, 3000.0 + 1e-9, 0.5),  # on and between points
+            [-5.0, 3000.0 + 1e-7, 3120.0, 1e9, 0.3, 1234.567],
+        ])
+        for t in times:
+            assert grid.load_at(float(t)) == trace.load_at(float(t))
+
+    def test_grid_points_skip_the_profile(self, monkeypatch):
+        trace = self._trace()
+        grid = trace.grid(2.0)
+        calls = []
+        real = LoadTrace.load_at
+
+        def counted(self, t):
+            calls.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(LoadTrace, "load_at", counted)
+        for k in range(0, 1501, 7):
+            grid.load_at(2.0 * k)
+        grid.load_at(4000.0)  # clamps onto the last grid point
+        assert calls == []
+        grid.load_at(1.0)  # off the grid: the trace (and its parts)
+        assert calls[0] == 1.0
+
+    def test_grid_is_built_once_per_dt(self):
+        trace = self._trace()
+        assert trace.grid(2.0) is trace.grid(2.0)
+        assert trace.grid(0.5) is not trace.grid(2.0)
+        assert isinstance(trace.grid(2.0), TraceGrid)
+
+    def test_grid_off_the_lattice_duration(self):
+        trace = ramp_trace(0.0, 100.0, duration=10.3)
+        grid = TraceGrid(trace, 2.0)
+        assert len(grid) == 6  # 0, 2, ..., 10
+        for t in (0.0, 4.0, 10.0, 10.3, 11.0, 10.1):
+            assert grid.load_at(t) == trace.load_at(t)
+
+    def test_rejects_bad_dt(self):
+        with pytest.raises(ConfigurationError):
+            constant_trace(1.0, 10.0).grid(0.0)
+        with pytest.raises(ConfigurationError):
+            TraceGrid(constant_trace(1.0, 10.0), -1.0)
 
 
 class TestPeak:
