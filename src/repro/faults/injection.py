@@ -100,6 +100,14 @@ class FaultInjector:
             self._apply_cooler_state()
         return fired
 
+    def next_transition_time(self) -> Optional[float]:
+        """When the next unfired transition is scheduled (the first
+        :meth:`advance` to reach it fires it), ``None`` once the replay
+        is exhausted.  Read-only: the cursor does not move."""
+        if self._cursor < len(self._transitions):
+            return self._transitions[self._cursor][0]
+        return None
+
     def _fire(self, t: float, phase: str, idx: int) -> FaultEvent:
         spec = self.scenario.faults[idx]
         if phase == "begin":
@@ -177,12 +185,13 @@ class FaultInjector:
             if self.scenario.faults[idx].kind == "ac_setpoint_drift"
         )
 
-    def offered_load(self, load: float) -> float:
-        """The world-level offered load after active surges."""
+    def offered_load(self, load: float | np.ndarray) -> float | np.ndarray:
+        """The world-level offered load after active surges: a float, or
+        an array of loads, each scaled exactly as a float would be."""
         for idx in self._active:
             spec = self.scenario.faults[idx]
             if spec.kind == "load_surge":
-                load *= spec.magnitude
+                load = load * spec.magnitude
         return load
 
     def events_jsonl(self) -> str:

@@ -23,7 +23,7 @@ from repro.faults.injection import FaultInjector
 from repro.faults.scenario import FaultEvent, FaultScenario
 from repro.thermal.plant import ChillerPlant
 from repro.thermal.sensors import TemperatureSensor
-from repro.thermal.simulation import RoomSimulation
+from repro.thermal.simulation import RoomSimulation, check_node_powers
 from repro.workload.weather import WeatherTrace
 
 #: Spawn key reserved for the harness sensor stream (far above any
@@ -32,12 +32,13 @@ _SENSOR_SPAWN_KEY = 1 << 20
 
 
 def follow_plan(offered, plan_loads, caps, mask) -> np.ndarray:
-    """Serve exactly the plan's allocation, whatever the offered load."""
-    return plan_loads
+    """Serve exactly the plan's allocation, whatever the offered load:
+    one read-only row of ``plan_loads`` per entry of ``offered``."""
+    return np.broadcast_to(plan_loads.copy(), (len(offered), plan_loads.size))
 
 
 def follow_demand(
-    offered: float,
+    offered: np.ndarray,
     plan_loads: np.ndarray,
     caps: np.ndarray,
     mask: np.ndarray,
@@ -48,32 +49,49 @@ def follow_demand(
     allocation down proportionally; offered load above it waterfills the
     surplus into each on machine's remaining capacity headroom.  Demand
     beyond the on-set's total capacity is shed.
+
+    ``offered`` is a vector of offered loads, one per substep; the
+    result is a read-only ``(len(offered), n)`` block whose row ``s``
+    is what the machines serve under ``offered[s]``.
     """
-    loads = np.zeros_like(plan_loads)
-    if offered <= 0.0 or not mask.any():
-        return loads
-    plan_total = float(plan_loads[mask].sum())
-    if plan_total <= 0.0:
-        # Degenerate plan: split by capacity alone.
-        cap_on = float(caps[mask].sum())
-        if cap_on <= 0.0:
-            return loads
-        frac = min(offered / cap_on, 1.0)
-        loads[mask] = frac * caps[mask]
-        return loads
-    if offered <= plan_total:
-        loads[mask] = plan_loads[mask] * (offered / plan_total)
-        return loads
-    headroom = np.where(mask, caps - plan_loads, 0.0)
-    headroom = np.maximum(headroom, 0.0)
-    total_headroom = float(headroom.sum())
-    surplus = offered - plan_total
-    if total_headroom <= 0.0 or surplus >= total_headroom:
-        loads[mask] = caps[mask]  # saturated: shed the rest
-        return loads
-    loads[mask] = (
-        plan_loads[mask] + headroom[mask] * (surplus / total_headroom)
-    )
+    offered = np.asarray(offered, dtype=float)
+    if offered.ndim != 1:
+        raise ConfigurationError(
+            f"offered must be a vector of loads, got shape {offered.shape}"
+        )
+    loads = np.zeros((offered.size, plan_loads.size))
+    on = np.flatnonzero(mask)
+    if on.size:
+        # Every row takes the branch its offered load selects; the
+        # per-interval totals are the same for all of them.
+        share = loads[:, on]
+        active = ~(offered <= 0.0)
+        plan_on = plan_loads[on]
+        plan_total = float(plan_on.sum())
+        if plan_total <= 0.0:
+            # Degenerate plan: split by capacity alone.
+            cap_on = float(caps[on].sum())
+            if cap_on > 0.0:
+                frac = np.minimum(offered[active] / cap_on, 1.0)
+                share[active] = frac[:, None] * caps[on]
+        else:
+            below = active & (offered <= plan_total)
+            share[below] = plan_on * (offered[below] / plan_total)[:, None]
+            headroom = np.where(mask, caps - plan_loads, 0.0)
+            headroom = np.maximum(headroom, 0.0)
+            total_headroom = float(headroom.sum())
+            above = active & ~(offered <= plan_total)
+            surplus = offered - plan_total
+            saturated = above & (
+                (total_headroom <= 0.0) | (surplus >= total_headroom)
+            )
+            share[saturated] = caps[on]  # saturated: shed the rest
+            fill = above & ~saturated
+            share[fill] = plan_on + headroom[on] * (
+                surplus[fill] / total_headroom
+            )[:, None]
+        loads[:, on] = share
+    loads.flags.writeable = False
     return loads
 
 
@@ -179,9 +197,12 @@ def march(
 
     Once per ``control_dt`` the controller observes the offered load,
     ``demand(t)`` after the injector's surges, and fixes the on-set and
-    the set point.  Every ``sim_dt`` substep,
-    ``balancer(offered, plan_loads, caps, mask)`` decides what the live
-    on-set serves.  The simulation always carries the injected faults:
+    the set point.  Every ``sim_dt`` substep, the balancer decides what
+    the live on-set serves; it is called as
+    ``balancer(offered, plan_loads, caps, mask)`` with a vector of the
+    substeps' offered loads and returns one row of loads per substep
+    (:func:`follow_plan`, :func:`follow_demand`).  The simulation always
+    carries the injected faults:
     crashed machines draw no power and serve no load, and the cooler is
     derated or drifted.  What the controller learns depends on it:
     ``attach_injector`` subscribes it to the hardware-health feed, a
@@ -192,6 +213,14 @@ def march(
     same room.  With a ``plant`` and ``weather``, each substep's cooling
     electricity is priced through the chiller plant's weather-dependent
     COP and hysteretic economizer; the air-side thermals are untouched.
+
+    Within an interval the plan, the live on-set and the set point are
+    fixed, so the substeps' inputs (offered loads, served loads, server
+    powers and their validation) are built as whole arrays, one block
+    per run of substeps between two fault transitions; only the PI loop
+    and the RK4 step (:meth:`RoomSimulation.step`) and the plant pricing
+    run per substep.  The trajectory is bit for bit that of stepping
+    each substep's inputs alone.
     """
     if control_dt <= 0.0 or sim_dt <= 0.0 or sim_dt > control_dt:
         raise ConfigurationError(
@@ -277,50 +306,67 @@ def march(
                 mask[i] = True
             sim.set_set_point(plan.t_sp)
         live = np.flatnonzero(mask)
-        steps = []
-        for k in range(substeps):
-            t_sub = t + k * sim_dt
-            offered_sub = inj.offered_load(demand(t_sub))
-            loads = balancer(offered_sub, plan_loads, caps, mask)
-            powers = testbed.true_server_powers(loads, live)
-            sim.set_node_powers(powers, on_mask=mask)
-            if not warm_started:
-                # Start settled: the interesting dynamics are the faults
-                # and demand transients, not the cold-room boot.
-                state = sim.steady_state(
-                    powers=powers, on_mask=mask,
-                    set_point=sim.cooler.set_point,
-                )
-                sim.t_cpu = state.t_cpu.copy()
-                sim.t_box = state.t_box.copy()
-                sim.t_room = float(state.t_room)
-                sim.t_ac = float(state.t_ac)
-                warm_started = True
-            sim.step(sim_dt)
-            servers = float(powers.sum())
-            server_energy += servers * sim_dt
-            if run_plant is None:
-                energy += sim.total_power * sim_dt
-            else:
-                # Same heat removal, weather-priced electricity: the
-                # coil's q_cool is what the room physics settled on; the
-                # plant converts it to watts at this wet-bulb in the
-                # hysteretic mode in force.
-                t_wb = weather.wetbulb_at(t_sub)
-                run_plant.advance_mode(t_wb)
-                energy += (
-                    servers
-                    + run_plant.electrical_power(cooler.q_cool, t_wb)
-                ) * sim_dt
-                rate = run_plant.water_rate(cooler.q_cool, t_wb)
-                if rate is not None and water is not None:
-                    water += rate * sim_dt
-            hottest = (
-                float(np.max(sim.t_cpu[live]))
-                if live.size
-                else float(sim.t_room)
+        steps: list[Substep] = []
+        k = 0
+        while k < substeps:
+            # One block of substeps: up to the interval's end or the
+            # substep whose step fires the next fault transition.
+            stop = _block_end(inj, sim.time, sim_dt, k, substeps)
+            times = [t + j * sim_dt for j in range(k, stop)]
+            offered_sub = inj.offered_load(
+                np.array([demand(t_sub) for t_sub in times], dtype=float)
             )
-            steps.append(Substep(offered_sub, loads, hottest))
+            loads = balancer(offered_sub, plan_loads, caps, mask)
+            powers, _ = check_node_powers(
+                testbed.true_server_powers(loads, live), mask, n,
+                steps=len(times),
+            )
+            servers = powers.sum(axis=1).tolist()
+            sim.on_mask = mask
+            t_cpu = []
+            t_room = []
+            for r, t_sub in enumerate(times):
+                sim.powers = powers[r]  # checked with the whole block
+                if not warm_started:
+                    # Start settled: the interesting dynamics are the
+                    # faults and demand transients, not the cold-room
+                    # boot.
+                    state = sim.steady_state(
+                        powers=powers[r], on_mask=mask,
+                        set_point=sim.cooler.set_point,
+                    )
+                    sim.t_cpu = state.t_cpu.copy()
+                    sim.t_box = state.t_box.copy()
+                    sim.t_room = float(state.t_room)
+                    sim.t_ac = float(state.t_ac)
+                    warm_started = True
+                sim.step(sim_dt)
+                server_energy += servers[r] * sim_dt
+                if run_plant is None:
+                    energy += (servers[r] + sim.cooling_power) * sim_dt
+                else:
+                    # Same heat removal, weather-priced electricity: the
+                    # coil's q_cool is what the room physics settled on;
+                    # the plant converts it to watts at this wet-bulb in
+                    # the hysteretic mode in force.
+                    t_wb = weather.wetbulb_at(t_sub)
+                    run_plant.advance_mode(t_wb)
+                    energy += (
+                        servers[r]
+                        + run_plant.electrical_power(cooler.q_cool, t_wb)
+                    ) * sim_dt
+                    rate = run_plant.water_rate(cooler.q_cool, t_wb)
+                    if rate is not None and water is not None:
+                        water += rate * sim_dt
+                t_cpu.append(sim.t_cpu)
+                t_room.append(sim.t_room)
+            hottest = (
+                np.max(np.array(t_cpu)[:, live], axis=1).tolist()
+                if live.size
+                else t_room
+            )
+            steps.extend(map(Substep, offered_sub.tolist(), loads, hottest))
+            k = stop
         intervals.append(
             Interval(t, offered, frozenset(int(i) for i in live),
                      len(inj.events), tuple(steps))
@@ -333,6 +379,33 @@ def march(
         server_energy_joules=server_energy,
         water_liters=water,
     )
+
+
+def _block_end(
+    injector: FaultInjector,
+    sim_time: float,
+    sim_dt: float,
+    start: int,
+    substeps: int,
+) -> int:
+    """One past the last substep from ``start`` whose inputs the
+    injector's current state fixes.
+
+    Each ``sim.step`` first advances the injector to the simulation's
+    clock, so substep ``j``'s step fires the next transition once the
+    clock, accumulated ``+= sim_dt`` from ``sim_time`` exactly as the
+    simulation accumulates it, reaches the transition's time; the
+    substeps after it see the new state.
+    """
+    due = injector.next_transition_time()
+    if due is None:
+        return substeps
+    clock = sim_time
+    for j in range(start, substeps):
+        if due <= clock:
+            return j + 1
+        clock += sim_dt
+    return substeps
 
 
 # --------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ like the real Watts-up-Pro traces in the paper's Fig. 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -62,10 +63,13 @@ class ServerPowerModel:
         Raises
         ------
         ConfigurationError
-            If ``load`` is negative.  Loads slightly above capacity are
-            clamped (a saturated server cannot do more work than its
-            capacity, so it cannot draw more dynamic power either).
+            If ``load`` is negative or not finite.  Loads slightly above
+            capacity are clamped (a saturated server cannot do more work
+            than its capacity, so it cannot draw more dynamic power
+            either).
         """
+        if not math.isfinite(load):
+            raise ConfigurationError(f"load must be finite, got {load}")
         if load < 0.0:
             raise ConfigurationError(f"load must be non-negative, got {load}")
         effective = min(load, self.capacity)

@@ -181,22 +181,32 @@ class Testbed:
 
         :meth:`ServerPowerModel.power` of every machine in ``on_ids``,
         as one array pass with the same expression order: loads above
-        capacity are clamped, a negative load raises, and the square is
-        libm ``pow`` (``np.float_power``), as Python's ``x**2`` computes
-        it — ``np.square`` rounds differently in about 0.1% of cases.
+        capacity are clamped, a negative or non-finite load raises
+        (naming the machine), and the square is libm ``pow``
+        (``np.float_power``), as Python's ``x**2`` computes it —
+        ``np.square`` rounds differently in about 0.1% of cases.
+
+        ``loads`` may carry leading batch axes — an ``(S, n)`` block
+        holds one decision's loads per row — and the powers come back
+        in the same shape, each row as if passed alone.
         """
-        powers = np.zeros(self.n_machines)
+        loads = np.asarray(loads, dtype=float)
+        powers = np.zeros((*loads.shape[:-1], self.n_machines))
         ids = np.fromiter(on_ids, dtype=np.intp)
         if ids.size == 0:
             return powers
-        load = np.asarray(loads, dtype=float)[ids]
-        negative = np.flatnonzero(load < 0.0)
-        if negative.size:
+        load = loads[..., ids]
+        bad = ~(np.isfinite(load) & (load >= 0.0))
+        if bad.any():
+            where = np.argwhere(bad)[0]
+            value = float(load[tuple(where)])
+            condition = "non-negative" if np.isfinite(value) else "finite"
             raise ConfigurationError(
-                f"load must be non-negative, got {float(load[negative[0]])}"
+                f"machine {int(ids[where[-1]])}: load must be {condition}, "
+                f"got {value}"
             )
         effective = np.minimum(load, self._capacity[ids])
-        powers[ids] = (
+        powers[..., ids] = (
             self._w2[ids]
             + self._w1[ids] * effective
             + self._curvature[ids] * np.float_power(effective, 2)

@@ -47,6 +47,56 @@ from repro.thermal.room import MachineRoom
 OFF_NODE_CONDUCTANCE = 1.0
 
 
+def check_node_powers(
+    powers,
+    on_mask: Optional[Sequence[bool]],
+    n: int,
+    steps: Optional[int] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Validate per-node electrical powers (W) and an optional on-mask.
+
+    ``powers`` is one ``(n,)`` vector, or with ``steps`` an
+    ``(steps, n)`` block holding one step's powers per row; ``on_mask``
+    is one ``(n,)`` mask for all of them.  Every power must be finite
+    and non-negative, and an off node must draw none; the
+    :class:`ConfigurationError` names the first offending node.
+    Returns ``(powers, on_mask)`` as float and bool arrays (``on_mask``
+    stays ``None`` when not given).
+    """
+    arr = np.asarray(powers, dtype=float)
+    shape = (n,) if steps is None else (steps, n)
+    if arr.shape != shape:
+        raise ConfigurationError(
+            f"expected {'x'.join(map(str, shape))} powers, "
+            f"got shape {arr.shape}"
+        )
+    bad = ~(np.isfinite(arr) & (arr >= 0.0))
+    if bad.any():
+        where = np.argwhere(bad)[0]
+        value = float(arr[tuple(where)])
+        node = int(where[-1])
+        if not np.isfinite(value):
+            raise ConfigurationError(
+                f"node {node} power must be finite, got {value}"
+            )
+        raise ConfigurationError(
+            f"node powers must be non-negative, got {value} at node {node}"
+        )
+    mask = None
+    if on_mask is not None:
+        mask = np.asarray(on_mask, dtype=bool)
+        if mask.shape != (n,):
+            raise ConfigurationError("on_mask shape must match powers")
+        drawing = (np.atleast_2d(arr) > 0.0).any(axis=0)
+        dark = np.flatnonzero(~mask & drawing)
+        if dark.size:
+            raise ConfigurationError(
+                "a powered-off machine cannot draw positive power "
+                f"(node {int(dark[0])})"
+            )
+    return arr, mask
+
+
 @dataclass(frozen=True)
 class SteadyState:
     """Steady-state operating point of the whole room.
@@ -296,24 +346,12 @@ class RoomSimulation:
     ) -> None:
         """Set per-node electrical power (W) and optionally the on/off mask.
 
-        A powered-off machine must draw zero power; passing a positive
-        power for an off machine is a caller bug and raises.
+        Powers must be finite and non-negative, and a powered-off
+        machine must draw zero power; anything else is a caller bug and
+        raises (see :func:`check_node_powers`).
         """
-        arr = np.asarray(powers, dtype=float)
-        if arr.shape != (self.room.node_count,):
-            raise ConfigurationError(
-                f"expected {self.room.node_count} powers, got shape {arr.shape}"
-            )
-        if np.any(arr < 0.0):
-            raise ConfigurationError("node powers must be non-negative")
-        if on_mask is not None:
-            mask = np.asarray(on_mask, dtype=bool)
-            if mask.shape != arr.shape:
-                raise ConfigurationError("on_mask shape must match powers")
-            if np.any(arr[~mask] > 0.0):
-                raise ConfigurationError(
-                    "a powered-off machine cannot draw positive power"
-                )
+        arr, mask = check_node_powers(powers, on_mask, self._n)
+        if mask is not None:
             self.on_mask = mask
         self.powers = arr
 

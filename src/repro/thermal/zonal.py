@@ -44,7 +44,11 @@ from repro import units
 from repro.errors import ConfigurationError, ConvergenceError, SimulationError
 from repro.thermal.cooling import CoolingUnit
 from repro.thermal.node import ComputeNodeThermal
-from repro.thermal.simulation import OFF_NODE_CONDUCTANCE, SteadyState
+from repro.thermal.simulation import (
+    OFF_NODE_CONDUCTANCE,
+    SteadyState,
+    check_node_powers,
+)
 
 
 @dataclass(frozen=True)
@@ -159,20 +163,11 @@ class ZonalRoomSimulation:
     def set_node_powers(
         self, powers: Sequence[float], on_mask: Optional[Sequence[bool]] = None
     ) -> None:
-        """Set per-node electrical power (W) and optionally the on mask."""
-        arr = np.asarray(powers, dtype=float)
-        if arr.shape != (self.room.node_count,):
-            raise ConfigurationError(
-                f"expected {self.room.node_count} powers, got {arr.shape}"
-            )
-        if np.any(arr < 0.0):
-            raise ConfigurationError("node powers must be non-negative")
-        if on_mask is not None:
-            mask = np.asarray(on_mask, dtype=bool)
-            if np.any(arr[~mask] > 0.0):
-                raise ConfigurationError(
-                    "a powered-off machine cannot draw positive power"
-                )
+        """Set per-node electrical power (W) and optionally the on mask,
+        checked as :func:`~repro.thermal.simulation.check_node_powers`
+        checks them."""
+        arr, mask = check_node_powers(powers, on_mask, self.room.node_count)
+        if mask is not None:
             self.on_mask = mask
         self.powers = arr
 

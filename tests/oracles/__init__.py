@@ -13,7 +13,10 @@ drive both through the same public API and compare results bit for bit:
 - :class:`LoopLinearizedPlant` — one RK4 rollout per probe behind the
   stacked extraction of :class:`~repro.control.plant.LinearizedPlant`;
 - :class:`LoopTestbed` — one power-law call per machine behind
-  :meth:`~repro.testbed.experiment.Testbed.true_server_powers`.
+  :meth:`~repro.testbed.experiment.Testbed.true_server_powers`;
+- :mod:`tests.oracles.loop` — the per-substep closed-loop march and the
+  scalar ``follow_plan``/``follow_demand`` balancers behind
+  :func:`~repro.faults.loop.march` and its vector balancers.
 
 They are test code: nothing under ``src/`` imports them.
 """

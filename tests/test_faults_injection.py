@@ -36,6 +36,23 @@ class TestReplay:
         ]
         assert inj.active_faults == []
 
+    def test_next_transition_time_peeks_without_firing(self):
+        inj = FaultInjector(scenario(
+            FaultSpec(kind="load_surge", at=5.5, until=9.25, magnitude=2.0),
+            FaultSpec(kind="machine_crash", at=7.0, machine=1),
+        ))
+        assert inj.next_transition_time() == 5.5
+        assert inj.next_transition_time() == 5.5  # read-only
+        assert inj.events == [] and inj.offered_load(10.0) == 10.0
+        inj.advance(5.4)
+        assert inj.next_transition_time() == 5.5
+        inj.advance(5.5)
+        assert inj.next_transition_time() == 7.0
+        inj.advance(8.0)
+        assert inj.next_transition_time() == 9.25
+        inj.advance(100.0)
+        assert inj.next_transition_time() is None
+
     def test_failed_machines_track_crash_windows(self):
         inj = FaultInjector(scenario(
             FaultSpec(kind="machine_crash", at=10.0, until=30.0, machine=2),
@@ -106,6 +123,17 @@ class TestWorldState:
         assert inj.offered_load(100.0) == pytest.approx(125.0)
         inj.advance(10.0)
         assert inj.offered_load(100.0) == pytest.approx(100.0)
+
+    def test_offered_loads_array_scales_like_floats(self):
+        inj = FaultInjector(scenario(
+            FaultSpec(kind="load_surge", at=0.0, magnitude=1.1),
+            FaultSpec(kind="load_surge", at=0.0, magnitude=1.3),
+        ))
+        inj.advance(0.0)
+        loads = np.array([0.1, 57.3, 123.456, 1e-9])
+        scaled = inj.offered_load(loads)
+        assert scaled.tolist() == [inj.offered_load(x) for x in loads.tolist()]
+        assert loads.tolist() == [0.1, 57.3, 123.456, 1e-9]  # untouched
 
 
 class TestSensorPath:

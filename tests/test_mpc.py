@@ -302,9 +302,10 @@ class TestBenchmarkEntryPoints:
 
 
 class TestReplayBitIdentity:
-    """The batched per-interval work (one stacked rollout per plant
-    linearization, demand and forecasts from pre-sampled grids, the
-    array pass over the power laws) changes no bit of a campaign."""
+    """The batched work (one stacked rollout per plant linearization,
+    demand and forecasts from pre-sampled grids, the array pass over the
+    power laws, the march's per-interval input blocks) changes no bit of
+    a campaign."""
 
     def test_quick_campaign_matches_the_reference_path(
         self, ctx, monkeypatch
@@ -316,6 +317,7 @@ class TestReplayBitIdentity:
         from repro.testbed.experiment import Testbed
         from repro.workload.traces import LoadTrace
         from tests.oracles import LoopLinearizedPlant, LoopTestbed
+        from tests.oracles import loop as oracle_loop
 
         def document():
             _, doc = campaign.run_mpc_campaign(
@@ -324,7 +326,7 @@ class TestReplayBitIdentity:
             return json.dumps(doc, sort_keys=True)
 
         shipped = document()
-        used = {"plant": 0, "powers": 0, "grid": 0}
+        used = {"plant": 0, "powers": 0, "grid": 0, "march": 0}
 
         class ProbePerColumn(LoopLinearizedPlant):
             def _extract(self, mask):
@@ -339,9 +341,17 @@ class TestReplayBitIdentity:
             used["grid"] += 1
             return types.SimpleNamespace(load_at=trace.load_at)
 
+        def per_substep_march(*args, **kwargs):
+            used["march"] += 1
+            return oracle_loop.march(*args, **kwargs)
+
         monkeypatch.setattr(campaign, "LinearizedPlant", ProbePerColumn)
         monkeypatch.setattr(Testbed, "true_server_powers", loop_powers)
         monkeypatch.setattr(LoadTrace, "grid", raw_load_at)
+        monkeypatch.setattr(campaign, "march", per_substep_march)
+        monkeypatch.setattr(
+            campaign, "follow_demand", oracle_loop.follow_demand
+        )
         reference = document()
         assert all(used.values()), used  # every reference path ran
         assert shipped == reference

@@ -43,6 +43,11 @@ class TestPower:
         with pytest.raises(ConfigurationError):
             model.power(-1.0)
 
+    @pytest.mark.parametrize("load", [float("nan"), float("inf")])
+    def test_rejects_non_finite_load(self, model, load):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            model.power(load)
+
     def test_clamps_above_capacity(self, model):
         # A saturated server can't do more work than its capacity.
         assert model.power(45.0) == pytest.approx(model.power(40.0))

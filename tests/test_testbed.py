@@ -185,12 +185,20 @@ class TestTrueServerPowers:
         testbed, optimizer = context.testbed, context.optimizer
         n = testbed.n_machines
         caps = np.array([pm.capacity for pm in testbed.power_models])
-        # The march: the balancer's dense loads over the live indices.
+        # The march: the balancer's dense loads over the live indices,
+        # one row per substep, as a block and row by row.
         mask = np.zeros(n, dtype=bool)
         mask[::2] = True
         plan_loads = np.where(mask, 0.5 * caps, 0.0)
-        served = follow_demand(300.0, plan_loads, caps, mask)
-        self._check(testbed, served, np.flatnonzero(mask))
+        served = follow_demand(
+            np.array([300.0, 150.0, 420.0]), plan_loads, caps, mask
+        )
+        block = self._check(testbed, served, np.flatnonzero(mask))
+        assert block.shape == served.shape
+        for row, powers in zip(served, block):
+            np.testing.assert_array_equal(
+                self._check(testbed, row, np.flatnonzero(mask)), powers
+            )
         # The oracle: an optimizer plan's loads and on_ids tuple.
         plan = optimizer.solve(0.45 * testbed.total_capacity)
         self._check(testbed, plan.loads, plan.on_ids)
@@ -226,6 +234,32 @@ class TestTrueServerPowers:
         # An off machine's load is never read.
         self._check(testbed, loads, [0, 5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_load_raises_naming_the_machine(self, testbed, bad):
+        loads = np.full((3, testbed.n_machines), 5.0)
+        loads[1, 4] = bad
+        for block in (loads[1], loads):
+            with pytest.raises(
+                ConfigurationError, match=r"machine 4: load must be finite"
+            ):
+                testbed.true_server_powers(block, [0, 4, 5])
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            self._loop(testbed, loads[1], [0, 4, 5])
+        # An off machine's load is never read.
+        self._check(testbed, loads, [0, 5])
+
+    def test_batch_rows_match_single_calls(self, testbed):
+        rng = np.random.default_rng(8)
+        caps = np.array([pm.capacity for pm in testbed.power_models])
+        loads = rng.uniform(0.0, 1.2, (40, testbed.n_machines)) * caps
+        ids = np.flatnonzero(rng.random(testbed.n_machines) < 0.6)
+        block = self._check(testbed, loads, ids)
+        assert block.shape == loads.shape
+        for row, powers in zip(loads, block):
+            np.testing.assert_array_equal(
+                testbed.true_server_powers(row, ids), powers
+            )
+
     def test_every_caller_matches_the_loop(self, context, monkeypatch):
         shipped = Testbed.true_server_powers
         calls = []
@@ -234,7 +268,9 @@ class TestTrueServerPowers:
             got = shipped(self, loads, on_ids)
             want = LoopTestbed.true_server_powers(self, loads, on_ids)
             np.testing.assert_array_equal(got, want)
-            calls.append(type(on_ids).__name__)
+            # One entry per decision evaluated: the march passes a
+            # block of one row per substep.
+            calls.extend([type(on_ids).__name__] * len(np.atleast_2d(got)))
             return got
 
         monkeypatch.setattr(Testbed, "true_server_powers", checked)

@@ -10,7 +10,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.testbed.rack import TestbedConfig, build_cooler, build_room
-from repro.thermal.simulation import RoomSimulation
+from repro.thermal.simulation import RoomSimulation, check_node_powers
 from tests.oracles import LoopRoomSimulation
 
 
@@ -37,6 +37,44 @@ class TestInputs:
             sim.set_node_powers(
                 [50.0] * 5, on_mask=[False] + [True] * 4
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_power_naming_the_node(self, bad):
+        sim = make_sim()
+        with pytest.raises(ConfigurationError, match="node 2 power must be"):
+            sim.set_node_powers([50.0, 50.0, bad, 50.0, 50.0])
+        assert not np.any(np.isnan(sim.powers))  # nothing was taken
+
+    @pytest.mark.parametrize(
+        "row, mask",
+        [
+            ([50.0, 50.0, np.nan, 50.0, 50.0], None),
+            ([50.0, np.inf, 50.0, 50.0, 50.0], None),
+            ([50.0, 50.0, 50.0, -2.0, 50.0], None),
+            ([50.0, 50.0, 50.0, 50.0, 50.0], [True] * 4 + [False]),
+            ([0.0, 50.0, 50.0, 50.0, 50.0], [False] + [True] * 4),
+        ],
+    )
+    def test_block_check_raises_as_set_node_powers(self, row, mask):
+        sim = make_sim()
+        block = np.full((4, 5), 40.0)
+        if mask is not None:
+            block[:, ~np.array(mask)] = 0.0
+        block[2] = row
+        try:
+            sim.set_node_powers(row, on_mask=mask)
+        except ConfigurationError as exc:
+            expected = str(exc)
+        else:
+            expected = None
+        if expected is None:
+            check_node_powers(block, mask, 5, steps=4)
+            return
+        with pytest.raises(ConfigurationError) as caught:
+            check_node_powers(block, mask, 5, steps=4)
+        assert str(caught.value) == expected
+        with pytest.raises(ConfigurationError, match="expected 3x5 powers"):
+            check_node_powers(block, mask, 5, steps=3)
 
     def test_rejects_invalid_set_point(self):
         sim = make_sim()
