@@ -49,7 +49,7 @@ def test_refined_query(benchmark):
     benchmark(index.query_refined, load)
 
 
-@pytest.mark.parametrize("n", [5, 20, 80])
+@pytest.mark.parametrize("n", [5, 20, 80, 500])
 def test_closed_form_linear_complexity(benchmark, n):
     model = make_system_model(n=n)
     load = 0.6 * model.total_capacity

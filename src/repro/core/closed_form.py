@@ -28,12 +28,21 @@ and reported on the returned solution:
   thermally disadvantaged machines.  An active-set loop pins those machines
   at zero load (idle) and re-solves over the rest, exactly what adding
   ``L_i >= 0`` multipliers to the KKT system would do.
+
+Everything runs on the model's coefficient arrays
+(:attr:`~repro.core.model.SystemModel.arrays`), gathered over the ON set
+once per solve; each active-set round is a few array operations on the
+shrinking active slice.  The per-node loops these replace are kept as
+the reference in ``tests/oracles/closed_form.py``, and the two agree bit
+for bit: sums the loops took with the builtin ``sum`` are still taken
+that way (over ``tolist()``), because numpy's pairwise sum rounds
+differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +50,7 @@ from repro import obs
 from repro.obs import trace as _trace
 from repro.obs import watchdog as _watchdog
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.core.model import SystemModel
+from repro.core.model import ModelArrays, SystemModel
 
 #: Numerical slack used for feasibility comparisons (K and tasks/s).
 _TOL = 1e-9
@@ -118,11 +127,11 @@ def optimal_supply_temperature(
     :func:`solve_closed_form` for the clamped, load-consistent solution.
     """
     _validate(model, on_ids, total_load)
-    k_sum = float(model.k_values(on_ids).sum())
-    b_sum = sum(
-        model.nodes[i].alpha / model.nodes[i].beta for i in on_ids
+    idx = np.asarray(on_ids, dtype=np.intp)
+    arrays = model.arrays
+    return _equation_21(
+        model, arrays.k[idx], arrays.alpha_over_beta[idx], total_load
     )
-    return (k_sum - total_load) * model.power.w1 / b_sum
 
 
 def paper_loads(
@@ -134,13 +143,12 @@ def paper_loads(
     at low loads.  :func:`solve_closed_form` is the production entry point.
     """
     _validate(model, on_ids, total_load)
-    k = model.k_values(on_ids)
-    b = np.array(
-        [model.nodes[i].alpha / model.nodes[i].beta for i in on_ids]
-    )
+    idx = np.asarray(on_ids, dtype=np.intp)
+    k = model.arrays.k[idx]
+    b = model.arrays.alpha_over_beta[idx]
     deficit = float(k.sum()) - total_load
     loads = np.zeros(model.node_count)
-    loads[list(on_ids)] = k - deficit * b / float(b.sum())
+    loads[idx] = k - deficit * b / float(b.sum())
     return loads
 
 
@@ -163,20 +171,22 @@ def solve_closed_form(
         ``T_max``.
     """
     with obs.timed("closed_form"):
-        on = _validate(model, on_ids, total_load)
+        ids = _validate(model, on_ids, total_load)
+        idx = np.array(ids, dtype=np.intp)
+        on = model.arrays.take(idx)
         if enforce_capacity:
-            cap = sum(model.capacities[i] for i in on)
+            cap = sum(on.capacities.tolist())
             if total_load > cap + _TOL:
                 raise InfeasibleError(
                     f"load {total_load:.3f} exceeds ON-set capacity {cap:.3f}"
                 )
 
-        t_ac_raw = optimal_supply_temperature(model, on, total_load)
+        t_ac_raw = _equation_21(model, on.k, on.alpha_over_beta, total_load)
         t_ac = model.cooler.clamp_t_ac(t_ac_raw)
         clamped = abs(t_ac - t_ac_raw) > _TOL
 
         loads, common_t, active = _active_set_loads(
-            model, on, total_load, t_ac, enforce_capacity
+            model, on, idx, total_load, t_ac, enforce_capacity
         )
         if common_t > model.t_max + 1e-6:
             # Capacity pinning (or an upward clamp of Eq. 21) concentrated
@@ -184,13 +194,13 @@ def solve_closed_form(
             # must run colder than Eq. 21 suggests.  The shared temperature
             # is monotone increasing in t_ac, so bisect.
             t_ac = _backoff_supply_temperature(
-                model, on, total_load, t_ac, enforce_capacity
+                model, on, idx, total_load, t_ac, enforce_capacity
             )
             loads, common_t, active = _active_set_loads(
-                model, on, total_load, t_ac, enforce_capacity
+                model, on, idx, total_load, t_ac, enforce_capacity
             )
             clamped = True
-        repaired = len(active) < len(on) or clamped
+        repaired = len(active) < len(ids) or clamped
 
         if common_t > model.t_max + 1e-6:
             raise InfeasibleError(
@@ -198,28 +208,26 @@ def solve_closed_form(
                 f"would be {common_t:.2f} K > T_max={model.t_max:.2f} K"
             )
         # Idle-but-on machines must also respect T_max.
-        for i in on:
-            idle_limit = model.nodes[i].max_supply_temperature(
-                0.0, model.t_max, model.power
+        on_loads = loads[idx]
+        hot_idle = (on_loads <= _TOL) & (t_ac > on.idle_supply_limit + 1e-6)
+        if hot_idle.any():
+            i = ids[int(np.argmax(hot_idle))]
+            raise InfeasibleError(
+                f"idle machine {i} would exceed T_max at T_ac={t_ac:.2f} K"
             )
-            if loads[i] <= _TOL and t_ac > idle_limit + 1e-6:
-                raise InfeasibleError(
-                    f"idle machine {i} would exceed T_max at "
-                    f"T_ac={t_ac:.2f} K"
-                )
 
     with obs.timed("actuation"):
         server_power = np.zeros(model.node_count)
         t_cpu = np.full(model.node_count, np.nan)
-        for i in on:
-            server_power[i] = model.power.power(float(loads[i]))
-            t_cpu[i] = model.nodes[i].cpu_temperature(t_ac, server_power[i])
+        on_power = model.power.w1 * on_loads + model.power.w2
+        server_power[idx] = on_power
+        t_cpu[idx] = on.alpha * t_ac + on.beta * on_power + on.gamma
         total_server = float(server_power.sum())
         t_sp = model.cooler.set_point_for(t_ac, total_server)
         cooling = model.cooler.cooling_power(t_sp, t_ac)
         solution = ClosedFormSolution(
             loads=loads,
-            on_ids=tuple(on),
+            on_ids=tuple(ids),
             active_ids=tuple(active),
             t_ac=t_ac,
             t_ac_unclamped=t_ac_raw,
@@ -240,7 +248,7 @@ def solve_closed_form(
 def _validate(
     model: SystemModel, on_ids: Sequence[int], total_load: float
 ) -> list[int]:
-    on = sorted(set(int(i) for i in on_ids))
+    on = sorted(set(map(int, on_ids)))
     if len(on) != len(list(on_ids)):
         raise ConfigurationError(f"duplicate ids in ON set: {list(on_ids)}")
     if not on:
@@ -254,114 +262,131 @@ def _validate(
     return on
 
 
-def _common_temperature_loads(
-    model: SystemModel,
-    active: Sequence[int],
-    total_load: float,
-    t_ac: float,
-) -> tuple[np.ndarray, float]:
-    """Loads making every machine in ``active`` share one CPU temperature.
-
-    Solving ``T = alpha_i * t_ac + beta_i * (w1 * L_i + w2) + gamma_i`` for
-    ``L_i`` and imposing ``sum(L_i) == total_load`` gives a single linear
-    equation for the shared temperature ``T``.
-    """
-    w1, w2 = model.power.w1, model.power.w2
-    inv = np.array([1.0 / (model.nodes[i].beta * w1) for i in active])
-    base = np.array(
-        [
-            (model.nodes[i].alpha * t_ac + model.nodes[i].gamma)
-            / (model.nodes[i].beta * w1)
-            + w2 / w1
-            for i in active
-        ]
-    )
-    common_t = (total_load + float(base.sum())) / float(inv.sum())
-    loads = common_t * inv - base
-    return loads, common_t
+def _equation_21(
+    model: SystemModel, k: np.ndarray, b: np.ndarray, total_load: float
+) -> float:
+    """Eq. 21 from the ON set's ``K_i`` and ``alpha_i / beta_i``."""
+    return (float(k.sum()) - total_load) * model.power.w1 / sum(b.tolist())
 
 
 def _active_set_loads(
     model: SystemModel,
-    on: Sequence[int],
+    on: ModelArrays,
+    idx: np.ndarray,
     total_load: float,
     t_ac: float,
     enforce_capacity: bool,
 ) -> tuple[np.ndarray, float, list[int]]:
     """Active-set loop: pin negative loads at zero (and, optionally,
     over-capacity loads at capacity), re-solving the common-temperature
-    system over the remainder."""
-    active = list(on)
-    pinned_at_cap: dict[int, float] = {}
+    system over the remainder.  ``on`` holds the rows of the ON
+    machines ``idx``.
+
+    Each round solves the *common-temperature* system over the active
+    machines: ``T = alpha_i * t_ac + beta_i * (w1 * L_i + w2) + gamma_i``
+    solved for ``L_i`` is ``L_i = T * inv_i - base_i``, and
+    ``sum(L_i) == remaining`` fixes ``T``.  A machine leaving the active
+    set is removed by shifting the working columns after it one place
+    left, so the active slice stays contiguous and in machine order (the
+    loop's sums see the same elements in the same order).
+    """
+    w1, w2 = model.power.w1, model.power.w2
+    m = len(idx)
+    # Working rows: inv_i = 1 / (beta_i w1), base_i, capacity,
+    # capacity + tolerance and the machine id.
+    work = np.empty((5, m))
+    work[0] = on.inv_beta_w1
+    base = work[1]
+    np.multiply(on.alpha, t_ac, out=base)
+    base += on.gamma
+    base /= on.beta_w1
+    base += w2 / w1
+    work[2] = on.capacities
+    np.add(on.capacities, _TOL, out=work[3])
+    work[4] = idx
+    pinned_ids: list[int] = []
+    pinned_loads: list[float] = []
     remaining = total_load
-    for _ in range(2 * len(on) + 1):
+    for _ in range(2 * len(idx) + 1):
         obs.count("closed_form.active_set_rounds")
         if _trace._tracing:
             _trace.add_event(
                 "closed_form.active_set_round",
-                active=len(active),
-                pinned=len(pinned_at_cap),
+                active=m,
+                pinned=len(pinned_ids),
                 remaining=remaining,
             )
-        if not active:
+        if not m:
             if remaining > _TOL:
                 raise InfeasibleError(
                     "no machine can accept the remaining load within T_max"
                 )
             loads = np.zeros(model.node_count)
-            for i, cap_load in pinned_at_cap.items():
-                loads[i] = cap_load
-            hottest = max(
-                model.nodes[i].cpu_temperature(
-                    t_ac, model.power.power(cap_load)
-                )
-                for i, cap_load in pinned_at_cap.items()
-            ) if pinned_at_cap else -np.inf
-            return loads, hottest, []
-        partial, common_t = _common_temperature_loads(
-            model, active, remaining, t_ac
-        )
-        most_negative = int(np.argmin(partial))
-        if partial[most_negative] < -_TOL:
-            del active[most_negative]
+            if not pinned_ids:
+                return loads, -np.inf, []
+            loads[pinned_ids] = pinned_loads
+            return loads, _hottest(model, pinned_ids, pinned_loads, t_ac), []
+        inv, base, cap, cap_tol = work[:4, :m]
+        common_t = (remaining + float(base.sum())) / float(inv.sum())
+        partial = common_t * inv - base
+        j = int(partial.argmin())
+        if partial[j] < -_TOL:
+            work[:, j : m - 1] = work[:, j + 1 : m]
+            m -= 1
             continue
         if enforce_capacity:
-            over = [
-                j
-                for j, i in enumerate(active)
-                if partial[j] > model.capacities[i] + _TOL
-            ]
+            # Pin the machine furthest over its capacity, the first on a
+            # tie.  The largest excess is that machine unless rounding of
+            # ``capacity + tolerance`` leaves it just inside; then look
+            # among the machines that are over.
+            excess = partial - cap
+            j = int(excess.argmax())
+            over = partial[j] > cap_tol[j]
+            if not over:
+                is_over = partial > cap_tol
+                over = bool(is_over.any())
+                if over:
+                    j = int(np.where(is_over, excess, -np.inf).argmax())
             if over:
-                worst = max(
-                    over, key=lambda j: partial[j] - model.capacities[active[j]]
-                )
-                machine = active[worst]
-                pinned_at_cap[machine] = model.capacities[machine]
-                remaining -= model.capacities[machine]
-                del active[worst]
+                pinned_ids.append(int(work[4, j]))
+                pinned_loads.append(float(cap[j]))
+                remaining -= pinned_loads[-1]
+                work[:, j : m - 1] = work[:, j + 1 : m]
+                m -= 1
                 continue
+        ids = work[4, :m].astype(np.intp)
         loads = np.zeros(model.node_count)
-        for j, i in enumerate(active):
-            loads[i] = max(0.0, float(partial[j]))
-        for i, cap_load in pinned_at_cap.items():
-            loads[i] = cap_load
-        if pinned_at_cap:
+        # max(0.0, x) per machine: NaN and -0.0 become 0.0.
+        loads[ids] = np.where(partial > 0.0, partial, 0.0)
+        if pinned_ids:
+            loads[pinned_ids] = pinned_loads
             common_t = max(
-                common_t,
-                max(
-                    model.nodes[i].cpu_temperature(
-                        t_ac, model.power.power(l)
-                    )
-                    for i, l in pinned_at_cap.items()
-                ),
+                common_t, _hottest(model, pinned_ids, pinned_loads, t_ac)
             )
-        return loads, common_t, sorted(active + list(pinned_at_cap))
+        return loads, common_t, sorted(ids.tolist() + pinned_ids)
     raise InfeasibleError("active-set repair failed to converge")
+
+
+def _hottest(
+    model: SystemModel,
+    ids: list[int],
+    loads: list[float],
+    t_ac: float,
+) -> float:
+    """The hottest predicted CPU (Eq. 8) among ``ids`` carrying ``loads``."""
+    arrays = model.arrays
+    idx = np.array(ids, dtype=np.intp)
+    power = model.power.w1 * np.array(loads) + model.power.w2
+    temps = (
+        arrays.alpha[idx] * t_ac + arrays.beta[idx] * power + arrays.gamma[idx]
+    )
+    return max(temps.tolist())
 
 
 def _backoff_supply_temperature(
     model: SystemModel,
-    on: Sequence[int],
+    on: ModelArrays,
+    idx: np.ndarray,
     total_load: float,
     t_ac_high: float,
     enforce_capacity: bool,
@@ -369,7 +394,7 @@ def _backoff_supply_temperature(
     """Bisect the largest ``t_ac`` whose repaired loads respect ``T_max``."""
     lo = model.cooler.t_ac_min
     _, common_lo, _ = _active_set_loads(
-        model, on, total_load, lo, enforce_capacity
+        model, on, idx, total_load, lo, enforce_capacity
     )
     if common_lo > model.t_max + 1e-6:
         raise InfeasibleError(
@@ -381,7 +406,7 @@ def _backoff_supply_temperature(
         obs.count("closed_form.backoff_bisections")
         mid = 0.5 * (lo + hi)
         _, common_mid, _ = _active_set_loads(
-            model, on, total_load, mid, enforce_capacity
+            model, on, idx, total_load, mid, enforce_capacity
         )
         if common_mid > model.t_max:
             hi = mid
@@ -397,14 +422,13 @@ def kkt_multipliers(
 ) -> tuple[float, np.ndarray]:
     """The Lagrange multipliers of the paper's KKT system (Eqs. 15-16).
 
-    Returns ``(lambda, mu)`` where ``mu[j]`` corresponds to ``on_ids[j]``.
+    Returns ``(lambda, mu)`` where ``mu[j]`` corresponds to the ``j``-th
+    smallest id of ``on_ids``.
     Both are strictly positive, which is the paper's argument that the
     temperature constraints are active at the optimum (Eq. 17).
     """
-    on = _validate(model, on_ids, 0.0)
-    b_sum = sum(model.nodes[i].alpha / model.nodes[i].beta for i in on)
+    idx = np.array(_validate(model, on_ids, 0.0), dtype=np.intp)
+    arrays = model.arrays
+    b_sum = sum(arrays.alpha_over_beta[idx].tolist())
     lam = model.cooler.c_f_ac * model.power.w1 / b_sum
-    mu = np.array(
-        [lam / (model.nodes[i].beta * model.power.w1) for i in on]
-    )
-    return lam, mu
+    return lam, lam / arrays.beta_w1[idx]

@@ -20,6 +20,7 @@ real (here: simulated) system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -230,23 +231,23 @@ class SystemModel:
         """Total cluster capacity, tasks/s."""
         return float(sum(self.capacities))
 
+    @cached_property
+    def arrays(self) -> "ModelArrays":
+        """The per-machine coefficient arrays, built on first use."""
+        return ModelArrays.of(self)
+
     def k_values(self, subset: Sequence[int] | None = None) -> np.ndarray:
         """``K_i`` (Eq. 19) for ``subset`` (default: every machine)."""
-        ids = range(self.node_count) if subset is None else subset
-        return np.array(
-            [self.nodes[i].k_constant(self.t_max, self.power) for i in ids]
-        )
+        k = self.arrays.k
+        if subset is None:
+            return k.copy()
+        return k[np.asarray(subset, dtype=np.intp)]
 
     def ab_pairs(self) -> list[tuple[float, float]]:
         """The ``(a_i, b_i) = (K_i, alpha_i / beta_i)`` pairs of the
         consolidation reduction (Section III-B)."""
-        return [
-            (
-                node.k_constant(self.t_max, self.power),
-                node.alpha / node.beta,
-            )
-            for node in self.nodes
-        ]
+        arrays = self.arrays
+        return list(zip(arrays.k.tolist(), arrays.alpha_over_beta.tolist()))
 
     def predicted_cpu_temperatures(
         self, loads: Sequence[float], t_ac: float
@@ -259,12 +260,11 @@ class SystemModel:
             raise ConfigurationError(
                 f"expected {self.node_count} loads, got {len(loads)}"
             )
-        return np.array(
-            [
-                node.cpu_temperature(t_ac, self.power.power(load))
-                for node, load in zip(self.nodes, loads)
-            ]
-        )
+        values = np.asarray(loads, dtype=float)
+        _reject_negative(values, loads)
+        arrays = self.arrays
+        power = self.power.w1 * values + self.power.w2
+        return arrays.alpha * t_ac + arrays.beta * power + arrays.gamma
 
     def predicted_total_power(
         self,
@@ -285,9 +285,81 @@ class SystemModel:
         ``t_max`` under ``loads`` (before clamping to the cooler's band)."""
         if len(on_ids) == 0:
             return self.cooler.t_ac_max
-        return min(
-            self.nodes[i].max_supply_temperature(
-                loads[i], self.t_max, self.power
-            )
-            for i in on_ids
-        )
+        idx = np.asarray(on_ids, dtype=np.intp)
+        values = np.asarray(loads, dtype=float)[idx]
+        _reject_negative(values, loads, on_ids)
+        arrays = self.arrays
+        power = self.power.w1 * values + self.power.w2
+        limits = (
+            self.t_max - arrays.beta[idx] * power - arrays.gamma[idx]
+        ) / arrays.alpha[idx]
+        return min(limits.tolist())
+
+
+def _reject_negative(
+    values: np.ndarray,
+    loads: Sequence[float],
+    ids: Sequence[int] | None = None,
+) -> None:
+    """Raise :meth:`PowerModel.power`'s error for the first negative entry
+    of ``values``, which holds ``loads[ids[j]]`` (``loads[j]`` without
+    ``ids``) as floats; the message quotes the entry as given."""
+    negative = values < 0.0
+    if negative.any():
+        j = int(np.argmax(negative))
+        load = loads[j if ids is None else ids[j]]
+        raise ConfigurationError(f"load must be non-negative, got {load}")
+
+
+class ModelArrays:
+    """Per-machine coefficient arrays of a :class:`SystemModel`.
+
+    Each row holds one per-node quantity, element ``i`` computed by the
+    same formula (same operations, same order) as the scalar method it
+    stands for, so array code built on them reproduces the per-node loops
+    bit for bit.  The rows are views of one ``(9, n)`` :attr:`table`, in
+    attribute order, so :meth:`take` gathers every row for a subset of
+    machines with a single fancy index.
+    """
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = table
+        (
+            self.alpha,
+            self.beta,
+            self.gamma,
+            self.k,
+            self.alpha_over_beta,
+            self.beta_w1,
+            self.inv_beta_w1,
+            self.capacities,
+            self.idle_supply_limit,
+        ) = table
+
+    @classmethod
+    def of(cls, model: SystemModel) -> "ModelArrays":
+        """``model``'s arrays, read-only."""
+        w1, w2 = model.power.w1, model.power.w2
+        alpha = np.array([node.alpha for node in model.nodes], dtype=float)
+        beta = np.array([node.beta for node in model.nodes], dtype=float)
+        gamma = np.array([node.gamma for node in model.nodes], dtype=float)
+        beta_w1 = beta * w1
+        table = np.vstack([
+            alpha,
+            beta,
+            gamma,
+            # NodeCoefficients.k_constant (Eq. 19).
+            (model.t_max - beta * w2 - gamma) / beta_w1,
+            alpha / beta,
+            beta_w1,
+            1.0 / beta_w1,
+            np.array(model.capacities, dtype=float),
+            # NodeCoefficients.max_supply_temperature at zero load.
+            (model.t_max - beta * (w1 * 0.0 + w2) - gamma) / alpha,
+        ])
+        table.flags.writeable = False
+        return cls(table)
+
+    def take(self, idx: np.ndarray) -> "ModelArrays":
+        """The rows of machines ``idx`` (in that order), as a copy."""
+        return ModelArrays(self.table[:, idx])

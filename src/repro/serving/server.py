@@ -750,16 +750,15 @@ class AllocationServer:
             obs.count("serving.coalesced", coalesced)
 
     def _allocation_payload(self, solution, method: str) -> dict:
+        on_ids = [int(i) for i in solution.on_ids]
+        loads = solution.loads.tolist()
         return {
             "method": method,
-            "on_ids": [int(i) for i in solution.on_ids],
-            "machines_on": len(solution.on_ids),
+            "on_ids": on_ids,
+            "machines_on": len(on_ids),
             "t_ac": float(solution.t_ac),
             "t_sp": float(solution.t_sp),
-            "loads": {
-                str(int(i)): float(solution.loads[i])
-                for i in solution.on_ids
-            },
+            "loads": {str(i): loads[i] for i in on_ids},
             "predicted_total_power": float(solution.predicted_total_power),
             "clamped": bool(solution.clamped),
             "repaired": bool(solution.repaired),

@@ -683,25 +683,15 @@ class RoomSimulation:
         Arguments default to the simulation's current inputs.  The solver
         first assumes the cooler regulates (room temperature equals the set
         point); if the required capacity violates an actuator limit it
-        re-solves the consistent saturated mode.
+        re-solves the consistent saturated mode.  Powers and mask are
+        checked as :func:`check_node_powers` checks them.
         """
         obs.count("simulation.steady_state_solves")
-        p = (
-            np.asarray(powers, dtype=float)
-            if powers is not None
-            else self.powers.copy()
+        p, mask = check_node_powers(
+            self.powers.copy() if powers is None else powers,
+            self.on_mask.copy() if on_mask is None else on_mask,
+            self.room.node_count,
         )
-        mask = (
-            np.asarray(on_mask, dtype=bool)
-            if on_mask is not None
-            else self.on_mask.copy()
-        )
-        if p.shape != (self.room.node_count,) or mask.shape != p.shape:
-            raise ConfigurationError("powers/on_mask shape mismatch")
-        if np.any(p[~mask] > 0.0):
-            raise ConfigurationError(
-                "a powered-off machine cannot draw positive power"
-            )
         sp = self.cooler.set_point if set_point is None else float(set_point)
 
         total_power = float(np.sum(p[mask]))
@@ -811,7 +801,9 @@ class RoomSimulation:
         Every row solves exactly as :meth:`steady_state` would — same
         mode selection, same per-row total-power accumulation — so
         ``steady_state_many(P, M, S).point(i)`` equals
-        ``steady_state(P[i], M[i], S[i])`` field for field.
+        ``steady_state(P[i], M[i], S[i])`` field for field.  Every power
+        must be finite and non-negative; the error names the first bad
+        entry's row and node.
         """
         p = np.asarray(powers, dtype=float)
         if p.ndim != 2 or p.shape[1] != self.room.node_count:
@@ -829,6 +821,13 @@ class RoomSimulation:
         )
         if mask.shape != p.shape:
             raise ConfigurationError("on_masks shape must match powers")
+        bad = ~(np.isfinite(p) & (p >= 0.0))
+        if bad.any():
+            row, node = (int(v) for v in np.argwhere(bad)[0])
+            raise ConfigurationError(
+                f"row {row}: node {node} power must be finite and "
+                f"non-negative, got {float(p[row, node])}"
+            )
         if np.any(p[~mask] > 0.0):
             raise ConfigurationError(
                 "a powered-off machine cannot draw positive power"

@@ -221,21 +221,16 @@ class ZonalRoomSimulation:
         on_mask: Optional[Sequence[bool]] = None,
         set_point: Optional[float] = None,
     ) -> SteadyState:
-        """Long-run operating point (regulated or honestly saturated)."""
-        p = (
-            np.asarray(powers, dtype=float)
-            if powers is not None
-            else self.powers.copy()
+        """Long-run operating point (regulated or honestly saturated).
+
+        Powers and mask are checked as
+        :func:`~repro.thermal.simulation.check_node_powers` checks them.
+        """
+        p, mask = check_node_powers(
+            self.powers.copy() if powers is None else powers,
+            self.on_mask.copy() if on_mask is None else on_mask,
+            self.room.node_count,
         )
-        mask = (
-            np.asarray(on_mask, dtype=bool)
-            if on_mask is not None
-            else self.on_mask.copy()
-        )
-        if np.any(p[~mask] > 0.0):
-            raise ConfigurationError(
-                "a powered-off machine cannot draw positive power"
-            )
         sp = self.cooler.set_point if set_point is None else float(set_point)
         q_zone = self.room.zone_powers(p, mask)
         total_power = float(q_zone.sum())

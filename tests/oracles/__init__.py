@@ -16,11 +16,18 @@ drive both through the same public API and compare results bit for bit:
   :meth:`~repro.testbed.experiment.Testbed.true_server_powers`;
 - :mod:`tests.oracles.loop` — the per-substep closed-loop march and the
   scalar ``follow_plan``/``follow_demand`` balancers behind
-  :func:`~repro.faults.loop.march` and its vector balancers.
+  :func:`~repro.faults.loop.march` and its vector balancers;
+- :mod:`tests.oracles.closed_form` — the per-node closed form (Eqs.
+  18-22, active-set repair, back-off bisection, KKT multipliers) behind
+  :mod:`repro.core.closed_form`, and :class:`LoopSystemModel`, whose
+  ``k_values``/``ab_pairs``/``predicted_cpu_temperatures``/
+  ``max_feasible_t_ac`` loop over ``nodes`` where
+  :class:`~repro.core.model.SystemModel` reads its coefficient arrays.
 
 They are test code: nothing under ``src/`` imports them.
 """
 
+from tests.oracles.closed_form import LoopSystemModel
 from tests.oracles.consolidation import LoopConsolidationIndex
 from tests.oracles.plant import LoopLinearizedPlant
 from tests.oracles.simulation import LoopRoomSimulation
@@ -30,5 +37,6 @@ __all__ = [
     "LoopConsolidationIndex",
     "LoopLinearizedPlant",
     "LoopRoomSimulation",
+    "LoopSystemModel",
     "LoopTestbed",
 ]

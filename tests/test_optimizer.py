@@ -107,3 +107,50 @@ class TestCostModels:
         optimizer = JointOptimizer(bad_model, cost_model="actuated")
         with pytest.raises(ConfigurationError):
             optimizer.select_on_set(50.0)
+
+
+class TestExcludePairs:
+    """Excluded machines rebuild the Section III-B pairs for the
+    survivors; each build reads every machine's pair at most once."""
+
+    @pytest.mark.parametrize(
+        "selection, spied", [("sharded", "PodShardedIndex"),
+                             ("exact", "optimal_subset")],
+    )
+    def test_survivor_pairs_cost_one_pass(
+        self, monkeypatch, selection, spied
+    ):
+        from repro.core import optimizer as optimizer_module
+        from repro.core.model import NodeCoefficients
+
+        model = make_system_model(n=12)
+        excluded = [3, 7]
+        survivors = [i for i in range(12) if i not in excluded]
+        expected = [
+            (
+                model.nodes[i].k_constant(model.t_max, model.power),
+                model.nodes[i].alpha / model.nodes[i].beta,
+            )
+            for i in survivors
+        ]
+        seen = []
+        real = getattr(optimizer_module, spied)
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["pairs"] if "pairs" in kwargs else args[0])
+            return real(*args, **kwargs)
+
+        calls = []
+        k_constant = NodeCoefficients.k_constant
+
+        def counted(self, *args):
+            calls.append(1)
+            return k_constant(self, *args)
+
+        monkeypatch.setattr(optimizer_module, spied, spy)
+        monkeypatch.setattr(NodeCoefficients, "k_constant", counted)
+        optimizer = JointOptimizer(model, selection=selection)
+        optimizer.select_on_set(150.0, exclude=excluded)
+        assert len(seen) == 1
+        assert seen[0] == expected
+        assert len(calls) <= model.node_count

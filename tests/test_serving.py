@@ -524,6 +524,46 @@ class TestAnswerMemo:
         ]
 
 
+    def test_payload_bytes_match_the_per_machine_construction(self):
+        # The payload builds its loads map from one tolist(); the wire
+        # bytes must equal those of the per-machine float() construction
+        # on the serving benchmark's 48 levels.
+        optimizer = JointOptimizer(make_system_model(100))
+        server = AllocationServer(optimizer)
+        capacity = optimizer.model.total_capacity
+        levels = [
+            0.1 * capacity + k * (0.7 * capacity) / 47 for k in range(48)
+        ]
+        on_sets = optimizer.query_index.query_many(levels)
+
+        def per_machine(solution, method):
+            return {
+                "method": method,
+                "on_ids": [int(i) for i in solution.on_ids],
+                "machines_on": len(solution.on_ids),
+                "t_ac": float(solution.t_ac),
+                "t_sp": float(solution.t_sp),
+                "loads": {
+                    str(int(i)): float(solution.loads[i])
+                    for i in solution.on_ids
+                },
+                "predicted_total_power": float(
+                    solution.predicted_total_power
+                ),
+                "clamped": bool(solution.clamped),
+                "repaired": bool(solution.repaired),
+            }
+
+        for load, on_ids in zip(levels, on_sets):
+            solution = server_module.solve_closed_form(
+                optimizer.model, on_ids, load
+            )
+            body = EncodedResult(
+                server._allocation_payload(solution, "index")
+            ).body
+            assert body == EncodedResult(per_machine(solution, "index")).body
+
+
 class TestSocketTransports:
     def test_unix_socket_end_to_end(self, tmp_path):
         optimizer = _optimizer()

@@ -83,6 +83,33 @@ class TestInputs:
 
 
 class TestSteadyStateSolver:
+    @pytest.mark.parametrize(
+        "powers, message",
+        [
+            ([-500.0] + [50.0] * 4, "non-negative, got -500.0 at node 0"),
+            ([50.0, 50.0, np.nan, 50.0, 50.0], "node 2 power must be finite"),
+            ([50.0, np.inf, 50.0, 50.0, 50.0], "node 1 power must be finite"),
+            ([50.0] * 4, "expected 5 powers"),
+        ],
+    )
+    def test_rejects_bad_powers_naming_the_node(self, powers, message):
+        # A negative power used to come back as a CPU at 70.96 K, and a
+        # NaN as a misleading "cooler saturated" ConvergenceError.
+        sim = make_sim()
+        with pytest.raises(ConfigurationError, match=message):
+            sim.steady_state(powers, [True] * 5, 295.0)
+
+    def test_batch_rejects_bad_powers_naming_row_and_node(self):
+        sim = make_sim()
+        powers = np.full((3, 5), 50.0)
+        for bad, word in ((np.nan, "nan"), (-1.0, "-1.0"), (np.inf, "inf")):
+            block = powers.copy()
+            block[1, 3] = bad
+            with pytest.raises(
+                ConfigurationError, match=f"row 1: node 3 .*got {word}"
+            ):
+                sim.steady_state_many(block)
+
     def test_regulated_room_sits_at_set_point(self):
         sim = make_sim()
         state = sim.steady_state(

@@ -188,3 +188,13 @@ class TestZonalTestbed:
         )
         profiling = testbed.profile()
         assert min(r.r_squared for r in profiling.node_reports) > 0.995
+
+
+def test_steady_state_rejects_bad_powers():
+    sim = make_sim()
+    n = sim.room.node_count
+    with pytest.raises(ConfigurationError, match="non-negative.*node 0"):
+        sim.steady_state([-500.0] + [50.0] * (n - 1), [True] * n, 297.15)
+    powers = [50.0, np.nan] + [50.0] * (n - 2)
+    with pytest.raises(ConfigurationError, match="node 1 power must be"):
+        sim.steady_state(powers, [True] * n, 297.15)
