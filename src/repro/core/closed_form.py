@@ -41,6 +41,7 @@ differently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -259,6 +260,10 @@ def _validate(
         )
     if total_load < 0.0:
         raise ConfigurationError(f"total load must be >= 0, got {total_load}")
+    if math.isnan(total_load):
+        raise ConfigurationError(
+            f"total load must be a number, got {total_load}"
+        )
     return on
 
 

@@ -21,6 +21,7 @@ paper's complexity claims.
 
 from __future__ import annotations
 
+import math
 import pathlib
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -550,6 +551,10 @@ class JointOptimizer:
         with obs.record_run(
             "optimizer.solve", inputs={"total_load": float(total_load)}
         ) as rec:
+            if math.isnan(total_load):
+                raise ConfigurationError(
+                    f"total load must be a number, got {total_load}"
+                )
             excluded = set(int(i) for i in exclude) if exclude else set()
             with obs.timed("selection"):
                 if on_ids is not None:

@@ -59,8 +59,9 @@ class MicroBatcher:
         ``False`` forces singleton dispatches (the benchmark baseline).
     on_batch:
         Optional callback invoked with each dispatched batch's size —
-        the hook the server uses to feed its windowed batch-size
-        telemetry without the batcher importing the telemetry layer.
+        the batcher keeps no tallies of its own; this is how the server
+        records batch sizes in its telemetry store without the batcher
+        importing the telemetry layer.
     """
 
     def __init__(
@@ -87,11 +88,6 @@ class MicroBatcher:
         self._queue: Optional[asyncio.Queue] = None
         self._worker: Optional[asyncio.Task] = None
         self._draining = False
-        # Exact dispatch statistics (the batch-size histogram of
-        # ``serving.json`` and the ``stats`` op).
-        self.batches = 0
-        self.dispatched = 0
-        self.batch_sizes: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -130,11 +126,6 @@ class MicroBatcher:
     def depth(self) -> int:
         """Requests currently queued (excludes the batch in dispatch)."""
         return 0 if self._queue is None else self._queue.qsize()
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average dispatched batch size (0.0 before any dispatch)."""
-        return self.dispatched / self.batches if self.batches else 0.0
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -206,11 +197,6 @@ class MicroBatcher:
             items, stop = await self._collect()
             if not items:
                 break
-            self.batches += 1
-            self.dispatched += len(items)
-            self.batch_sizes[len(items)] = (
-                self.batch_sizes.get(len(items), 0) + 1
-            )
             obs.observe("serving.batch_size", len(items))
             if self.on_batch is not None:
                 self.on_batch(len(items))

@@ -160,6 +160,7 @@ def run_load(
         raise ConfigurationError(
             f"{len(failed)} requests failed; first: {failed[0]['error']}"
         )
+    stats = server.stats()
     report = LoadgenReport(
         clients=len(loads),
         batching=batching,
@@ -169,10 +170,13 @@ def run_load(
         errors=0,
         duration_seconds=duration,
         latencies=latencies,
-        batches=server._batcher.batches,
-        mean_batch_size=server._batcher.mean_batch_size,
-        max_batch_size=max(server._batcher.batch_sizes, default=0),
-        coalesced=server.coalesced,
-        batch_sizes=dict(server._batcher.batch_sizes),
+        batches=stats["batches"],
+        mean_batch_size=stats["mean_batch_size"],
+        max_batch_size=stats["max_batch_size"],
+        coalesced=stats["coalesced"],
+        batch_sizes={
+            int(size): count
+            for size, count in stats["batch_size_histogram"].items()
+        },
     )
     return report, [r["result"] for r in results]

@@ -57,13 +57,12 @@ from repro.errors import (
     ReproError,
     ServingUnavailableError,
 )
-from repro.obs.metrics import DEFAULT_HORIZONS, Histogram
+from repro.obs.metrics import DEFAULT_HORIZONS
 from repro.obs.trace import RotatingTraceExporter, TraceSpan
 from repro.obs.watchdog import WatchdogSet, serving_monitors
 from repro.serving.batcher import MicroBatcher
 from repro.serving.protocol import (
     MAX_LINE_BYTES,
-    OPS,
     PROTOCOL_VERSION,
     EncodedResult,
     Request,
@@ -252,7 +251,8 @@ class AllocationServer:
         horizons = tuple(
             h for h in DEFAULT_HORIZONS if h <= window
         ) or (window,)
-        #: The windowed metrics + span store behind ``telemetry``/``trace``.
+        #: The one store of request and batch metrics, lifetime and
+        #: windowed, plus the span store behind ``trace``.
         self.telemetry = ServingTelemetry(
             window=window, horizons=horizons, exporter=exporter
         )
@@ -278,13 +278,6 @@ class AllocationServer:
             batching=self.config.batching,
             on_batch=self.telemetry.observe_batch,
         )
-        #: Per-op end-to-end latency (includes batching wait), seconds.
-        self.latency: dict[str, Histogram] = {
-            op: Histogram(f"serving.latency.{op}") for op in OPS
-        }
-        self.requests: dict[str, int] = {}
-        self.errors: dict[str, int] = {}
-        self.invalid_requests = 0
         self.coalesced = 0
         #: Successful grouped ``allocate`` answers by load, across batches.
         self._answer_memo = _AnswerMemo()
@@ -507,11 +500,11 @@ class AllocationServer:
             else:
                 request = parse_request(message)
         except ConfigurationError as exc:
-            self.invalid_requests += 1
+            self.telemetry.observe_invalid()
             obs.count("serving.invalid_requests")
             return error_response(_recover_request_id(message), exc)
         op = request.op
-        self.requests[op] = self.requests.get(op, 0) + 1
+        self.telemetry.admit(op)
         ok = True
         try:
             if self._draining and op not in (
@@ -557,12 +550,11 @@ class AllocationServer:
             response = ok_response(request.id, result)
         except ReproError as exc:
             ok = False
-            self.errors[op] = self.errors.get(op, 0) + 1
             obs.count("serving.errors")
             response = error_response(request.id, exc)
-        elapsed = time.perf_counter() - t0
-        self.latency[op].observe(elapsed)
-        self.telemetry.observe_request(op, elapsed, error=not ok)
+        self.telemetry.observe_request(
+            op, time.perf_counter() - t0, error=not ok
+        )
         return response
 
     async def _serve_connection(self, reader, writer) -> None:
@@ -842,59 +834,45 @@ class AllocationServer:
     # Introspection
     # ------------------------------------------------------------------ #
 
+    def _uptime(self) -> float:
+        return time.monotonic() - self._started_at if self._started else 0.0
+
+    def _slo(self, recorded: dict) -> dict:
+        """The ``slo`` block: the store's violation tallies plus this
+        daemon's SLO set-up and fail-stop message."""
+        return {
+            "configured": self._slo_watchdog is not None,
+            "policy": self.config.slo_policy,
+            **recorded,
+            "failure": self.slo_failure,
+        }
+
     def stats(self) -> dict:
         """JSON-safe metrics snapshot (the ``stats`` op's result)."""
-        batcher = self._batcher
-        latency = {}
-        for op, hist in self.latency.items():
-            if hist.count:
-                latency[op] = {
-                    "count": hist.count,
-                    "mean_ms": hist.mean * 1e3,
-                    "p50_ms": hist.percentile(50.0) * 1e3,
-                    "p99_ms": hist.percentile(99.0) * 1e3,
-                }
+        lifetime, _ = self.telemetry.read(windowed=False)
         return {
             "protocol": PROTOCOL_VERSION,
             "batching": self.config.batching,
             "batch_window_seconds": self.config.batch_window,
             "max_batch": self.config.max_batch,
             "draining": self._draining,
-            "uptime_seconds": (
-                time.monotonic() - self._started_at if self._started else 0.0
-            ),
+            "uptime_seconds": self._uptime(),
             "machines": self.optimizer.model.node_count,
             "index_statuses": self.index_statuses,
             "cache_key": self.index_cache_key,
-            "requests": dict(self.requests),
-            "errors": dict(self.errors),
-            "invalid_requests": self.invalid_requests,
+            **lifetime,
             "inflight": self._inflight,
-            "queue_depth": batcher.depth,
-            "batches": batcher.batches,
-            "mean_batch_size": batcher.mean_batch_size,
-            "max_batch_size": max(batcher.batch_sizes, default=0),
-            "batch_size_histogram": {
-                str(size): count
-                for size, count in sorted(batcher.batch_sizes.items())
-            },
+            "queue_depth": self._batcher.depth,
             "coalesced": self.coalesced,
             "answer_memo": self._answer_memo.stats(),
-            "latency": latency,
             "watchdog": {
                 "stalls": self.stalls,
                 "max_loop_lag_seconds": round(self.max_loop_lag, 6),
                 "interval_seconds": self.config.watchdog_interval,
             },
             "slo": {
-                "configured": self._slo_watchdog is not None,
-                "policy": self.config.slo_policy,
+                **self._slo(lifetime["slo"]),
                 "horizon_seconds": self.config.slo_horizon,
-                "violations": dict(self.telemetry.violation_counts),
-                "worst_headroom": dict(
-                    sorted(self.telemetry.worst_headroom.items())
-                ),
-                "failure": self.slo_failure,
             },
         }
 
@@ -913,12 +891,8 @@ class AllocationServer:
             }
         payload = self.telemetry.snapshot()
         payload["protocol"] = PROTOCOL_VERSION
-        payload["uptime_seconds"] = (
-            time.monotonic() - self._started_at if self._started else 0.0
-        )
-        payload["slo"]["configured"] = self._slo_watchdog is not None
-        payload["slo"]["policy"] = self.config.slo_policy
-        payload["slo"]["failure"] = self.slo_failure
+        payload["uptime_seconds"] = self._uptime()
+        payload["slo"] = self._slo(payload["slo"])
         return payload
 
     def prometheus_families(self) -> list[dict]:
@@ -930,124 +904,83 @@ class AllocationServer:
         :func:`repro.obs.export.render_prometheus` renders and the CI
         smoke job validates.
         """
-        snap = self.telemetry.snapshot()
-        families: list[dict] = []
+        lifetime, snap = self.telemetry.read()
+        memo = self._answer_memo
 
         def family(name, kind, help_text, samples):
-            families.append({
-                "name": name, "type": kind, "help": help_text,
-                "samples": samples,
-            })
+            if not isinstance(samples, list):
+                samples = [{"value": samples}]
+            return {
+                "name": f"repro_serving_{name}", "type": kind,
+                "help": help_text, "samples": samples,
+            }
 
-        family(
-            "repro_serving_uptime_seconds", "gauge",
-            "Seconds since the daemon finished starting.",
-            [{"value": (
-                time.monotonic() - self._started_at
-                if self._started else 0.0
-            )}],
-        )
-        family(
-            "repro_serving_requests_total", "counter",
-            "Requests handled since boot, by op.",
-            [{"labels": {"op": op}, "value": count}
-             for op, count in sorted(self.requests.items())],
-        )
-        family(
-            "repro_serving_errors_total", "counter",
-            "Structured error responses since boot, by op.",
-            [{"labels": {"op": op}, "value": count}
-             for op, count in sorted(self.errors.items())],
-        )
-        family(
-            "repro_serving_invalid_requests_total", "counter",
-            "Requests rejected before dispatch (bad JSON or shape).",
-            [{"value": self.invalid_requests}],
-        )
-        family(
-            "repro_serving_inflight", "gauge",
-            "Requests currently being served.",
-            [{"value": self._inflight}],
-        )
-        family(
-            "repro_serving_queue_depth", "gauge",
-            "Requests waiting in the micro-batcher queue.",
-            [{"value": self._batcher.depth}],
-        )
-        family(
-            "repro_serving_batches_total", "counter",
-            "Batches dispatched to the compute thread since boot.",
-            [{"value": self._batcher.batches}],
-        )
-        family(
-            "repro_serving_coalesced_total", "counter",
-            "Duplicate in-batch loads answered from a shared solve.",
-            [{"value": self.coalesced}],
-        )
-        memo = self._answer_memo
-        family(
-            "repro_serving_answer_memo_hits_total", "counter",
-            "Distinct batch loads answered from the answer memo.",
-            [{"value": memo.hits}],
-        )
-        family(
-            "repro_serving_answer_memo_entries", "gauge",
-            "Answers held in the answer memo.",
-            [{"value": len(memo)}],
-        )
-        family(
-            "repro_serving_watchdog_stalls_total", "counter",
-            "Event-loop stalls beyond the configured threshold.",
-            [{"value": self.stalls}],
-        )
-        family(
-            "repro_serving_request_rate", "gauge",
-            "Requests per second over the labelled window (seconds).",
-            [{"labels": {"window": h}, "value": entry["rate"]}
-             for h, entry in snap["requests"].items()],
-        )
-        family(
-            "repro_serving_error_rate", "gauge",
-            "Errors per second over the labelled window (seconds).",
-            [{"labels": {"window": h}, "value": entry["rate"]}
-             for h, entry in snap["errors"].items()],
-        )
-        family(
-            "repro_serving_latency_ms", "gauge",
-            "Request latency quantiles over the labelled window.",
-            [{"labels": {"window": h, "quantile": q}, "value": entry[key]}
-             for h, entry in snap["latency_ms"].items()
-             for q, key in (("0.5", "p50"), ("0.99", "p99"))],
-        )
-        family(
-            "repro_serving_batch_size_mean", "gauge",
-            "Mean dispatched batch size over the labelled window.",
-            [{"labels": {"window": h}, "value": entry["mean"]}
-             for h, entry in snap["batch_size"].items()],
-        )
-        family(
-            "repro_serving_queue_depth_max", "gauge",
-            "Peak sampled queue depth over the labelled window.",
-            [{"labels": {"window": h}, "value": entry["max"]}
-             for h, entry in snap["queue_depth"].items()],
-        )
-        family(
-            "repro_serving_slo_violations_total", "counter",
-            "SLO violations recorded since boot, by monitor.",
-            [{"labels": {"monitor": monitor}, "value": count}
-             for monitor, count in sorted(
-                 self.telemetry.violation_counts.items()
-             )],
-        )
-        family(
-            "repro_serving_slo_headroom", "gauge",
-            "Worst observed SLO headroom, by metric (negative = burned).",
-            [{"labels": {"metric": metric}, "value": worst}
-             for metric, worst in sorted(
-                 self.telemetry.worst_headroom.items()
-             )],
-        )
-        return families
+        def by(label, counts):
+            return [{"labels": {label: key}, "value": value}
+                    for key, value in sorted(counts.items())]
+
+        def per_window(view, key):
+            return [{"labels": {"window": h}, "value": entry[key]}
+                    for h, entry in snap[view].items()]
+
+        return [
+            family("uptime_seconds", "gauge",
+                   "Seconds since the daemon finished starting.",
+                   self._uptime()),
+            family("requests_total", "counter",
+                   "Requests handled since boot, by op.",
+                   by("op", lifetime["requests"])),
+            family("errors_total", "counter",
+                   "Structured error responses since boot, by op.",
+                   by("op", lifetime["errors"])),
+            family("invalid_requests_total", "counter",
+                   "Requests rejected before dispatch (bad JSON or shape).",
+                   lifetime["invalid_requests"]),
+            family("inflight", "gauge",
+                   "Requests currently being served.", self._inflight),
+            family("queue_depth", "gauge",
+                   "Requests waiting in the micro-batcher queue.",
+                   self._batcher.depth),
+            family("batches_total", "counter",
+                   "Batches dispatched to the compute thread since boot.",
+                   lifetime["batches"]),
+            family("coalesced_total", "counter",
+                   "Duplicate in-batch loads answered from a shared solve.",
+                   self.coalesced),
+            family("answer_memo_hits_total", "counter",
+                   "Distinct batch loads answered from the answer memo.",
+                   memo.hits),
+            family("answer_memo_entries", "gauge",
+                   "Answers held in the answer memo.", len(memo)),
+            family("watchdog_stalls_total", "counter",
+                   "Event-loop stalls beyond the configured threshold.",
+                   self.stalls),
+            family("request_rate", "gauge",
+                   "Requests per second over the labelled window (seconds).",
+                   per_window("requests", "rate")),
+            family("error_rate", "gauge",
+                   "Errors per second over the labelled window (seconds).",
+                   per_window("errors", "rate")),
+            family("latency_ms", "gauge",
+                   "Request latency quantiles over the labelled window.",
+                   [{"labels": {"window": h, "quantile": q},
+                     "value": entry[key]}
+                    for h, entry in snap["latency_ms"].items()
+                    for q, key in (("0.5", "p50"), ("0.99", "p99"))]),
+            family("batch_size_mean", "gauge",
+                   "Mean dispatched batch size over the labelled window.",
+                   per_window("batch_size", "mean")),
+            family("queue_depth_max", "gauge",
+                   "Peak sampled queue depth over the labelled window.",
+                   per_window("queue_depth", "max")),
+            family("slo_violations_total", "counter",
+                   "SLO violations recorded since boot, by monitor.",
+                   by("monitor", lifetime["slo"]["violations"])),
+            family("slo_headroom", "gauge",
+                   "Worst observed SLO headroom, by metric "
+                   "(negative = burned).",
+                   by("metric", lifetime["slo"]["worst_headroom"])),
+        ]
 
 
 @contextlib.contextmanager

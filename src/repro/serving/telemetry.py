@@ -1,15 +1,25 @@
 """Live telemetry store of the serving daemon.
 
-The ``stats`` op reports *lifetime* aggregates — totals since boot,
-which an operator cannot act on during an incident because a morning of
-healthy traffic drowns the last bad minute.  :class:`ServingTelemetry`
-is the daemon's *windowed* view: every request, batch, queue-depth
-sample, and watchdog tick lands in sliding-window instruments
-(:class:`~repro.obs.metrics.WindowedCounter`,
-:class:`~repro.obs.metrics.SlidingHistogram`), so the ``telemetry`` op
-can answer "what are req/s and p99 over the last 10 s / 1 m / 5 m"
-exactly, and the SLO monitors in :mod:`repro.obs.watchdog` can evaluate
-burn rates against the same horizons.
+:class:`ServingTelemetry` is the one store of the daemon's request and
+batch metrics.  Every admitted, rejected and finished request and every
+dispatched batch is recorded here once, into two views of the same
+stream:
+
+- *lifetime* tallies since boot — per-op request and error counts, the
+  invalid-request count, per-op latency histograms
+  (:class:`~repro.obs.metrics.Histogram`) and the exact batch-size
+  counts — which the ``stats`` op and the Prometheus counters report;
+- *windowed* instruments (:class:`~repro.obs.metrics.WindowedCounter`,
+  :class:`~repro.obs.metrics.SlidingHistogram`), so the ``telemetry`` op
+  can answer "what are req/s and p99 over the last 10 s / 1 m / 5 m"
+  exactly — a lifetime total cannot, because a morning of healthy
+  traffic drowns the last bad minute — and the SLO monitors in
+  :mod:`repro.obs.watchdog` can evaluate burn rates against the same
+  horizons.
+
+:meth:`ServingTelemetry.read` takes both views in one pass under the
+store's lock, so the daemon's ``stats``, ``telemetry`` and Prometheus
+answers agree with each other.
 
 It is also where the daemon's spans end up.  The daemon opens its
 ``serving.request``, ``serving.batch`` and ``serving.query_many`` spans
@@ -25,10 +35,10 @@ tail as a self-contained trace-JSONL document, and an optional
 record to disk (flushed from the watchdog loop, never on the request
 path).
 
-Thread model: the event loop feeds the request instruments and closes
-request spans; the compute thread closes batch spans.  One lock guards
-the store — every operation is a few list/dict writes, so contention is
-negligible next to a solve.
+Thread model: the event loop feeds the request and batch tallies and
+closes request spans; the compute thread closes batch spans.  One lock
+guards the store — every operation is a few list/dict writes, so
+contention is negligible next to a solve.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     DEFAULT_HORIZONS,
+    Histogram,
     SlidingHistogram,
     WindowedCounter,
 )
@@ -61,8 +72,8 @@ MAX_TRACE_LIMIT = 1000
 
 
 class ServingTelemetry:
-    """Windowed metrics plus a bounded store of closed spans for one
-    daemon.
+    """Lifetime and windowed metrics plus a bounded store of closed
+    spans for one daemon.
 
     Parameters
     ----------
@@ -102,6 +113,14 @@ class ServingTelemetry:
         self.exporter = exporter
         self.clock = clock
         self._lock = threading.Lock()
+        # Lifetime tallies since boot (guarded by the lock).
+        self._admitted: dict[str, int] = {}
+        self._failed: dict[str, int] = {}
+        self._invalid = 0
+        self._latency: dict[str, Histogram] = {}
+        self._batch_sizes: dict[int, int] = {}
+        self._violations: dict[str, int] = {}
+        self._worst_headroom: dict[str, float] = {}
         # Windowed instruments (guarded by the lock).
         self._requests = WindowedCounter("serving.requests", window)
         self._errors = WindowedCounter("serving.errors", window)
@@ -115,37 +134,53 @@ class ServingTelemetry:
         self._recent_events: deque = deque(maxlen=keep_events)
         self._pending_spans: list[TraceSpan] = []
         self._pending_events: list[TraceEvent] = []
-        # SLO bookkeeping.
-        self.violation_counts: dict[str, int] = {}
-        self.worst_headroom: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
-    # Windowed instrument feeds (hot path: a few appends under the lock)
+    # Feeds (hot path: a few appends under the lock)
     # ------------------------------------------------------------------ #
+
+    def admit(self, op: str) -> None:
+        """One request accepted for ``op``.
+
+        Counted before the request is served, so a ``stats`` reply
+        counts itself."""
+        with self._lock:
+            self._admitted[op] = self._admitted.get(op, 0) + 1
+
+    def observe_invalid(self) -> None:
+        """One request rejected before dispatch (bad JSON or shape)."""
+        with self._lock:
+            self._invalid += 1
 
     def observe_request(
         self, op: str, seconds: float, error: bool = False
     ) -> None:
-        """One finished request: latency plus the request/error rates."""
+        """One finished request: its latency and error, lifetime and
+        windowed."""
         now = self.clock()
         with self._lock:
-            self._requests.inc(now=now)
-            if error:
-                self._errors.inc(now=now)
-            self._latency_ms.observe(seconds * 1e3, now=now)
             per_op = self._latency_by_op.get(op)
             if per_op is None:
+                self._latency[op] = Histogram(f"serving.latency.{op}")
                 per_op = self._latency_by_op[op] = SlidingHistogram(
                     f"serving.latency_ms.{op}", self.window
                 )
+            self._latency[op].observe(seconds)
             per_op.observe(seconds * 1e3, now=now)
+            self._latency_ms.observe(seconds * 1e3, now=now)
+            self._requests.inc(now=now)
+            if error:
+                self._failed[op] = self._failed.get(op, 0) + 1
+                self._errors.inc(now=now)
 
     def observe_queue_depth(self, depth: int) -> None:
         with self._lock:
             self._queue_depth.observe(depth, now=self.clock())
 
     def observe_batch(self, size: int) -> None:
+        """One dispatched batch of ``size`` requests."""
         with self._lock:
+            self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
             self._batch_size.observe(size, now=self.clock())
 
     def observe_loop_lag(self, lag_seconds: float) -> None:
@@ -213,13 +248,13 @@ class ServingTelemetry:
             self._recent_events.append(event)
             if self.exporter is not None:
                 self._pending_events.append(event)
-            self.violation_counts[violation.monitor] = (
-                self.violation_counts.get(violation.monitor, 0) + 1
+            self._violations[violation.monitor] = (
+                self._violations.get(violation.monitor, 0) + 1
             )
-            worst = self.worst_headroom.get(
+            worst = self._worst_headroom.get(
                 violation.metric, float("inf")
             )
-            self.worst_headroom[violation.metric] = min(
+            self._worst_headroom[violation.metric] = min(
                 worst, violation.headroom
             )
 
@@ -267,13 +302,53 @@ class ServingTelemetry:
 
     def snapshot(self) -> dict:
         """JSON-safe windowed summary (the ``telemetry`` op's result)."""
+        return self.read()[1]
+
+    def read(self, windowed: bool = True) -> tuple[dict, Optional[dict]]:
+        """``(lifetime, windowed)``, both taken under the lock at once.
+
+        ``lifetime`` holds the tallies since boot under the keys the
+        ``stats`` op reports them by; ``windowed`` is the
+        :meth:`snapshot` summary, or ``None`` when not asked for (its
+        per-horizon percentiles are the costly part of a read).
+        """
         now = self.clock()
         with self._lock:
+            slo = {
+                "violations": dict(self._violations),
+                "worst_headroom": dict(sorted(self._worst_headroom.items())),
+            }
+            sizes = sorted(self._batch_sizes.items())
+            batches = sum(count for _, count in sizes)
+            dispatched = sum(size * count for size, count in sizes)
+            lifetime = {
+                "requests": dict(self._admitted),
+                "errors": dict(self._failed),
+                "invalid_requests": self._invalid,
+                "batches": batches,
+                "mean_batch_size": dispatched / batches if batches else 0.0,
+                "max_batch_size": sizes[-1][0] if sizes else 0,
+                "batch_size_histogram": {
+                    str(size): count for size, count in sizes
+                },
+                "latency": {
+                    op: {
+                        "count": hist.count,
+                        "mean_ms": hist.mean * 1e3,
+                        "p50_ms": hist.percentile(50.0) * 1e3,
+                        "p99_ms": hist.percentile(99.0) * 1e3,
+                    }
+                    for op, hist in sorted(self._latency.items())
+                },
+                "slo": slo,
+            }
+            if not windowed:
+                return lifetime, None
             per_op = {
                 op: hist.summary(self.horizons, now=now)
                 for op, hist in sorted(self._latency_by_op.items())
             }
-            return {
+            return lifetime, {
                 "window_seconds": self.window,
                 "horizons": list(self.horizons),
                 "requests": self._requests.summary(self.horizons, now=now),
@@ -291,13 +366,7 @@ class ServingTelemetry:
                 "loop_lag_seconds": self._loop_lag.summary(
                     self.horizons, now=now
                 ),
-                "slo": {
-                    "violations": dict(self.violation_counts),
-                    "worst_headroom": {
-                        k: v
-                        for k, v in sorted(self.worst_headroom.items())
-                    },
-                },
+                "slo": dict(slo),
                 "trace": {
                     "recent_spans": len(self._recent_spans),
                     "recent_events": len(self._recent_events),

@@ -14,6 +14,7 @@ model methods the solver calls are the loops too.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -225,6 +226,10 @@ def _validate(
         )
     if total_load < 0.0:
         raise ConfigurationError(f"total load must be >= 0, got {total_load}")
+    if math.isnan(total_load):
+        raise ConfigurationError(
+            f"total load must be a number, got {total_load}"
+        )
     return on
 
 

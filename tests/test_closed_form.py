@@ -130,6 +130,17 @@ class TestSolveClosedForm:
         with pytest.raises(ConfigurationError):
             solve_closed_form(system_model, [0], -1.0)
 
+    def test_rejects_nan_load(self, system_model):
+        # ``nan < 0`` is false: unguarded, NaN gave all-zero loads and a
+        # NaN t_ac with clamped=False.
+        for solve in (solve_closed_form, paper_loads):
+            with pytest.raises(ConfigurationError, match="got nan"):
+                solve(system_model, [0, 1], float("nan"))
+
+    def test_infinite_load_is_infeasible(self, system_model):
+        with pytest.raises(InfeasibleError, match="exceeds"):
+            solve_closed_form(system_model, [0, 1], float("inf"))
+
     def test_predicted_power_composition(self, system_model):
         solution = solve_closed_form(system_model, [0, 1, 2, 3], 80.0)
         assert solution.predicted_total_power == pytest.approx(

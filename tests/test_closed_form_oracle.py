@@ -236,7 +236,7 @@ def test_each_repair_path(t_max, fraction, path):
         ([0, 1, 2], -1.0),
         ([0, 1, 2], 500.0),            # beyond the ON set's capacity
         ([0, 1, 2], 0.0),
-        ([0, 1, 2], float("nan")),     # NaN loads come out as 0.0
+        ([0, 1, 2], float("nan")),     # rejected like a negative load
         ([5], 39.0),
     ],
 )

@@ -78,6 +78,23 @@ class TestSolve:
         with pytest.raises(ConfigurationError):
             optimizer.select_on_set(0.0)
 
+    @pytest.mark.parametrize("options", [
+        {}, {"consolidate": False}, {"on_ids": [0, 1]}, {"exclude": [2]},
+    ])
+    def test_nan_load_rejected_before_selection(
+        self, big_system_model, options
+    ):
+        optimizer = JointOptimizer(big_system_model)
+        with pytest.raises(
+            ConfigurationError, match="total load must be a number, got nan"
+        ):
+            optimizer.solve(float("nan"), **options)
+
+    def test_infinite_load_exceeds_capacity(self, big_system_model):
+        optimizer = JointOptimizer(big_system_model)
+        with pytest.raises(InfeasibleError, match="exceeds"):
+            optimizer.solve(float("inf"))
+
     def test_index_is_cached_across_queries(self, big_system_model):
         optimizer = JointOptimizer(big_system_model)
         optimizer.solve(80.0)

@@ -512,7 +512,7 @@ class TestAnswerMemo:
                 ))
                 assert all(r["ok"] for r in responses)
                 counts.append((
-                    server._batcher.batches, server.coalesced,
+                    server.stats()["batches"], server.coalesced,
                     server.stats()["answer_memo"]["hits"],
                 ))
             return counts
