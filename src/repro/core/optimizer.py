@@ -30,7 +30,7 @@ from typing import Literal, Optional, Sequence, Union
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigurationError, InfeasibleError
+from repro.errors import ConfigurationError, InfeasibleError, ReproError
 from repro.core.closed_form import ClosedFormSolution, solve_closed_form
 from repro.core.consolidation import (
     ConsolidationIndex,
@@ -80,6 +80,18 @@ class OptimizationResult:
     def predicted_total_power(self) -> float:
         """Model-predicted room power, W."""
         return self.solution.predicted_total_power
+
+
+def _result(solution: ClosedFormSolution, method: str) -> OptimizationResult:
+    """The :class:`OptimizationResult` of a closed-form solution."""
+    return OptimizationResult(
+        loads=solution.loads,
+        on_ids=solution.on_ids,
+        t_ac=solution.t_ac,
+        t_sp=solution.t_sp,
+        solution=solution,
+        method=method,
+    )
 
 
 class JointOptimizer:
@@ -266,12 +278,13 @@ class JointOptimizer:
 
     @property
     def query_index(self):
-        """The index answering this optimizer's batched/selection queries.
+        """The index a selection without exclusions queries.
 
         ``selection="sharded"`` routes to :attr:`sharded_index`; every
         other method uses the monolithic :attr:`index`.  The serving
-        daemon warms and queries through this property so a sharded
-        optimizer serves n = 5000 rooms without further wiring.
+        daemon warms this index at start-up; its answers go through
+        :meth:`solve` and :meth:`solve_many`, which pick the index the
+        same way for every selection method.
         """
         if self.selection == "sharded":
             return self.sharded_index
@@ -284,11 +297,10 @@ class JointOptimizer:
 
         Exclusions invalidate the pre-computed global tables (they are
         prefix-based), but fault-campaign replans re-probe the same
-        degraded room many times — so the survivors get their own
-        sharded index, memoized per exclusion set.  Sharded builds are
-        ``sum_p m_p^3``, cheap enough to amortize within a single
-        bracketing pass even at n = 500 (a monolithic survivor rebuild
-        would cost more than the sequential solves it replaces).
+        degraded room many times — so with ``selection="sharded"`` the
+        survivors get their own sharded index, memoized per exclusion
+        set.  Sharded builds are ``sum_p m_p^3``, cheap enough to
+        amortize within a single bracketing pass even at n = 500.
 
         Returns ``(index, survivors)`` where ``survivors[j]`` maps the
         index's local machine ``j`` back to the global id.
@@ -322,6 +334,64 @@ class JointOptimizer:
         self._survivor_indexes[excluded] = (index, survivors)
         return index, survivors
 
+    def _selection_errors(
+        self,
+        loads: Sequence[float],
+        exclude: Optional[Sequence[int]],
+    ) -> tuple[frozenset, list[int], list[Optional[ReproError]]]:
+        """:meth:`select_on_set`'s input checks, for many loads at once.
+
+        Returns ``(excluded, survivors, errors)``: ``errors[i]`` is the
+        exception :meth:`select_on_set` raises for ``loads[i]``, or
+        ``None`` when the load passes.  The surviving capacity is summed
+        once per call, not once per load.
+        """
+        excluded = frozenset(int(i) for i in exclude or ())
+        n = self.model.node_count
+        unknown = sorted(i for i in excluded if not 0 <= i < n)
+        survivors = [i for i in range(n) if i not in excluded]
+        capacity = sum(self.model.capacities[i] for i in survivors)
+        errors: list[Optional[ReproError]] = []
+        for load in loads:
+            error: Optional[ReproError] = None
+            if math.isnan(load):
+                error = ConfigurationError(
+                    f"total load must be a number, got {load}"
+                )
+            elif load <= 0.0:
+                error = ConfigurationError(
+                    f"total load must be positive to select machines, "
+                    f"got {load}"
+                )
+            elif unknown:
+                error = ConfigurationError(
+                    f"cannot exclude unknown machines: {unknown}"
+                )
+            elif not survivors:
+                error = InfeasibleError("every machine is excluded")
+            elif load > capacity + 1e-9:
+                error = InfeasibleError(
+                    f"load {load:.3f} exceeds surviving capacity "
+                    f"{capacity:.3f}"
+                )
+            errors.append(error)
+        return excluded, survivors, errors
+
+    def _selection_index(self, excluded: frozenset):
+        """``(index, ids)`` that :meth:`select_on_set` queries, or ``None``.
+
+        ``ids`` maps the index's machine numbers to global ids (``None``
+        when they coincide).  ``selection="index"`` with exclusions,
+        ``"exact"`` and ``"brute"`` scan the survivors instead.
+        """
+        if self.selection == "index" and not excluded:
+            return self.index, None
+        if self.selection != "sharded":
+            return None
+        if not excluded:
+            return self.sharded_index, None
+        return self._survivor_index(excluded)
+
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
@@ -340,34 +410,16 @@ class JointOptimizer:
         ``selection="sharded"`` re-shards the survivors (memoized per
         exclusion set) so degraded queries stay fast at n = 5000.
         """
-        if total_load <= 0.0:
-            raise ConfigurationError(
-                f"total load must be positive to select machines, got {total_load}"
-            )
-        excluded = set(int(i) for i in exclude) if exclude else set()
-        unknown = excluded - set(range(self.model.node_count))
-        if unknown:
-            raise ConfigurationError(
-                f"cannot exclude unknown machines: {sorted(unknown)}"
-            )
-        survivors = [
-            i for i in range(self.model.node_count) if i not in excluded
-        ]
-        if not survivors:
-            raise InfeasibleError("every machine is excluded")
-        capacity = sum(self.model.capacities[i] for i in survivors)
-        if total_load > capacity + 1e-9:
-            raise InfeasibleError(
-                f"load {total_load:.3f} exceeds surviving capacity "
-                f"{capacity:.3f}"
-            )
-        if self.selection in ("index", "sharded") and not excluded:
-            return self.query_index.query_refined(total_load)
-        if self.selection == "sharded":
-            index, survivor_ids = self._survivor_index(frozenset(excluded))
-            return sorted(
-                survivor_ids[j] for j in index.query_refined(total_load)
-            )
+        excluded, survivors, (error,) = self._selection_errors(
+            [total_load], exclude
+        )
+        if error is not None:
+            raise error
+        indexed = self._selection_index(excluded)
+        if indexed is not None:
+            index, ids = indexed
+            chosen = index.query_refined(total_load)
+            return chosen if ids is None else sorted(ids[j] for j in chosen)
         w2_eff, rho = self._cost_coefficients()
         t_min, t_max = self._t_bounds()
         all_pairs = self.model.ab_pairs()
@@ -387,6 +439,56 @@ class JointOptimizer:
             capacities=capacities,
         )
         return sorted(survivors[j] for j in best)
+
+    def solve_many(
+        self,
+        loads: Sequence[float],
+        exclude: Optional[Sequence[int]] = None,
+    ) -> list[Union[OptimizationResult, ReproError]]:
+        """:meth:`solve` for many loads: one entry per load, in order.
+
+        Each entry is the :class:`OptimizationResult` that
+        ``solve(load, exclude=exclude)`` returns, or the
+        :class:`~repro.errors.ReproError` it raises, with the same type
+        and message.  Duplicate loads are answered once.  Where
+        :meth:`select_on_set` queries an index, one ``query_many`` pass
+        selects every distinct load; a load that pass finds infeasible
+        is asked again through :meth:`select_on_set`, so its error is
+        the single query's own.  The exact and brute-force scans solve
+        each distinct load in turn.
+        """
+        loads = list(loads)
+        excluded, _, errors = self._selection_errors(loads, exclude)
+        distinct = list(dict.fromkeys(
+            load for load, error in zip(loads, errors) if error is None
+        ))
+        indexed = self._selection_index(excluded) if distinct else None
+        answers: dict = {}
+        if indexed is None:
+            for load in distinct:
+                try:
+                    answers[load] = self.solve(load, exclude=exclude)
+                except ReproError as exc:
+                    answers[load] = exc
+        else:
+            index, ids = indexed
+            on_sets = index.query_many(distinct, skip_infeasible=True)
+            for load, chosen in zip(distinct, on_sets):
+                try:
+                    if chosen is None:
+                        chosen = self.select_on_set(load, exclude=exclude)
+                    elif ids is not None:
+                        chosen = sorted(ids[j] for j in chosen)
+                    answers[load] = _result(
+                        solve_closed_form(self.model, chosen, load),
+                        self.selection,
+                    )
+                except ReproError as exc:
+                    answers[load] = exc
+        return [
+            answers[load] if error is None else error
+            for load, error in zip(loads, errors)
+        ]
 
     def max_load_under_budget(
         self,
@@ -412,7 +514,7 @@ class JointOptimizer:
             If even the smallest feasible configuration exceeds the
             budget.
         """
-        if power_budget <= 0.0:
+        if not power_budget > 0.0:  # NaN fails this test too
             raise ConfigurationError(
                 f"power budget must be positive, got {power_budget}"
             )
@@ -429,59 +531,28 @@ class JointOptimizer:
                 load, exclude=sorted(excluded)
             ).predicted_total_power
 
-        def predicted_many(loads: Sequence[float]) -> list[float]:
-            """Batched probes for the bracketing grid.
-
-            On the index paths one ``query_many`` answers every
-            selection at once (amortizing the binary searches and
-            warming the query memo for the sequential refinement);
-            budget-infeasible probes report infinite power, which the
-            monotone bracket treats as "over budget".  With a non-empty
-            ``exclude`` the probes run against the memoized survivor
-            index of :meth:`_survivor_index` — the bracket stays
-            batched on exactly the path every fault-campaign replan
-            takes (this used to bail to one sequential ``solve`` per
-            probe; ``optimizer.max_load_fallback_solves`` counts the
-            remaining non-index fallbacks so any regression here is
-            observable).  The grid only steers the bracket: the final
-            answer still comes from the exact sequential refinement.
+        def predicted_many(loads: list[float]) -> list[float]:
+            """Batched probes for the bracketing grid: one
+            :meth:`solve_many`.  Budget-infeasible probes report infinite
+            power, which the monotone bracket treats as "over budget".
+            The grid only steers the bracket: the final answer still
+            comes from the sequential refinement.
             """
-            loads = [float(v) for v in loads]
             obs.count("optimizer.max_load_probes", len(loads))
-            if self.selection not in ("index", "sharded"):
-                obs.count("optimizer.max_load_fallback_solves", len(loads))
-                powers = []
-                for load in loads:
-                    try:
-                        powers.append(
-                            self.solve(
-                                load, exclude=sorted(excluded)
-                            ).predicted_total_power
-                        )
-                    except InfeasibleError:
-                        powers.append(float("inf"))
-                return powers
-            if excluded:
-                index, survivor_ids = self._survivor_index(
-                    frozenset(excluded)
-                )
-            else:
-                index, survivor_ids = self.query_index, None
-            obs.count("optimizer.max_load_batched_probes", len(loads))
-            on_sets = index.query_many(loads, skip_infeasible=True)
+            batched = self._selection_index(frozenset(excluded)) is not None
+            obs.count(
+                "optimizer.max_load_batched_probes" if batched
+                else "optimizer.max_load_fallback_solves",
+                len(loads),
+            )
             powers = []
-            for load, chosen in zip(loads, on_sets):
-                if chosen is None:
+            for result in self.solve_many(loads, exclude=sorted(excluded)):
+                if isinstance(result, InfeasibleError):
                     powers.append(float("inf"))
-                    continue
-                if survivor_ids is not None:
-                    chosen = [survivor_ids[j] for j in chosen]
-                try:
-                    solution = solve_closed_form(self.model, chosen, load)
-                except InfeasibleError:
-                    powers.append(float("inf"))
-                    continue
-                powers.append(solution.predicted_total_power)
+                elif isinstance(result, ReproError):
+                    raise result
+                else:
+                    powers.append(result.predicted_total_power)
             return powers
 
         with obs.record_run(
@@ -505,11 +576,12 @@ class JointOptimizer:
                 # predicted power is monotone in the load, so the first
                 # over-budget grid point bounds the answer from above.
                 grid = np.linspace(lo, hi, _BRACKET_PROBES + 2)[1:-1]
+                grid = grid.tolist()
                 for load, power in zip(grid, predicted_many(grid)):
                     if power <= power_budget:
-                        lo = float(load)
+                        lo = load
                     else:
-                        hi = float(load)
+                        hi = load
                         break
                 while hi - lo > tolerance * capacity:
                     mid = 0.5 * (lo + hi)
@@ -596,11 +668,4 @@ class JointOptimizer:
                 clamped=solution.clamped,
                 repaired=solution.repaired,
             )
-        return OptimizationResult(
-            loads=solution.loads,
-            on_ids=solution.on_ids,
-            t_ac=solution.t_ac,
-            t_sp=solution.t_sp,
-            solution=solution,
-            method=method,
-        )
+        return _result(solution, method)

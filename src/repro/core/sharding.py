@@ -30,13 +30,7 @@ each pod's own tabulated order at ``t``.  A global query therefore
    find each cardinality's optimal shared ratio ``t*(k)``, scanning
    ``k`` with an exact pruning bound (any candidate of size ``k`` costs
    at least ``k*w2 - rho*t_max + theta0``, which is increasing in
-   ``k``), and
-4. when the water-filling cut is *near-flat* (several pods offer almost
-   identical marginal coordinates, so greedy tie-breaking is
-   ill-conditioned), re-solves the split as a small LP over per-pod
-   segment variables (``scipy.optimize.linprog`` when available; the
-   greedy split is kept otherwise — the LP exists for robustness on
-   degenerate curves, the two agree whenever the cut is unique).
+   ``k``).
 
 Because the cooling term ``-rho * t`` of Eq. 23 is *global* (one cooler
 serves every pod), per-pod costs must never be summed independently —
@@ -90,10 +84,6 @@ _EVAL_CAPACITY = 32
 
 #: Bounded cache of per-(pod, row) order-aligned coefficient arrays.
 _ROW_CAPACITY = 4096
-
-#: Relative marginal-coordinate gap below which the water-filling cut
-#: counts as near-flat and the split is re-solved as a small LP.
-DEFAULT_LP_TOLERANCE = 1e-9
 
 
 def contiguous_pods(n: int, pods: int) -> list[range]:
@@ -349,9 +339,6 @@ class PodShardedIndex:
         machine's CPU count).  Builds fall back to serial, with the
         identical result, when worker processes cannot be spawned
         (restricted sandboxes) or only one pod needs building.
-    lp_tolerance:
-        Relative marginal gap under which the water-filling cut counts
-        as near-flat and the split is re-solved as a small LP.
 
     Unlike the monolithic index, the supply band is mandatory: the
     shared-ratio scan prices candidates against ``t_max`` to prune the
@@ -372,7 +359,6 @@ class PodShardedIndex:
         pods: Optional[int] = None,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         max_workers: Optional[int] = None,
-        lp_tolerance: float = DEFAULT_LP_TOLERANCE,
     ) -> None:
         self.pairs = _validate_pairs(pairs)
         n = len(self.pairs)
@@ -394,10 +380,6 @@ class PodShardedIndex:
             raise ConfigurationError(
                 f"{n} pairs but {len(capacities)} capacities"
             )
-        if lp_tolerance < 0.0:
-            raise ConfigurationError(
-                f"lp_tolerance must be non-negative, got {lp_tolerance}"
-            )
         self.w2 = float(w2)
         self.rho = float(rho)
         self.theta0 = float(theta0)
@@ -406,7 +388,6 @@ class PodShardedIndex:
         self.capacities = (
             None if capacities is None else [float(c) for c in capacities]
         )
-        self.lp_tolerance = float(lp_tolerance)
         self.cache_dir = (
             None if cache_dir is None else pathlib.Path(cache_dir)
         )
@@ -609,9 +590,8 @@ class PodShardedIndex:
         Concatenates the pods' presorted (descending-coordinate)
         segments and stably sorts the merged marginals — the greedy
         fill over concave per-pod ``maxL`` curves.  Returns the merged
-        ``(ids, pod_of, cum_a, cum_b, cum_x, cum_cap, x_sorted)``:
-        entry ``k - 1`` of each cumulative array describes the globally
-        best size-``k`` subset at ``t``.
+        ``(ids, cum_x, cum_cap)``: entry ``k - 1`` of each cumulative
+        array describes the globally best size-``k`` subset at ``t``.
         """
         t = float(t)
         hit = self._eval_cache.get(t)
@@ -621,30 +601,18 @@ class PodShardedIndex:
         ids = np.concatenate([part[0] for part in parts])
         a = np.concatenate([part[1] for part in parts])
         b = np.concatenate([part[2] for part in parts])
-        pod_of = np.concatenate(
-            [
-                np.full(len(part[0]), p, dtype=np.int32)
-                for p, part in enumerate(parts)
-            ]
-        )
         x = a - t * b
         # Stable sort on the negated marginals: ties go to the lower
         # concatenated position, i.e. the lower pod then the pod's own
         # (lower-id-first) tie rule — the monolithic order's tie rule.
         merged = np.argsort(-x, kind="stable")
-        x_sorted = x[merged]
-        cum_a = np.cumsum(a[merged])
-        cum_b = np.cumsum(b[merged])
-        cum_x = np.cumsum(x_sorted)
+        cum_x = np.cumsum(x[merged])
         if self._caps is None:
             cum_cap = None
         else:
             cap = np.concatenate([part[3] for part in parts])
             cum_cap = np.cumsum(cap[merged])
-        result = (
-            ids[merged], pod_of[merged], cum_a, cum_b, cum_x, cum_cap,
-            x_sorted,
-        )
+        result = (ids[merged], cum_x, cum_cap)
         if len(self._eval_cache) >= _EVAL_CAPACITY:
             self._eval_cache.pop(next(iter(self._eval_cache)))
         self._eval_cache[t] = result
@@ -702,89 +670,9 @@ class PodShardedIndex:
             t = t_new
         return t, sum_cap
 
-    def _near_flat_cut(self, x_sorted: np.ndarray, k: int) -> bool:
-        """Is the water-filling cut after position ``k`` near-flat?"""
-        if k >= x_sorted.shape[0]:
-            return False
-        gap = float(x_sorted[k - 1] - x_sorted[k])
-        scale = max(1.0, abs(float(x_sorted[k - 1])))
-        return gap <= self.lp_tolerance * scale
-
-    def _lp_split(self, t: float, k: int) -> Optional[np.ndarray]:
-        """Re-solve the cross-pod split as a small LP.
-
-        Maximize the merged coordinate sum over fractional per-pod
-        prefix lengths — the piecewise-linear concave relaxation of the
-        water-filling problem (one bounded variable per candidate
-        marginal, a single coupling row ``sum y = k``).  Because each
-        pod's marginals are non-increasing, the LP optimum fills every
-        pod's prefix in order, so rounding the per-pod sums back to
-        integers (largest fractional remainders first) reproduces a
-        valid split.  Returns per-pod counts, or ``None`` when scipy is
-        unavailable or the solver fails — the greedy split stands.
-        """
-        try:
-            from scipy.optimize import linprog
-        except ImportError:
-            obs.count("sharding.lp_unavailable")
-            return None
-        marginals = []
-        labels = []
-        for p in range(self.pod_count):
-            _, a, b, _ = self._pod_row(p, t)
-            take = min(len(a), k)
-            if take == 0:
-                continue
-            marginals.append(a[:take] - t * b[:take])
-            labels.append(np.full(take, p, dtype=np.int64))
-        coeffs = np.concatenate(marginals)
-        pods = np.concatenate(labels)
-        result = linprog(
-            c=-coeffs,
-            A_eq=np.ones((1, coeffs.shape[0])),
-            b_eq=[float(k)],
-            bounds=[(0.0, 1.0)] * coeffs.shape[0],
-            method="highs",
-        )
-        if not result.success:
-            obs.count("sharding.lp_failures")
-            return None
-        obs.count("sharding.lp_splits")
-        fractional = np.bincount(
-            pods, weights=result.x, minlength=self.pod_count
-        )
-        counts = np.floor(fractional + 1e-9).astype(np.int64)
-        counts = np.minimum(
-            counts,
-            np.asarray([len(ids) for ids in self.pod_ranges]),
-        )
-        short = k - int(counts.sum())
-        if short > 0:
-            remainders = fractional - counts
-            for p in np.argsort(-remainders, kind="stable")[:short]:
-                counts[p] += 1
-        return counts
-
     def _materialize(self, t: float, k: int) -> list[int]:
-        """The global ON set at ``(t, k)``: each pod's order prefix.
-
-        The greedy merge already names the members; on a near-flat cut
-        the per-pod counts are re-derived by the LP and each pod is
-        queried for its ``k_p``-prefix instead.
-        """
-        ids, pod_of, _, _, _, _, x_sorted = self._evaluate(t)
-        if self._near_flat_cut(x_sorted, k):
-            counts = self._lp_split(t, k)
-            if counts is not None:
-                chosen: list[int] = []
-                for p, k_p in enumerate(counts.tolist()):
-                    if k_p == 0:
-                        continue
-                    gids = self._pod_row(p, t)[0]
-                    chosen.extend(int(i) for i in gids[:k_p])
-                if len(chosen) == k:
-                    return sorted(chosen)
-        return sorted(int(i) for i in ids[:k])
+        """The global ON set at ``(t, k)``: the merge's top ``k``."""
+        return sorted(int(i) for i in self._evaluate(t)[0][:k])
 
     def query_refined(
         self, load: float, window: Optional[int] = None
@@ -835,7 +723,7 @@ class PodShardedIndex:
         # Feasibility mirror of the monolithic table search: every
         # particle coordinate decreases with t, so the largest
         # tabulated Lmax anywhere is the best prefix sum at t = 0.
-        cum_x0 = self._evaluate(0.0)[4]
+        cum_x0 = self._evaluate(0.0)[1]
         if load >= float(np.max(cum_x0)):
             raise InfeasibleError(
                 f"no status can serve load {load}; cluster too small"
@@ -853,7 +741,7 @@ class PodShardedIndex:
                 )
         # In-band candidates: sizes whose prefix at the band floor can
         # carry the load (concave prefix sums => a contiguous range).
-        cum_x_floor = self._evaluate(self.t_min)[4]
+        cum_x_floor = self._evaluate(self.t_min)[1]
         viable = np.flatnonzero(cum_x_floor >= load - 1e-9)
         best_k = best_t = None
         best_power = float("inf")
@@ -881,8 +769,12 @@ class PodShardedIndex:
         # Band-clamped fallback, mirroring the monolithic refined scan:
         # below-band candidates are servable with the cooler pinned at
         # the band edge; their cost grows with k, so the smallest
-        # capacity-feasible size wins.
+        # capacity-feasible size wins.  A size whose best prefix at
+        # t = 0 cannot carry the load is no candidate at any t >= 0
+        # (the monolithic table's ``Lmax > load``).
         for k in range(k_cap, n + 1):
+            if cum_x0[k - 1] <= load:
+                continue
             t_star, sum_cap = self._ratio_fixpoint(k, load, self.t_min)
             if sum_cap is not None and sum_cap + 1e-9 < load:
                 continue
@@ -972,8 +864,7 @@ class PodShardedIndex:
             k_max = min(k_max, n)
             if k_max < 1:
                 continue
-            cum_x = self._evaluate(t)[4]
-            cum_cap = self._evaluate(t)[5]
+            _, cum_x, cum_cap = self._evaluate(t)
             served = cum_x[:k_max]
             if cum_cap is not None:
                 served = np.minimum(served, cum_cap[:k_max])

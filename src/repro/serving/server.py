@@ -15,17 +15,17 @@ Concurrency model — one event loop, one compute thread:
   computes, and the (non-thread-safe) index caches are only ever
   touched from one thread.
 
-Batched ``allocate`` dispatch groups the batch's loads into one
-:meth:`~repro.core.consolidation.ConsolidationIndex.query_many` call
-and answers duplicate concurrent loads once (closed form included) —
-the coalescing the serving benchmark measures.  Across batches, a
-bounded LRU answer memo keyed by the load keeps each successful answer
-with its encoded JSON body: for a fixed ON set the answer is a pure
-function of the load, and a server's index never changes, so a repeated
-load skips the closed form and the response encode.  Every path that can
-fail returns the same :mod:`repro.errors` exception the library call
-would raise locally; the protocol layer turns it into a structured
-error response.
+Batched ``allocate`` dispatch answers duplicate concurrent loads once
+(closed form included) — the coalescing the serving benchmark measures.
+Across batches, a bounded LRU answer memo keyed by the load keeps each
+successful answer with its encoded JSON body: the answer is a pure
+function of the load, and a server's optimizer never changes, so a
+repeated load skips selection, the closed form and the response encode.
+The batch's remaining loads, and a ``what-if`` horizon, go to one
+:meth:`~repro.core.optimizer.JointOptimizer.solve_many` call, whatever
+the selection method.  Every path that can fail returns the same
+:mod:`repro.errors` exception the library call would raise locally; the
+protocol layer turns it into a structured error response.
 
 Shutdown is a *drain*: stop accepting, finish every in-flight batched
 request, then close.  ``serve_forever`` wires SIGTERM/SIGINT to the
@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import os
 import pathlib
 import signal
@@ -49,11 +50,10 @@ from typing import Any, Mapping, Optional, Union
 
 from repro import obs
 from repro.core.closed_form import solve_closed_form
-from repro.core.optimizer import JointOptimizer
+from repro.core.optimizer import JointOptimizer, OptimizationResult
 from repro.errors import (
     ConfigurationError,
     ConstraintViolationError,
-    InfeasibleError,
     ReproError,
     ServingUnavailableError,
 )
@@ -628,11 +628,7 @@ class AllocationServer:
                 outcomes: list = [None] * len(requests)
                 grouped = []
                 for i, request in enumerate(requests):
-                    if (
-                        request.op == "allocate"
-                        and not request.exclude
-                        and self.optimizer.selection == "index"
-                    ):
+                    if request.op == "allocate" and not request.exclude:
                         grouped.append(i)
                     else:
                         outcomes[i] = self._compute_single(request)
@@ -680,66 +676,47 @@ class AllocationServer:
         grouped: list[int],
         outcomes: list,
     ) -> None:
-        """All plain ``allocate`` ops of a batch in one index pass.
+        """All plain ``allocate`` ops of a batch in one
+        :meth:`~repro.core.optimizer.JointOptimizer.solve_many` call.
 
         Duplicate loads share one answer — ON set *and* closed form —
-        which is the serving-level coalescing win on top of
-        ``query_many``'s internal dedup.  Each distinct load is then
-        looked up in the answer memo; a miss runs the closed form and
-        memoizes a successful answer with its encoded body.  Guards mirror
-        :meth:`JointOptimizer.select_on_set` so a batched request fails
-        with exactly the error its unbatched twin would raise.
+        which is the serving-level coalescing win.  Each distinct load is
+        looked up in the answer memo first; only the misses are solved,
+        and a successful answer is memoized with its encoded body.  Every
+        outcome, error or not, is the one ``solve`` gives for the load.
         """
-        capacity = float(sum(self.optimizer.model.capacities))
-        positions, loads = [], []
+        # Keyed with the sign too: 0.0 == -0.0, but their errors differ.
+        slots: dict[tuple[float, float], list[int]] = {}
         for i in grouped:
             load = requests[i].load
-            if load <= 0.0:
-                outcomes[i] = ConfigurationError(
-                    "total load must be positive to select machines, "
-                    f"got {load}"
-                )
-            else:
-                positions.append(i)
-                loads.append(load)
-        if not positions:
-            return
-        with obs.trace.span(
-            "serving.query_many", sink=self.telemetry.record_span,
-            loads=len(loads),
-        ):
-            on_sets = self.optimizer.query_index.query_many(
-                loads, skip_infeasible=True
-            )
-        memo = self._answer_memo
-        shared: dict[float, Any] = {}
-        coalesced = 0
-        for i, load, chosen in zip(positions, loads, on_sets):
-            if load in shared:
-                outcomes[i] = shared[load]
-                coalesced += 1
-                continue
-            outcome: Any = memo.get(load)
-            if outcome is None and chosen is None:
-                outcome = InfeasibleError(
-                    f"load {load:.3f} exceeds capacity {capacity:.3f}"
-                )
-            elif outcome is None:
-                try:
-                    solution = solve_closed_form(
-                        self.optimizer.model, chosen, load
-                    )
-                    outcome = EncodedResult(
-                        self._allocation_payload(solution, "index")
-                    )
-                    memo.put(load, outcome)
-                except ReproError as exc:
-                    outcome = exc
-            shared[load] = outcome
-            outcomes[i] = outcome
+            slots.setdefault((load, math.copysign(1.0, load)), []).append(i)
+        coalesced = len(grouped) - len(slots)
         if coalesced:
             self.coalesced += coalesced
             obs.count("serving.coalesced", coalesced)
+        memo = self._answer_memo
+        with obs.trace.span(
+            "serving.query_many", sink=self.telemetry.record_span,
+            loads=len(slots),
+        ):
+            misses = []
+            for key, positions in slots.items():
+                outcome = memo.get(key[0])
+                if outcome is None:
+                    misses.append(key)
+                for i in positions:
+                    outcomes[i] = outcome
+            results = self.optimizer.solve_many(
+                [load for load, _ in misses]
+            ) if misses else []
+        for key, result in zip(misses, results):
+            if isinstance(result, OptimizationResult):
+                result = EncodedResult(
+                    self._allocation_payload(result.solution, result.method)
+                )
+                memo.put(key[0], result)
+            for i in slots[key]:
+                outcomes[i] = result
 
     def _allocation_payload(self, solution, method: str) -> dict:
         on_ids = [int(i) for i in solution.on_ids]
@@ -786,48 +763,14 @@ class AllocationServer:
                     entries.append(feasible_entry(load, solution))
                 except ReproError as exc:
                     entries.append(infeasible_entry(load, exc))
-        elif self.optimizer.selection == "index":
-            shared: dict[float, dict] = {}
-            valid = [
-                (k, load)
-                for k, load in enumerate(request.loads)
-                if load > 0.0
-            ]
-            slots: dict[int, dict] = {}
-            for k, load in enumerate(request.loads):
-                if load <= 0.0:
-                    slots[k] = infeasible_entry(
-                        load, ConfigurationError("load must be positive")
-                    )
-            on_sets = self.optimizer.query_index.query_many(
-                [load for _, load in valid], skip_infeasible=True
-            )
-            for (k, load), chosen in zip(valid, on_sets):
-                if load in shared:
-                    slots[k] = shared[load]
-                    continue
-                if chosen is None:
-                    entry = infeasible_entry(
-                        load,
-                        InfeasibleError(f"no subset can serve {load:.3f}"),
-                    )
-                else:
-                    try:
-                        entry = feasible_entry(
-                            load, solve_closed_form(model, chosen, load)
-                        )
-                    except ReproError as exc:
-                        entry = infeasible_entry(load, exc)
-                shared[load] = entry
-                slots[k] = entry
-            entries = [slots[k] for k in range(len(request.loads))]
         else:
-            for load in request.loads:
-                try:
-                    result = self.optimizer.solve(load)
+            for load, result in zip(
+                request.loads, self.optimizer.solve_many(request.loads)
+            ):
+                if isinstance(result, OptimizationResult):
                     entries.append(feasible_entry(load, result.solution))
-                except ReproError as exc:
-                    entries.append(infeasible_entry(load, exc))
+                else:
+                    entries.append(infeasible_entry(load, result))
         return {"count": len(entries), "entries": entries}
 
     # ------------------------------------------------------------------ #

@@ -90,6 +90,18 @@ class TestSolve:
         ):
             optimizer.solve(float("nan"), **options)
 
+    def test_select_on_set_rejects_nan_load(self, big_system_model):
+        optimizer = JointOptimizer(big_system_model)
+        with pytest.raises(
+            ConfigurationError, match="total load must be a number, got nan"
+        ):
+            optimizer.select_on_set(float("nan"))
+
+    def test_max_load_rejects_nan_budget(self, big_system_model):
+        optimizer = JointOptimizer(big_system_model)
+        with pytest.raises(ConfigurationError, match="power budget"):
+            optimizer.max_load_under_budget(float("nan"))
+
     def test_infinite_load_exceeds_capacity(self, big_system_model):
         optimizer = JointOptimizer(big_system_model)
         with pytest.raises(InfeasibleError, match="exceeds"):

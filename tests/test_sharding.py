@@ -232,6 +232,20 @@ class TestQueryEquivalence:
         )
         assert abs(p_sharded - p_mono) <= 5.0 * W2
 
+    @pytest.mark.parametrize("pods", [1, 2])
+    def test_band_clamped_fallback_needs_a_prefix_that_carries_the_load(
+        self, pods
+    ):
+        # Below the band at every size: the fallback may only take sizes
+        # whose best prefix at t = 0 exceeds the load, as the monolithic
+        # table does.
+        pairs = [(10.0, 1.0)] * 4
+        band = dict(w2=1.0, rho=1.0, t_min=5.0, t_max=6.0)
+        sharded = PodShardedIndex(pairs, pods=pods, **band)
+        monolithic = ConsolidationIndex(pairs, **band)
+        assert monolithic.query_refined(35.0) == monolithic.query(35.0)
+        assert sharded.query_refined(35.0) == monolithic.query_refined(35.0)
+
     def test_infeasible_messages_mirror_monolithic(self, rng):
         pairs = make_pairs(rng, 10)
         sharded = make_sharded(pairs, pods=2)
@@ -293,9 +307,8 @@ class TestPodCache:
 
 class TestLPFallback:
     def test_identical_machines_trigger_lp_split(self, registry):
-        # All particles coincide, so every water-filling cut is flat and
-        # the split re-solves as a small LP (when scipy is present).
-        pytest.importorskip("scipy.optimize")
+        # All particles coincide, so every water-filling cut is flat:
+        # the greedy merge's tie rule must still land on an optimum.
         pairs = [(100.0, 2.0)] * 8
         sharded = make_sharded(pairs, pods=2)
         chosen = sharded.query_refined(150.0)
@@ -306,7 +319,6 @@ class TestLPFallback:
         assert subset_power(
             pairs, chosen, 150.0, W2, RHO, t_min=T_MIN, t_max=T_MAX
         ) == pytest.approx(best_power, abs=1e-9)
-        assert registry.counter("sharding.lp_splits").value >= 1
 
 
 class TestMaxLoad:
@@ -448,25 +460,44 @@ class TestOptimizerIntegration:
 
 
 class TestExcludedQueryPath:
-    """Pins the satellite bugfix: excluded brackets stay batched."""
+    """Pins how ``maxL`` brackets probe when machines are excluded."""
 
-    def test_excluded_max_load_hits_batched_probes(self, registry):
+    def test_excluded_max_load_hits_batched_probes(
+        self, registry, monkeypatch
+    ):
+        # selection="index" with exclusions scans the survivors, exactly
+        # as solve does: the grid probes are one solve_many call whose
+        # answers equal solve's, and no survivor index is built.
         model = make_system_model(n=10)
         optimizer = JointOptimizer(model, selection="index")
+        calls = []
+        solve_many = optimizer.solve_many
+
+        def spy(loads, exclude=None):
+            results = solve_many(loads, exclude=exclude)
+            calls.append((list(loads), exclude, results))
+            return results
+
+        monkeypatch.setattr(optimizer, "solve_many", spy)
         optimizer.max_load_under_budget(
             optimizer.solve(120.0).predicted_total_power + 1.0,
             exclude=[0, 1],
         )
+        assert registry.counter("optimizer.survivor_index_builds").value == 0
         assert (
-            registry.counter("optimizer.max_load_batched_probes").value > 0
+            registry.counter("optimizer.max_load_batched_probes").value == 0
         )
+        (loads, exclude, results), = calls
+        assert exclude == [0, 1] and len(loads) > 0
         assert (
             registry.counter("optimizer.max_load_fallback_solves").value
-            == 0
+            == len(loads)
         )
-        assert (
-            registry.counter("optimizer.survivor_index_builds").value >= 1
-        )
+        for load, result in zip(loads, results):
+            direct = optimizer.solve(load, exclude=[0, 1])
+            assert result.on_ids == direct.on_ids
+            assert result.loads.tobytes() == direct.loads.tobytes()
+            assert result.t_ac == direct.t_ac
 
     def test_non_index_selection_counts_fallbacks(self, registry):
         model = make_system_model(n=6)
