@@ -13,9 +13,13 @@ counts far beyond the paper's 10-node room.  For each ``n`` it
   randomized workload, and records the speedup;
 - times the online path: the first batched
   :meth:`~repro.core.consolidation.ConsolidationIndex.query_many` on the
-  fresh index (``query_seconds_cold``, the whole call: it pays the
-  refined scan's one-time row build), then, per query, fresh loads one
-  at a time and through a second batch.
+  fresh index (``query_seconds_cold``, the whole call, with the query
+  caches still empty), then, per query, fresh loads one at a time and
+  through a second batch;
+- reports ``exact_gap``: the worst relative cost excess of the index's
+  answers over the exact per-``k`` scan
+  (:func:`repro.core.select.optimal_subset`, an independent
+  implementation of the same problem) on three gap loads.
 
 Results land in ``benchmarks/results/consolidation_scale.json``
 (schema: the ``consolidation-scale`` spec in
@@ -26,14 +30,14 @@ The sharded sweep extends the same artifact past the monolithic wall:
 for each ``n:pods`` size it builds a
 :class:`~repro.core.sharding.PodShardedIndex`, times its build and
 single/batched queries, and reports two optimality gaps — versus the
-exact monolithic index where that is affordable (``n <=
+exact per-``k`` scan where that is affordable (``n <=
 REPRO_BENCH_SCALE_EXACT_MAX``), and versus the seeded
 simulated-annealing baseline (:func:`repro.core.sharding.anneal_on_set`)
 everywhere.  The annealing gap may go *negative* at high utilization:
-both index scans only consider ratio-optimal prefixes per cardinality
-and skip a size whose prefix lacks capacity, while annealing roams all
-same-size subsets — the sweep records the measured gap rather than
-asserting a sign.
+the index query and the exact scan only consider the ratio-optimal
+subset per cardinality and skip a size whose champion lacks capacity,
+while annealing roams all same-size subsets — the sweep records the
+measured gap rather than asserting a sign.
 
 Environment knobs (the CI bench matrix sets them for its smoke run):
 
@@ -46,7 +50,7 @@ Environment knobs (the CI bench matrix sets them for its smoke run):
   the sharded sweep (default ``500:10,2000:40,5000:100``; empty string
   disables it);
 - ``REPRO_BENCH_SCALE_EXACT_MAX`` — largest sharded ``n`` for which the
-  exact monolithic index is built as ground truth (default ``500``);
+  exact per-``k`` scan runs as ground truth (default ``500``);
 - ``REPRO_BENCH_SCALE_ANNEAL_ITERS`` — annealing iterations per load
   (default ``20000``).
 """
@@ -64,13 +68,19 @@ import numpy as np
 
 from repro import obs
 from repro.core.consolidation import ConsolidationIndex
+from repro.core.select import optimal_subset
 from repro.core.sharding import PodShardedIndex, anneal_on_set, subset_power
 from repro.errors import InfeasibleError
+from repro.obs.artifacts import EXACT_GAP_TOL
 
 SEED = 2012
 
 #: Queries per size for the online-path timing and the identity check.
 QUERIES = 64
+
+#: Gap loads, as fractions of capacity: moderate-to-high utilization,
+#: where the answers are interesting but almost always feasible.
+GAP_FRACTIONS = (0.3, 0.5, 0.7)
 
 #: Sizes where the paper's acceptance speedup (>= 20x) is asserted.
 SPEEDUP_FLOOR = 20.0
@@ -212,6 +222,7 @@ class _Entry:
     query_seconds_single: float
     query_seconds_batched: float
     identical_answers: Optional[bool]
+    exact_gap: Optional[float]
 
 
 @dataclass
@@ -219,8 +230,8 @@ class _ShardedEntry:
     """One ``n:pods`` point of the sharded sweep.
 
     ``exact_gap`` is the worst signed relative cost excess of the
-    sharded answer over the exact monolithic index across the sampled
-    loads (only where the monolithic build is affordable);
+    sharded answer over the exact per-``k`` scan across the sampled
+    loads (only where the scan is affordable);
     ``anneal_gap`` the mean signed relative excess of the annealing
     baseline over the best index answer (negative when annealing finds
     a cheaper capacity-feasible subset at a size the prefix scans
@@ -255,6 +266,43 @@ def _identical(fast: ConsolidationIndex, seed: _SeedIndex,
     return True
 
 
+def _relative_gap(power: float, reference: float) -> float:
+    return (power - reference) / max(1.0, abs(reference))
+
+
+def _power(spec: dict, subset, load: float) -> float:
+    return subset_power(
+        spec["pairs"], subset, load, w2=spec["w2"], rho=spec["rho"],
+        t_min=spec["t_min"], t_max=spec["t_max"],
+        capacities=spec["capacities"],
+    )
+
+
+def _exact_gap(index, spec: dict) -> Optional[float]:
+    """Worst signed relative cost excess of ``index``'s answers over the
+    exact per-``k`` scan on the gap loads (infeasible loads skipped;
+    ``None`` when every one is)."""
+    capacity = sum(spec["capacities"])
+    worst = None
+    for frac in GAP_FRACTIONS:
+        load = frac * capacity
+        try:
+            exact, _ = optimal_subset(
+                spec["pairs"], load, w2=spec["w2"], rho=spec["rho"],
+                theta=0.0, t_min=spec["t_min"], t_max=spec["t_max"],
+                capacities=spec["capacities"],
+            )
+            gap = _relative_gap(
+                _power(spec, index.query_refined(load), load),
+                _power(spec, exact, load),
+            )
+        except InfeasibleError:
+            continue
+        if worst is None or abs(gap) > abs(worst):
+            worst = gap
+    return worst
+
+
 def _measure(n: int, baseline_max: int) -> _Entry:
     spec = _instance(n)
     # Best of two rounds: the first build pays the allocator's cold
@@ -273,9 +321,7 @@ def _measure(n: int, baseline_max: int) -> _Entry:
     rng = np.random.default_rng(SEED)
     loads = rng.uniform(0.1 * capacity, 0.8 * capacity, QUERIES)
 
-    # The first refined batch on the fresh index, one-time row build
-    # included (the faithful queries of the identity check below never
-    # build the rows).
+    # The first refined batch on the fresh index, its caches empty.
     start = time.perf_counter()
     index.query_many(loads)
     cold = time.perf_counter() - start
@@ -311,11 +357,8 @@ def _measure(n: int, baseline_max: int) -> _Entry:
         query_seconds_single=single_per_query,
         query_seconds_batched=batched_per_query,
         identical_answers=identical,
+        exact_gap=_exact_gap(index, spec),
     )
-
-
-def _relative_gap(power: float, reference: float) -> float:
-    return (power - reference) / max(1.0, abs(reference))
 
 
 def _measure_sharded(n: int, pods: int, exact_max: int) -> _ShardedEntry:
@@ -343,48 +386,15 @@ def _measure_sharded(n: int, pods: int, exact_max: int) -> _ShardedEntry:
     index.max_load(n * spec["w2"] * 0.6 - spec["rho"] * spec["t_min"])
     max_load_seconds = time.perf_counter() - start
 
-    # Gap loads: moderate-to-high utilization, where the answers are
-    # interesting but almost always feasible.
-    gap_loads = [frac * capacity for frac in (0.3, 0.5, 0.7)]
-    exact = None
-    if n <= exact_max:
-        mono = ConsolidationIndex(**spec)
-        worst = 0.0
-        for load in gap_loads:
-            try:
-                p_mono = subset_power(
-                    spec["pairs"], mono.query_refined(load), load,
-                    w2=spec["w2"], rho=spec["rho"],
-                    t_min=spec["t_min"], t_max=spec["t_max"],
-                    capacities=spec["capacities"],
-                )
-                p_shard = subset_power(
-                    spec["pairs"], index.query_refined(load), load,
-                    w2=spec["w2"], rho=spec["rho"],
-                    t_min=spec["t_min"], t_max=spec["t_max"],
-                    capacities=spec["capacities"],
-                )
-            except InfeasibleError:
-                continue
-            gap = _relative_gap(p_shard, p_mono)
-            if abs(gap) > abs(worst):
-                worst = gap
-        exact = worst
-        reference_index = mono
-    else:
-        reference_index = index
+    gap_loads = [frac * capacity for frac in GAP_FRACTIONS]
+    exact = _exact_gap(index, spec) if n <= exact_max else None
 
     iterations = _anneal_iterations()
     gaps = []
     anneal_seconds = 0.0
     for load in gap_loads:
         try:
-            reference = subset_power(
-                spec["pairs"], reference_index.query_refined(load), load,
-                w2=spec["w2"], rho=spec["rho"],
-                t_min=spec["t_min"], t_max=spec["t_max"],
-                capacities=spec["capacities"],
-            )
+            reference = _power(spec, index.query_refined(load), load)
             start = time.perf_counter()
             result = anneal_on_set(
                 load=load, seed=SEED, iterations=iterations, **spec
@@ -444,7 +454,7 @@ def _table(entries: list[_Entry], sharded: list[_ShardedEntry]) -> str:
         " baseline",
         f"{'n':>5} {'events':>8} {'statuses':>10} {'build':>10} "
         f"{'baseline':>10} {'speedup':>8} {'cold':>10} {'query':>10} "
-        f"{'batched':>10}",
+        f"{'batched':>10} {'exact gap':>10}",
     ]
     for e in entries:
         baseline = (
@@ -457,7 +467,8 @@ def _table(entries: list[_Entry], sharded: list[_ShardedEntry]) -> str:
             f"{e.build_seconds:>9.3f}s {baseline:>10} {speedup:>8} "
             f"{e.query_seconds_cold:>9.3f}s "
             f"{1e6 * e.query_seconds_single:>8.1f}us "
-            f"{1e6 * e.query_seconds_batched:>8.1f}us"
+            f"{1e6 * e.query_seconds_batched:>8.1f}us "
+            f"{'-' if e.exact_gap is None else f'{e.exact_gap:+.2%}':>10}"
         )
     if sharded:
         lines += [
@@ -492,12 +503,12 @@ def test_consolidation_scale(benchmark, emit):
     emit("consolidation_scale", _table(entries, sharded))
 
     for entry in sharded:
-        # Against the exact monolithic scan the sharded answer is the
-        # same prefix family, so any gap means a real divergence.
+        # The sweep and the exact per-k scan solve one problem, so any
+        # gap beyond rounding means a real divergence.
         if entry.exact_gap is not None:
-            assert abs(entry.exact_gap) <= 0.05, (
+            assert abs(entry.exact_gap) <= EXACT_GAP_TOL, (
                 f"n={entry.n}/pods={entry.pods}: sharded power drifts "
-                f"{entry.exact_gap:+.2%} from the monolithic scan"
+                f"{entry.exact_gap:+.2e} from the exact scan"
             )
         # Annealing roams all same-size subsets, so it may legitimately
         # beat the prefix scans where capacities bind (negative gap) —
@@ -513,6 +524,12 @@ def test_consolidation_scale(benchmark, emit):
     for entry in entries:
         # Where the baseline ran, it agreed with the index byte for byte.
         assert entry.identical_answers in (True, None)
+        assert entry.exact_gap is None or abs(
+            entry.exact_gap
+        ) <= EXACT_GAP_TOL, (
+            f"n={entry.n}: index power drifts {entry.exact_gap:+.2e} "
+            "from the exact scan"
+        )
         # Batching must never lose to the one-at-a-time loop by much
         # (it shares the same scan; the win is amortized dispatch).
         assert entry.query_seconds_batched <= 2.0 * max(

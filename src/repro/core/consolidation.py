@@ -47,18 +47,17 @@ Implementation notes (documented deviations, none affecting complexity):
   ``t*(k)`` generally falls between events, the strict Algorithm-2 lookup
   can return a near-optimal set on adversarial inputs.
   :meth:`ConsolidationIndex.query` is the faithful version;
-  :meth:`ConsolidationIndex.query_refined` re-scores a small window of
-  neighbouring statuses with the exact Eq. 23 cost and is what
-  :class:`~repro.core.optimizer.JointOptimizer` uses by default.  The
-  re-scoring scan is bounded (at most ``8 * window`` rows) so duplicate
-  prefixes cannot degrade a query into a table walk.  It runs as one
-  numpy pass per load over row arrays built once, on the first refined
-  scan: prefix sums of ``a``, ``b`` and capacity for every (row, ``k``)
-  and an exact subset id that deduplicates candidates (Zobrist keys,
-  confirmed on packed bitsets).  Repeated loads hit a bounded result
-  memo (see :meth:`query_many`).  Tests quantify the gap against the
-  brute-force reference and pin the scan to the per-position loop
-  oracle in ``tests/oracles/``.
+  :meth:`ConsolidationIndex.query_refined` is what
+  :class:`~repro.core.optimizer.JointOptimizer` uses by default.  It
+  answers the way Sec. III-B poses the problem: one ``select(A, k, L)``
+  per cardinality ``k`` (Dinkelbach iteration on the tabulated order
+  rows, see :class:`RatioSweep`), then the cheapest of the ``k``
+  champions under Eq. 23 with the ratio clamped into the supply band.
+  The same sweep answers :class:`~repro.core.sharding.PodShardedIndex`
+  queries, whose order rows come from its pods; a monolithic index is
+  the one-pod case and reads its own Algorithm-1 rows.  Repeated loads
+  hit a bounded result memo (see :meth:`RatioSweep.query_many`), and
+  tests compare the answers with the brute-force reference.
 
 Indexes are reusable across runs: :meth:`ConsolidationIndex.save` /
 :meth:`ConsolidationIndex.load` round-trip the tables through a keyed
@@ -70,11 +69,10 @@ cached index when given ``index_cache_dir``.
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections.abc import Mapping as _MappingABC
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -85,24 +83,21 @@ from repro.core.select import Pair, _validate_pairs
 #: Relative nudge used to evaluate particle order strictly after an event.
 _EPSILON_SCALE = 1e-9
 
-#: ``query_refined`` scans at most this many rows per distinct subset it
-#: is allowed to re-score, so duplicate prefixes cannot turn the
-#: "logarithmic plus a small constant" query into an O(n^3) table walk.
-_SCAN_CAP_FACTOR = 8
-
 #: Bounded memo of refined query results (the index is immutable, so a
-#: repeated ``(load, window)`` always has the same answer).
+#: repeated load always has the same answer).
 _MEMO_CAPACITY = 4096
 
-#: Seed of the per-machine Zobrist keys that hash order prefixes.
-_ZOBRIST_SEED = 2012
+#: Bounded cache of per-ratio merge evaluations.
+_EVAL_CAPACITY = 32
 
-#: Prefix bitsets are confirmed in row blocks of about this many
-#: 64-bit words, so the exact check never holds all of them at once.
-_BITSET_BLOCK_WORDS = 1 << 19
+#: Bounded cache of per-(source, row) order-aligned coefficient arrays.
+_ROW_CAPACITY = 4096
 
-#: Absolute tolerance of the refined scan's "strictly cheaper" test.
+#: Absolute tolerance of the sweep's "strictly cheaper" and band tests.
 _COST_TOL = 1e-12
+
+#: Absolute tolerance of the sweep's capacity test, in load units.
+_CAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -217,106 +212,6 @@ def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, ordered
 
 
-def _zobrist_keys(n: int) -> np.ndarray:
-    """One seeded random 64-bit key per machine; a subset hashes to the
-    XOR of its members' keys."""
-    rng = np.random.default_rng(_ZOBRIST_SEED)
-    return rng.integers(
-        0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True
-    )
-
-
-def _subset_ids(orders: np.ndarray) -> np.ndarray:
-    """Exact subset id of every order prefix, flattened row-major.
-
-    ``ids[r * n + k - 1] == ids[s * n + j - 1]`` exactly when the first
-    ``k`` entries of row ``r`` and the first ``j`` of row ``s`` are the
-    same set.  Rows reach the same prefix set again and again (ties and
-    rounding reorder near-coincident particles back and forth), so the
-    ids are global, not per row.
-
-    Zobrist keys group the prefixes in one sort; every member of a group
-    is then compared with the group's first member on packed prefix
-    bitsets, built a block of rows at a time, and a member whose set
-    differs (a key collision) moves to a fresh id shared only with
-    members of the very same set.
-    """
-    m, n = orders.shape
-    size = m * n
-    # Pack (truncated key, flat position) into one uint64 so a plain
-    # sort groups equal keys, each group led by its first position.  A
-    # collision of the truncated keys is split below like any other.
-    shift = np.uint64(max(1, (size - 1).bit_length()))
-    keys = _zobrist_keys(n)[orders]
-    np.bitwise_xor.accumulate(keys, axis=1, out=keys)
-    packed = keys.reshape(-1)
-    del keys
-    packed >>= shift
-    packed <<= shift
-    packed |= np.arange(size, dtype=np.uint64)
-    packed.sort()
-    lead = np.empty(size, dtype=bool)
-    lead[0] = True
-    np.not_equal(packed[1:] >> shift, packed[:-1] >> shift, out=lead[1:])
-    packed &= (np.uint64(1) << shift) - np.uint64(1)
-    flat = packed.astype(np.int64)
-    del packed
-    ids = np.empty(size, dtype=np.int32)
-    ids[flat] = np.cumsum(lead, dtype=np.int32) - 1
-    first = flat[lead]  # each group's first flat position
-    del flat, lead
-    # Words per bitset: a multiple of 8, so a prefix's per-word
-    # inequality flags (one byte each) read as whole uint64s.
-    words = 8 * -(-n // 512)
-    rep_bits = np.zeros((first.shape[0], words), dtype=np.uint64)
-    fresh: dict[bytes, int] = {}
-    step = n * max(1, _BITSET_BLOCK_WORDS // (n * words))
-    members = orders.reshape(-1)
-    for lo in range(0, size, step):
-        block = members[lo:lo + step]  # whole rows, flattened
-        bits = np.zeros((block.shape[0], words), dtype=np.uint64)
-        bits[np.arange(block.shape[0]), block >> 6] = (
-            np.uint64(1) << (block & 63).astype(np.uint64)
-        )
-        rows = bits.reshape(-1, n, words)
-        np.bitwise_or.accumulate(rows, axis=1, out=rows)
-        group = ids[lo:lo + block.shape[0]]
-        leads = np.flatnonzero(
-            first[group] == np.arange(lo, lo + group.shape[0])
-        )
-        rep_bits[group[leads]] = bits[leads]
-        differs = bits != np.take(rep_bits, group, axis=0)
-        for j in np.flatnonzero(differs.view(np.uint64).any(axis=1)):
-            ids[lo + j] = fresh.setdefault(
-                bits[j].tobytes(), first.shape[0] + len(fresh)
-            )
-    return ids
-
-
-def _first_cheapest(
-    power: np.ndarray, eligible: np.ndarray
-) -> Optional[int]:
-    """Position the refined scan keeps among the ``eligible`` entries of
-    ``power`` (``None`` if there are none).
-
-    Scanning in order, a candidate replaces the incumbent only when it
-    is cheaper by more than ``_COST_TOL``, so each replacement is a
-    strict new running minimum: only those positions are visited.  NaN
-    costs never win.
-    """
-    power = np.where(eligible & ~np.isnan(power), power, np.inf)
-    if power.shape[0] == 0:
-        return None
-    before = np.empty_like(power)
-    before[0] = np.inf
-    np.minimum.accumulate(power[:-1], out=before[1:])
-    best, best_power = None, np.inf
-    for i in np.flatnonzero(power < before).tolist():
-        if power[i] < best_power - _COST_TOL:
-            best, best_power = i, power[i]
-    return best
-
-
 def consolidation_cache_key(
     pairs: Sequence[Pair],
     w2: float,
@@ -354,7 +249,356 @@ def consolidation_cache_key(
     return digest.hexdigest()
 
 
-class ConsolidationIndex:
+def _load_vector(loads: Iterable[float]) -> np.ndarray:
+    """``loads`` as a float vector: the one input check of every query.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``loads`` is not a one-dimensional numeric sequence, or holds
+        a NaN.
+    """
+    try:
+        values = np.asarray(
+            loads if isinstance(loads, np.ndarray) else list(loads),
+            dtype=np.float64,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"loads must be numeric: {exc}") from exc
+    if values.ndim != 1:
+        raise ConfigurationError("loads must be one-dimensional")
+    if np.isnan(values).any():
+        raise ConfigurationError("total load must be a number, got nan")
+    return values
+
+
+class RatioSweep:
+    """The paper's per-cardinality query (Sec. III-B) over tabulated orders.
+
+    For a fixed ratio ``t`` the best size-``k`` set is the ``k``
+    right-most particles (Eq. 26), and a tabulated order row valid at
+    ``t`` lists them first.  A query
+
+    1. finds each size's optimal shared ratio ``t*(k)`` by the Dinkelbach
+       iteration of :func:`repro.core.select.select_subset` (the paper's
+       ``select(A, k, L)``),
+    2. prices that champion with Eq. 23, its ratio clamped into the
+       supply band, scanning ``k`` upward with an exact pruning bound
+       (a size-``k`` candidate costs at least ``k*w2 - rho*t_max +
+       theta0``, which grows with ``k``), and
+    3. returns the cheapest champion: the top ``k`` of the order rows
+       merged at ``t*(k)``.
+
+    Sizes whose champion falls below the band (``t* < t_min``) serve
+    only as a band-clamped fallback, with the cooler pinned at the band
+    edge; capacity-infeasible champions are skipped.  Without a band the
+    sweep runs over ``t >= 0``.
+
+    Subclasses differ only in :meth:`_sources`: the tabulated indexes
+    whose order rows are merged at a ratio.  They set ``pairs``, ``w2``,
+    ``rho``, ``theta0``, ``t_min``, ``t_max``, ``_a`` and ``_b``, call
+    :meth:`_init_sweep`, and name their spans and counters with
+    ``_OBS`` and ``_QUERY_COUNTER``.
+    """
+
+    #: Prefix of the query spans and counters.
+    _OBS = "consolidation"
+    #: Counter of the distinct loads the sweep answers.
+    _QUERY_COUNTER = "consolidation.refined_queries"
+
+    def _init_sweep(self, capacities: Optional[Sequence[float]]) -> None:
+        self._caps = (
+            None if capacities is None
+            else np.asarray(capacities, dtype=np.float64)
+        )
+        # Prefix sums of the descending-sorted capacities: no k-subset
+        # holds more than the k largest capacities, so this lower-bounds
+        # the feasible cardinality for any load and lets the sweep skip
+        # thousands of hopeless sizes at high utilization.
+        self._cap_desc_cum = (
+            None if self._caps is None
+            else np.cumsum(np.sort(self._caps)[::-1])
+        )
+        # Bounded caches (never persisted).
+        self._row_cache: dict[tuple[int, int], tuple] = {}
+        self._eval_cache: dict[float, tuple] = {}
+        self._memo: dict[float, tuple[int, ...]] = {}
+
+    def _sources(self) -> Sequence[tuple["ConsolidationIndex", int]]:
+        """``(index, first machine id)`` of every table whose order rows
+        the merge reads, in machine-id order."""
+        raise NotImplementedError
+
+    def _pod_row(
+        self, p: int, index: "ConsolidationIndex", start: int, t: float
+    ) -> tuple:
+        """Order-aligned ``(ids, a, b, cap)`` of source ``p`` at ratio ``t``.
+
+        The source's own Algorithm-2 binary search over its event times
+        finds the order row valid at ``t``; the coefficients are then
+        aligned to that order once and cached, so repeated ratios (the
+        band edges, bisection ladders) reuse them.
+        """
+        row = int(np.searchsorted(index._times, t, side="right")) - 1
+        row = max(row, 0)
+        key = (p, row)
+        cached = self._row_cache.get(key)
+        if cached is None:
+            order = index._orders_mat[row]
+            cached = (
+                order.astype(np.int64) + start,
+                index._a[order],
+                index._b[order],
+                None if self._caps is None
+                else self._caps[order + start],
+            )
+            if len(self._row_cache) >= _ROW_CAPACITY:
+                self._row_cache.pop(next(iter(self._row_cache)))
+            self._row_cache[key] = cached
+        return cached
+
+    def _evaluate(self, t: float):
+        """Water-filling merge of every source's order at ratio ``t``.
+
+        Concatenates the sources' presorted (descending-coordinate)
+        segments and stably sorts the merged marginals — the greedy
+        fill over concave per-source ``maxL`` curves.  Returns the
+        merged ``(ids, cum_x, cum_cap)``: entry ``k - 1`` of each
+        cumulative array describes the globally best size-``k`` subset
+        at ``t``.
+        """
+        t = float(t)
+        hit = self._eval_cache.get(t)
+        if hit is not None:
+            return hit
+        parts = [
+            self._pod_row(p, index, start, t)
+            for p, (index, start) in enumerate(self._sources())
+        ]
+        ids = np.concatenate([part[0] for part in parts])
+        a = np.concatenate([part[1] for part in parts])
+        b = np.concatenate([part[2] for part in parts])
+        x = a - t * b
+        # Stable sort on the negated marginals: ties go to the lower
+        # concatenated position, i.e. the lower source then the
+        # source's own (lower-id-first) tie rule — the monolithic
+        # order's tie rule.
+        merged = np.argsort(-x, kind="stable")
+        cum_x = np.cumsum(x[merged])
+        if self._caps is None:
+            cum_cap = None
+        else:
+            cap = np.concatenate([part[3] for part in parts])
+            cum_cap = np.cumsum(cap[merged])
+        result = (ids[merged], cum_x, cum_cap)
+        if len(self._eval_cache) >= _EVAL_CAPACITY:
+            self._eval_cache.pop(next(iter(self._eval_cache)))
+        self._eval_cache[t] = result
+        return result
+
+    def _topk_sums(
+        self, t: float, k: int
+    ) -> tuple[float, float, Optional[float]]:
+        """Aggregates ``(sum a, sum b, sum cap)`` of the global top-``k``
+        at ratio ``t``.
+
+        The ratio iteration needs only these sums, never the member
+        order, so they come from an O(n) selection
+        (``numpy.argpartition``) on the raw coordinate array — the full
+        merge is reserved for the cached band-edge rows and the final
+        materialization.  Any tie set at the cut yields the same
+        ``maxL`` value, so the fixpoint below is unaffected by
+        partition tie-breaking.
+        """
+        a, b, caps = self._a, self._b, self._caps
+        neg = t * b - a  # -x(t), bit for bit
+        if k < neg.shape[0]:
+            idx = neg.argpartition(k - 1)[:k]
+            a, b = a[idx], b[idx]
+            caps = None if caps is None else caps[idx]
+        add = np.add.reduce
+        sum_cap = None if caps is None else float(add(caps))
+        return float(add(a)), float(add(b)), sum_cap
+
+    def _ratio_fixpoint(
+        self, k: int, load: float, t0: float
+    ) -> tuple[float, Optional[float]]:
+        """Dinkelbach iteration for the optimal shared ratio at size ``k``.
+
+        ``g_k(t) = maxL(k, t) - load`` is convex and strictly
+        decreasing (a pointwise max of decreasing linear functions), so
+        the iteration ``t <- (sum a - load) / sum b`` over the current
+        top-``k`` converges to its unique root ``t*(k)`` from any start
+        (the :func:`~repro.core.select.select_subset` argument).
+        Returns ``(t_star, capacity_of_the_top_k_at_t_star)``.
+        """
+        t = t0
+        sum_cap = None
+        for _ in range(80):
+            sum_a, sum_b, sum_cap = self._topk_sums(t, k)
+            t_new = (sum_a - load) / sum_b
+            if abs(t_new - t) <= 1e-12 * max(1.0, abs(t)):
+                return t_new, sum_cap
+            t = t_new
+        return t, sum_cap
+
+    def _materialize(self, t: float, k: int) -> list[int]:
+        """The global ON set at ``(t, k)``: the merge's top ``k``."""
+        return sorted(int(i) for i in self._evaluate(t)[0][:k])
+
+    def _query(self, load: float) -> list[int]:
+        obs.count(self._QUERY_COUNTER)
+        memo = self._memo.get(load)
+        if memo is not None:
+            obs.count(f"{self._OBS}.query_memo_hits")
+            return list(memo)
+        chosen = self._query_scan(load)
+        if len(self._memo) >= _MEMO_CAPACITY:
+            self._memo.pop(next(iter(self._memo)))
+        self._memo[load] = tuple(chosen)
+        return chosen
+
+    def _query_scan(self, load: float) -> list[int]:
+        n = len(self.pairs)
+        # Feasibility mirror of the table search: every particle
+        # coordinate decreases with t, so the largest tabulated Lmax
+        # anywhere is the best prefix sum at t = 0.
+        cum_x0 = self._evaluate(0.0)[1]
+        if load >= float(np.max(cum_x0)):
+            raise InfeasibleError(
+                f"no status can serve load {load}; cluster too small"
+            )
+        # No subset of size k holds more capacity than the k largest
+        # capacities: start every sweep at that lower bound.
+        k_cap = 1
+        if self._cap_desc_cum is not None:
+            k_cap = int(
+                np.searchsorted(self._cap_desc_cum, load - _CAP_TOL)
+            ) + 1
+            if k_cap > n:
+                raise InfeasibleError(
+                    f"no candidate subset has the capacity for load {load}"
+                )
+        t_lo = 0.0 if self.t_min is None else self.t_min
+        # Without a band top, bound every size's ratio by the best
+        # particle's: the top-k carry the load only if their leader
+        # carries at least load / k (at least load when it is negative).
+        t_hi = self.t_max
+        if t_hi is None:
+            t_hi = float(np.max((self._a - min(load, 0.0)) / self._b))
+        # In-band candidates: sizes whose prefix at the band floor can
+        # carry the load (concave prefix sums => a contiguous range).
+        cum_x_floor = self._evaluate(t_lo)[1]
+        viable = np.flatnonzero(cum_x_floor >= load - _CAP_TOL)
+        best_k = best_t = None
+        best_power = float("inf")
+        if viable.size:
+            k_lo, k_hi = int(viable[0]) + 1, int(viable[-1]) + 1
+            k_lo = max(k_lo, k_cap)
+            t_warm = t_lo
+            for k in range(k_lo, k_hi + 1):
+                floor_power = k * self.w2 - self.rho * t_hi + self.theta0
+                if floor_power > best_power - _COST_TOL:
+                    break  # exact prune: the bound only grows with k
+                t_star, sum_cap = self._ratio_fixpoint(k, load, t_warm)
+                t_warm = max(t_lo, t_star)
+                if sum_cap is not None and sum_cap + _CAP_TOL < load:
+                    continue
+                if t_star < t_lo - _COST_TOL:
+                    continue  # numeric edge: fell out of band
+                t_eff = min(t_star, t_hi)
+                power = k * self.w2 - self.rho * t_eff + self.theta0
+                if power < best_power - _COST_TOL:
+                    best_power = power
+                    best_k, best_t = k, t_star
+        if best_k is not None:
+            return self._materialize(best_t, best_k)
+        # Band-clamped fallback: below-band candidates are servable
+        # with the cooler pinned at the band edge; their cost grows with
+        # k, so the smallest capacity-feasible size wins.  A size whose
+        # best prefix at t = 0 cannot carry the load is no candidate at
+        # any t >= 0 (the table's ``Lmax > load``).
+        for k in range(k_cap, n + 1):
+            if cum_x0[k - 1] <= load:
+                continue
+            t_star, sum_cap = self._ratio_fixpoint(k, load, t_lo)
+            if sum_cap is not None and sum_cap + _CAP_TOL < load:
+                continue
+            obs.count(f"{self._OBS}.query_band_clamped")
+            return self._materialize(t_star, k)
+        raise InfeasibleError(
+            f"no candidate subset has the capacity for load {load}"
+        )
+
+    def query_refined(self, load: float) -> list[int]:
+        """The cheapest ON set for ``load`` under Eq. 23 (the sweep in
+        the class docstring).
+
+        Raises
+        ------
+        ConfigurationError
+            If ``load`` is not a number.
+        InfeasibleError
+            If no on-set of any size can serve ``load``, or every
+            candidate lacks the physical capacity for it.
+        """
+        (load,) = _load_vector([load]).tolist()
+        with obs.timed(f"{self._OBS}/query"):
+            chosen = self._query(load)
+            obs.set_span_attributes(load=load, machines_on=len(chosen))
+        return chosen
+
+    def query_many(
+        self,
+        loads: Iterable[float],
+        skip_infeasible: bool = False,
+    ) -> list[Optional[list[int]]]:
+        """Batched :meth:`query_refined`: one ON set per entry of ``loads``.
+
+        Duplicate loads are answered once, and every answer goes
+        through the result memo, so a trace replay or a bisection
+        ladder pays far less than issuing the same queries one by one.
+
+        Parameters
+        ----------
+        loads:
+            Requested total loads (any iterable of floats).
+        skip_infeasible:
+            When true, infeasible loads yield ``None`` instead of
+            aborting the whole batch.
+
+        Raises
+        ------
+        ConfigurationError
+            If ``loads`` is not a one-dimensional numeric sequence or
+            holds a NaN (whatever ``skip_infeasible`` says).
+        InfeasibleError
+            On the first infeasible load, unless ``skip_infeasible``.
+        """
+        values = _load_vector(loads)
+        if values.shape[0] == 0:
+            return []
+        with obs.timed(f"{self._OBS}/query_many"):
+            obs.count(f"{self._OBS}.query_many_queries", values.shape[0])
+            uniq, inverse = np.unique(values, return_inverse=True)
+            answers: list[Optional[tuple[int, ...]]] = []
+            for load in uniq.tolist():
+                try:
+                    answers.append(tuple(self._query(load)))
+                except InfeasibleError:
+                    if not skip_infeasible:
+                        raise
+                    answers.append(None)
+            obs.set_span_attributes(
+                queries=int(values.shape[0]), distinct=int(uniq.shape[0])
+            )
+        return [
+            None if answers[j] is None else list(answers[j])
+            for j in inverse
+        ]
+
+
+class ConsolidationIndex(RatioSweep):
     """Pre-processed consolidation structure (paper Algorithm 1).
 
     Parameters
@@ -372,10 +616,16 @@ class ConsolidationIndex:
         affects the argmin.
     t_min, t_max:
         Optional particle-time bounds mirroring the cooler's achievable
-        supply band (``t = T_ac / w1``); used by the refined query.
+        supply band (``t = T_ac / w1``); used by the refined query.  An
+        inverted band (``t_min > t_max``) prices every candidate, the
+        band-clamped fallback included, at ``t_max``.
     capacities:
         Optional per-machine capacities in load units; the refined query
         skips subsets that cannot physically carry the requested load.
+
+    :meth:`query` is the paper's Algorithm 2 verbatim;
+    :meth:`~RatioSweep.query_refined` and :meth:`~RatioSweep.query_many`
+    answer through the per-cardinality sweep of :class:`RatioSweep`.
     """
 
     def __init__(
@@ -425,12 +675,10 @@ class ConsolidationIndex:
         arr = np.asarray(self.pairs, dtype=np.float64)
         self._a = np.ascontiguousarray(arr[:, 0])
         self._b = np.ascontiguousarray(arr[:, 1])
+        self._init_sweep(self.capacities)
         # Lazy caches (filled on demand; never persisted).
         self._events_cache: Optional[list[Event]] = None
         self._row_by_time: Optional[dict[float, int]] = None
-        self._scan_rows: Optional[tuple] = None
-        self._scan_lock = threading.Lock()
-        self._memo: dict[tuple[float, int], tuple[int, ...]] = {}
         self._status_view = _StatusView(self)
         self._orders_view = _OrdersView(self)
 
@@ -673,267 +921,10 @@ class ConsolidationIndex:
             obs.set_span_attributes(load=load, machines_on=len(chosen))
         return chosen
 
-    def query_refined(
-        self, load: float, window: Optional[int] = None
-    ) -> list[int]:
-        """Algorithm 2 with exact re-scoring of a candidate window.
-
-        Starting from the faithful binary-search position, re-score up to
-        ``window`` distinct candidate subsets (default ``4 * n``) that can
-        serve ``load`` using the exact Eq. 23 cost evaluated at each
-        subset's own achievable ratio ``t(S) = (sum a - L) / sum b``, and
-        return the cheapest feasible one.  This closes the event-grid
-        quantization gap while keeping the query logarithmic plus a small
-        constant amount of work: the scan visits at most ``8 * window``
-        table rows even when duplicate prefixes dominate (truncations are
-        counted on ``consolidation.query_refined_truncated``).
-
-        When every scanned candidate's ratio falls below the supply band
-        (``t < t_min``), the query does not fail: it returns the best
-        candidate scored at the band-clamped ratio, mirroring
-        :func:`~repro.core.closed_form.solve_closed_form`'s clamping, so
-        feasibility always agrees with the faithful :meth:`query`.
-
-        Raises
-        ------
-        InfeasibleError
-            If no tabulated status can serve ``load``, or every windowed
-            candidate lacks the physical capacity for it.
-        """
-        with obs.timed("consolidation/query"):
-            load = float(load)
-            window = self._window(window)
-            pos = int(
-                np.searchsorted(self._tab_lmax, load, side="right")
-            )
-            if pos >= self.status_count:
-                raise InfeasibleError(
-                    f"no status can serve load {load}; cluster too small"
-                )
-            obs.count("consolidation.refined_queries")
-            chosen = self._refined_cached(load, pos, window)
-            obs.set_span_attributes(load=load, machines_on=len(chosen))
-        return chosen
-
-    def _window(self, window: Optional[int]) -> int:
-        """The refined re-scoring window: default ``4 * n``, at least 1."""
-        if window is None:
-            return 4 * len(self.pairs)
-        if window < 1:
-            raise ConfigurationError(
-                f"window must be at least 1, got {window}"
-            )
-        return window
-
-    def _refined_cached(
-        self, load: float, pos: int, window: int
-    ) -> list[int]:
-        key = (load, window)
-        hit = self._memo.get(key)
-        if hit is not None:
-            obs.count("consolidation.query_memo_hits")
-            return list(hit)
-        chosen = self._refined_scan(load, pos, window)
-        if len(self._memo) >= _MEMO_CAPACITY:
-            self._memo.pop(next(iter(self._memo)))
-        self._memo[key] = tuple(chosen)
-        return chosen
-
-    def _scan_arrays(self) -> tuple:
-        """Row-aligned arrays of the refined scan, built on first use.
-
-        Returns ``(ids, a_pref, b_pref, cap_pref)``, flattened row-major:
-        entry ``row * n + k - 1`` covers the first ``k`` particles of the
-        row's order — its exact subset id (see :func:`_subset_ids`) and
-        the prefix sums of ``a``, ``b`` and capacity (``cap_pref`` is
-        ``None`` without capacities).  One O(m n) build, at most 28 bytes
-        per status, paid by the first refined scan: construction,
-        :meth:`load` and a server's warm-up never build them, and
-        :meth:`save` never writes them.
-        """
-        if self._scan_rows is None:
-            with self._scan_lock:  # concurrent first scans build once
-                if self._scan_rows is None:
-                    self._scan_rows = self._build_scan_arrays()
-        return self._scan_rows
-
-    def _build_scan_arrays(self) -> tuple:
-        orders = self._orders_mat
-
-        def prefix(x: np.ndarray) -> np.ndarray:
-            # Left-to-right accumulation: bit-identical to a per-row
-            # np.cumsum over the row's order.
-            out = x[orders]
-            np.cumsum(out, axis=1, out=out)
-            return out.reshape(-1)
-
-        caps = (
-            None
-            if self.capacities is None
-            else prefix(np.asarray(self.capacities, dtype=np.float64))
-        )
-        return (_subset_ids(orders), prefix(self._a), prefix(self._b), caps)
-
-    def _refined_scan(
-        self, load: float, pos: int, window: int
-    ) -> list[int]:
-        """The bounded re-scoring scan behind :meth:`query_refined`.
-
-        Walks the table from ``pos`` and re-scores each subset the first
-        time it appears, stopping after ``window`` distinct subsets or
-        ``8 * window`` rows — one numpy pass over that slice.
-        """
-        ids, a_pref, b_pref, cap_pref = self._scan_arrays()
-        n = len(self.pairs)
-        total = self.status_count
-        scan_cap = _SCAN_CAP_FACTOR * window
-        stop = min(pos + scan_cap, total)
-        flat = self._tab_row[pos:stop].astype(np.int64) * n
-        flat += self._tab_k[pos:stop] - 1
-        # Offsets into the slice of each subset's first appearance, in
-        # scan order, cut at the window-th distinct one.
-        _, first = np.unique(ids[flat], return_index=True)
-        first.sort()
-        first = first[:window]
-        rescored = int(first.shape[0])
-        scanned = int(first[-1]) + 1 if rescored == window else stop - pos
-        cand = flat[first]
-        k = cand % n + 1
-        if cap_pref is not None:
-            keep = ~(cap_pref[cand] + 1e-9 < load)
-            cand, k = cand[keep], k[keep]
-        t = (a_pref[cand] - load) / b_pref[cand]
-        if self.t_min is None:
-            below = np.zeros(t.shape, dtype=bool)
-        else:
-            # Below the supply band: not optimal at its own ratio, but
-            # servable with the cooler pinned at the band edge — such
-            # candidates compete only for the clamped fallback.
-            below = t < self.t_min - _COST_TOL
-        if self.t_max is not None:
-            # Exactly min(t, t_max); np.minimum would differ on a NaN.
-            t = np.where(self.t_max < t, self.t_max, t)
-        power = k * self.w2 - self.rho * t + self.theta0
-        best = _first_cheapest(power, ~below)
-        obs.count("consolidation.query_refined_rescored", rescored)
-        obs.count("consolidation.query_refined_scanned", scanned)
-        if scanned >= scan_cap and stop < total and rescored < window:
-            obs.count("consolidation.query_refined_truncated")
-        if best is None and self.t_min is not None:
-            t_c = (
-                self.t_min
-                if self.t_max is None
-                else min(self.t_min, self.t_max)
-            )
-            best = _first_cheapest(
-                k * self.w2 - self.rho * t_c + self.theta0, below
-            )
-            if best is not None:
-                obs.count("consolidation.query_band_clamped")
-        if best is None:
-            raise InfeasibleError(
-                f"no candidate subset has the capacity for load {load}"
-            )
-        return self._prefix_set(int(cand[best]) // n, int(k[best]))
-
-    def query_many(
-        self,
-        loads: Iterable[float],
-        refined: bool = True,
-        window: Optional[int] = None,
-        skip_infeasible: bool = False,
-    ) -> list[Optional[list[int]]]:
-        """Batched Algorithm-2 queries: one ON set per entry of ``loads``.
-
-        The binary-search positions are computed in a single vectorized
-        ``searchsorted``, duplicate loads are answered once, and refined
-        scans share the result memo — so a trace replay or a bisection
-        ladder pays far less than issuing the same queries one by one.
-        Each refined scan is one numpy pass over its table slice (subset
-        ids for dedup, then the capacity filter, band test and Eq. 23
-        cost for every candidate at once) on row arrays the index builds
-        once, on its first refined scan; that first call pays the
-        one-time O(m n) build.
-
-        Parameters
-        ----------
-        loads:
-            Requested total loads (any iterable of floats).
-        refined:
-            Re-score with the exact Eq. 23 cost (default, what
-            ``JointOptimizer`` uses) or answer with the faithful
-            :meth:`query` semantics.
-        window:
-            Refined re-scoring window (default ``4 * n``).
-        skip_infeasible:
-            When true, infeasible loads yield ``None`` instead of
-            aborting the whole batch.
-
-        Raises
-        ------
-        ConfigurationError
-            If ``loads`` is not a one-dimensional numeric sequence, or
-            ``window`` is below 1.
-        InfeasibleError
-            On the first infeasible load, unless ``skip_infeasible``.
-        """
-        try:
-            values = np.asarray(
-                loads if isinstance(loads, np.ndarray) else list(loads),
-                dtype=np.float64,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"loads must be numeric: {exc}"
-            ) from exc
-        if values.ndim != 1:
-            raise ConfigurationError("loads must be one-dimensional")
-        window = self._window(window)
-        if values.shape[0] == 0:
-            return []
-        with obs.timed("consolidation/query_many"):
-            obs.count(
-                "consolidation.query_many_queries", values.shape[0]
-            )
-            uniq, inverse = np.unique(values, return_inverse=True)
-            positions = np.searchsorted(
-                self._tab_lmax, uniq, side="right"
-            )
-            total = self.status_count
-            answers: list[Optional[tuple[int, ...]]] = []
-            for load, pos in zip(uniq.tolist(), positions.tolist()):
-                try:
-                    if pos >= total:
-                        raise InfeasibleError(
-                            f"no status can serve load {load}; "
-                            "cluster too small"
-                        )
-                    if refined:
-                        obs.count("consolidation.refined_queries")
-                        answers.append(
-                            tuple(self._refined_cached(load, pos, window))
-                        )
-                    else:
-                        obs.count("consolidation.queries")
-                        answers.append(
-                            tuple(
-                                self._prefix_set(
-                                    int(self._tab_row[pos]),
-                                    int(self._tab_k[pos]),
-                                )
-                            )
-                        )
-                except InfeasibleError:
-                    if not skip_infeasible:
-                        raise
-                    answers.append(None)
-            obs.set_span_attributes(
-                queries=int(values.shape[0]), distinct=int(uniq.shape[0])
-            )
-        return [
-            None if answers[j] is None else list(answers[j])
-            for j in inverse
-        ]
+    def _sources(self) -> Sequence[tuple["ConsolidationIndex", int]]:
+        """The sweep reads this index's own order rows (the one-pod
+        case of the pod-sharded merge)."""
+        return ((self, 0),)
 
     # ------------------------------------------------------------------ #
     # Persistence

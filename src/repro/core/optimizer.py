@@ -103,7 +103,8 @@ class JointOptimizer:
         Fitted coefficients of the machine room (from profiling).
     selection:
         How to pick the ON set when consolidating: ``"index"`` uses the
-        paper's Algorithms 1-2 (with the exact re-scoring window),
+        paper's Algorithms 1-2 (answering through the per-cardinality
+        sweep of :class:`~repro.core.consolidation.RatioSweep`),
         ``"sharded"`` the pod-partitioned
         :class:`~repro.core.sharding.PodShardedIndex` (thousands of
         machines; the monolithic pre-processing walls out near n = 500),

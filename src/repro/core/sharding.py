@@ -15,22 +15,19 @@ Queries stay (essentially) exact because the paper's particle view
 (Eq. 26) composes across any partition: at a fixed ratio ``t`` the best
 global size-``k`` set is the ``k`` right-most particles, and the ``k``
 right-most particles of a partitioned room are, pod by pod, prefixes of
-each pod's own tabulated order at ``t``.  A global query therefore
+each pod's own tabulated order at ``t``.  A global query is the
+per-cardinality sweep of :class:`~repro.core.consolidation.RatioSweep`,
+the one a monolithic index also answers through; only the order rows
+differ.  Merging them at a ratio
 
 1. looks up each pod's order row for ``t`` in O(log m_p) (the pod's own
-   Algorithm-2 search over event times),
+   Algorithm-2 search over event times), then
 2. *water-fills* the global budget across the pods — a greedy merge of
    the pods' presorted coordinate lists, exact because each pod's
    ``maxL(k_p, t)`` curve is concave in ``k_p`` (prefix sums of a
    descending sort), so marginal returns decrease and the greedy split
    is the water-filling optimum (cf. Rostami et al., "Linearized Data
-   Center Workload and Cooling Management"),
-3. runs the Dinkelbach ratio iteration of
-   :func:`repro.core.select.select_subset` on the merged prefix sums to
-   find each cardinality's optimal shared ratio ``t*(k)``, scanning
-   ``k`` with an exact pruning bound (any candidate of size ``k`` costs
-   at least ``k*w2 - rho*t_max + theta0``, which is increasing in
-   ``k``).
+   Center Workload and Cooling Management").
 
 Because the cooling term ``-rho * t`` of Eq. 23 is *global* (one cooler
 serves every pod), per-pod costs must never be summed independently —
@@ -41,11 +38,11 @@ that ratio.
 
 The module also provides a seeded simulated-annealing baseline over
 on-sets (:func:`anneal_on_set`, per the metaheuristic line of Arroba et
-al.) used by the scale benchmark to report the optimality gap at sizes
-where the monolithic index is the ground truth (n <= 500) and beyond it
-(n = 2000, 5000).
+al.) used by the scale benchmark to report the optimality gap at every
+size, including those beyond the exact reference's reach (n = 2000,
+5000).
 
-``PodShardedIndex`` mirrors the monolithic index's query surface
+``PodShardedIndex`` shares the monolithic index's query surface
 (``query_refined`` / ``query_many`` / ``status_count`` / ``cache_key``),
 so :class:`~repro.core.optimizer.JointOptimizer` exposes it as
 ``selection="sharded"`` and the serving daemon, controller, and fault
@@ -59,7 +56,7 @@ import math
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,6 +64,7 @@ from repro import obs
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.core.consolidation import (
     ConsolidationIndex,
+    RatioSweep,
     consolidation_cache_key,
 )
 from repro.core.select import Pair, _validate_pairs
@@ -75,15 +73,6 @@ from repro.core.select import Pair, _validate_pairs
 #: small enough that a pod build is milliseconds, large enough that the
 #: cross-pod merge stays short.
 DEFAULT_POD_MACHINES = 48
-
-#: Bounded memo of query results (the index is immutable).
-_MEMO_CAPACITY = 4096
-
-#: Bounded cache of per-ratio merge evaluations.
-_EVAL_CAPACITY = 32
-
-#: Bounded cache of per-(pod, row) order-aligned coefficient arrays.
-_ROW_CAPACITY = 4096
 
 
 def contiguous_pods(n: int, pods: int) -> list[range]:
@@ -315,7 +304,7 @@ def anneal_on_set(
     )
 
 
-class PodShardedIndex:
+class PodShardedIndex(RatioSweep):
     """Pod-partitioned Algorithm 1 with shared-ratio global queries.
 
     Parameters mirror :class:`ConsolidationIndex`, plus:
@@ -340,12 +329,15 @@ class PodShardedIndex:
         identical result, when worker processes cannot be spawned
         (restricted sandboxes) or only one pod needs building.
 
-    Unlike the monolithic index, the supply band is mandatory: the
-    shared-ratio scan prices candidates against ``t_max`` to prune the
-    cardinality sweep exactly, and brackets the sweep at ``t_min``.
-    (:class:`~repro.core.optimizer.JointOptimizer` always derives the
-    band from the cooler's achievable supply range.)
+    Queries are the :class:`~repro.core.consolidation.RatioSweep` over
+    the pods' merged order rows.  Unlike the monolithic index, the
+    supply band is mandatory and ordered (``0 <= t_min <= t_max``);
+    :class:`~repro.core.optimizer.JointOptimizer` always derives it from
+    the cooler's achievable supply range.
     """
+
+    _OBS = "sharding"
+    _QUERY_COUNTER = "sharding.queries"
 
     def __init__(
         self,
@@ -396,26 +388,9 @@ class PodShardedIndex:
         self.pod_ranges = contiguous_pods(n, pod_count)
         self._a = np.asarray([p[0] for p in self.pairs], dtype=np.float64)
         self._b = np.asarray([p[1] for p in self.pairs], dtype=np.float64)
-        self._caps = (
-            None
-            if self.capacities is None
-            else np.asarray(self.capacities, dtype=np.float64)
-        )
-        # Prefix sums of the descending-sorted capacities: no k-subset
-        # holds more than the k largest capacities, so this lower-bounds
-        # the feasible cardinality for any load and lets the query scan
-        # skip thousands of hopeless sizes at high utilization.
-        self._cap_desc_cum = (
-            None
-            if self._caps is None
-            else np.cumsum(np.sort(self._caps)[::-1])
-        )
+        self._init_sweep(self.capacities)
         self.indexes: list[ConsolidationIndex] = []
         self._build_pods()
-        # Bounded caches (never persisted).
-        self._row_cache: dict[tuple[int, int], tuple] = {}
-        self._eval_cache: dict[float, tuple] = {}
-        self._memo: dict[float, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Offline: per-pod Algorithm 1, in parallel, through the .npz cache
@@ -551,285 +526,19 @@ class PodShardedIndex:
         return digest.hexdigest()
 
     # ------------------------------------------------------------------ #
-    # Online: shared-ratio merge over the pods' tabulated orders
+    # Online: the shared-ratio sweep over the pods' tabulated orders
     # ------------------------------------------------------------------ #
 
-    def _pod_row(self, p: int, t: float) -> tuple:
-        """Order-aligned ``(ids, a, b, cap)`` of pod ``p`` at ratio ``t``.
-
-        The pod's own Algorithm-2 binary search over its event times
-        finds the order row valid at ``t``; the pod's coefficients are
-        then aligned to that order once and cached, so repeated ratios
-        (bisection ladders, the Dinkelbach iteration) reuse them.
-        """
-        index = self.indexes[p]
-        row = int(
-            np.searchsorted(index._times, t, side="right")
-        ) - 1
-        row = max(row, 0)
-        key = (p, row)
-        cached = self._row_cache.get(key)
-        if cached is None:
-            order = index._orders_mat[row]
-            start = self.pod_ranges[p].start
-            cached = (
-                order.astype(np.int64) + start,
-                index._a[order],
-                index._b[order],
-                None if self._caps is None
-                else self._caps[order + start],
-            )
-            if len(self._row_cache) >= _ROW_CAPACITY:
-                self._row_cache.pop(next(iter(self._row_cache)))
-            self._row_cache[key] = cached
-        return cached
-
-    def _evaluate(self, t: float):
-        """Water-filling merge of every pod's order at ratio ``t``.
-
-        Concatenates the pods' presorted (descending-coordinate)
-        segments and stably sorts the merged marginals — the greedy
-        fill over concave per-pod ``maxL`` curves.  Returns the merged
-        ``(ids, cum_x, cum_cap)``: entry ``k - 1`` of each cumulative
-        array describes the globally best size-``k`` subset at ``t``.
-        """
-        t = float(t)
-        hit = self._eval_cache.get(t)
-        if hit is not None:
-            return hit
-        parts = [self._pod_row(p, t) for p in range(self.pod_count)]
-        ids = np.concatenate([part[0] for part in parts])
-        a = np.concatenate([part[1] for part in parts])
-        b = np.concatenate([part[2] for part in parts])
-        x = a - t * b
-        # Stable sort on the negated marginals: ties go to the lower
-        # concatenated position, i.e. the lower pod then the pod's own
-        # (lower-id-first) tie rule — the monolithic order's tie rule.
-        merged = np.argsort(-x, kind="stable")
-        cum_x = np.cumsum(x[merged])
-        if self._caps is None:
-            cum_cap = None
-        else:
-            cap = np.concatenate([part[3] for part in parts])
-            cum_cap = np.cumsum(cap[merged])
-        result = (ids[merged], cum_x, cum_cap)
-        if len(self._eval_cache) >= _EVAL_CAPACITY:
-            self._eval_cache.pop(next(iter(self._eval_cache)))
-        self._eval_cache[t] = result
-        return result
-
-    def _topk_sums(
-        self, t: float, k: int
-    ) -> tuple[float, float, Optional[float]]:
-        """Aggregates ``(sum a, sum b, sum cap)`` of the global top-``k``
-        at ratio ``t``.
-
-        The ratio iteration needs only these sums, never the member
-        order, so they come from an O(n) selection
-        (``numpy.argpartition``) on the raw coordinate array — the full
-        cross-pod merge is reserved for the cached band-edge rows and
-        the final materialization.  Any tie set at the cut yields the
-        same ``maxL`` value, so the fixpoint below is unaffected by
-        partition tie-breaking.
-        """
-        x = self._a - t * self._b
-        if k < x.shape[0]:
-            idx = np.argpartition(-x, k - 1)[:k]
-            sum_a = float(self._a[idx].sum())
-            sum_b = float(self._b[idx].sum())
-            sum_cap = (
-                None if self._caps is None else float(self._caps[idx].sum())
-            )
-        else:
-            sum_a = float(self._a.sum())
-            sum_b = float(self._b.sum())
-            sum_cap = (
-                None if self._caps is None else float(self._caps.sum())
-            )
-        return sum_a, sum_b, sum_cap
-
-    def _ratio_fixpoint(
-        self, k: int, load: float, t0: float
-    ) -> tuple[float, Optional[float]]:
-        """Dinkelbach iteration for the optimal shared ratio at size ``k``.
-
-        ``g_k(t) = maxL(k, t) - load`` is convex and strictly
-        decreasing (a pointwise max of decreasing linear functions), so
-        the iteration ``t <- (sum a - load) / sum b`` over the current
-        top-``k`` converges to its unique root ``t*(k)`` from any start
-        (the :func:`~repro.core.select.select_subset` argument).
-        Returns ``(t_star, capacity_of_the_top_k_at_t_star)``.
-        """
-        t = t0
-        sum_cap = None
-        for _ in range(80):
-            sum_a, sum_b, sum_cap = self._topk_sums(t, k)
-            t_new = (sum_a - load) / sum_b
-            if abs(t_new - t) <= 1e-12 * max(1.0, abs(t)):
-                return t_new, sum_cap
-            t = t_new
-        return t, sum_cap
-
-    def _materialize(self, t: float, k: int) -> list[int]:
-        """The global ON set at ``(t, k)``: the merge's top ``k``."""
-        return sorted(int(i) for i in self._evaluate(t)[0][:k])
-
-    def query_refined(
-        self, load: float, window: Optional[int] = None
-    ) -> list[int]:
-        """The sharded allocation query (mirrors
-        :meth:`ConsolidationIndex.query_refined` semantics).
-
-        Scans candidate cardinalities with each size's optimal shared
-        ratio (Dinkelbach on the merged pod prefixes), prunes with the
-        exact bound ``k * w2 - rho * t_max + theta0 <= cost(k)``, and
-        mirrors the monolithic band handling: candidates whose ratio
-        falls below ``t_min`` are kept only as a band-clamped fallback,
-        and capacity-infeasible prefixes are skipped.  ``window`` is
-        accepted for interface parity and ignored — the pruned sweep is
-        already exact, there is no re-scoring window to size.
-
-        Raises
-        ------
-        InfeasibleError
-            If no on-set of any size can serve ``load``, or every
-            candidate lacks the physical capacity for it.
-        """
-        del window  # interface parity with the monolithic index
-        with obs.timed("sharding/query"):
-            obs.count("sharding.queries")
-            chosen = self._query(float(load))
-            obs.set_span_attributes(load=float(load), machines_on=len(chosen))
-        return chosen
+    def _sources(self) -> Sequence[tuple[ConsolidationIndex, int]]:
+        return tuple(
+            (index, ids.start)
+            for index, ids in zip(self.indexes, self.pod_ranges)
+        )
 
     def query(self, load: float) -> list[int]:
         """Alias of :meth:`query_refined` (the sharded path has no
         unrefined variant: the shared-ratio scan is the query)."""
         return self.query_refined(load)
-
-    def _query(self, load: float) -> list[int]:
-        memo = self._memo.get(load)
-        if memo is not None:
-            obs.count("sharding.query_memo_hits")
-            return list(memo)
-        chosen = self._query_scan(load)
-        if len(self._memo) >= _MEMO_CAPACITY:
-            self._memo.pop(next(iter(self._memo)))
-        self._memo[load] = tuple(chosen)
-        return chosen
-
-    def _query_scan(self, load: float) -> list[int]:
-        n = len(self.pairs)
-        # Feasibility mirror of the monolithic table search: every
-        # particle coordinate decreases with t, so the largest
-        # tabulated Lmax anywhere is the best prefix sum at t = 0.
-        cum_x0 = self._evaluate(0.0)[1]
-        if load >= float(np.max(cum_x0)):
-            raise InfeasibleError(
-                f"no status can serve load {load}; cluster too small"
-            )
-        # No subset of size k holds more capacity than the k largest
-        # capacities: start every sweep at that lower bound.
-        k_cap = 1
-        if self._cap_desc_cum is not None:
-            k_cap = int(
-                np.searchsorted(self._cap_desc_cum, load - 1e-9)
-            ) + 1
-            if k_cap > n:
-                raise InfeasibleError(
-                    f"no candidate subset has the capacity for load {load}"
-                )
-        # In-band candidates: sizes whose prefix at the band floor can
-        # carry the load (concave prefix sums => a contiguous range).
-        cum_x_floor = self._evaluate(self.t_min)[1]
-        viable = np.flatnonzero(cum_x_floor >= load - 1e-9)
-        best_k = best_t = None
-        best_power = float("inf")
-        if viable.size:
-            k_lo, k_hi = int(viable[0]) + 1, int(viable[-1]) + 1
-            k_lo = max(k_lo, k_cap)
-            t_warm = self.t_min
-            for k in range(k_lo, k_hi + 1):
-                floor_power = k * self.w2 - self.rho * self.t_max + self.theta0
-                if floor_power > best_power - 1e-12:
-                    break  # exact prune: the bound only grows with k
-                t_star, sum_cap = self._ratio_fixpoint(k, load, t_warm)
-                t_warm = max(self.t_min, t_star)
-                if sum_cap is not None and sum_cap + 1e-9 < load:
-                    continue
-                if t_star < self.t_min - 1e-12:
-                    continue  # numeric edge: fell out of band
-                t_eff = min(t_star, self.t_max)
-                power = k * self.w2 - self.rho * t_eff + self.theta0
-                if power < best_power - 1e-12:
-                    best_power = power
-                    best_k, best_t = k, t_star
-        if best_k is not None:
-            return self._materialize(best_t, best_k)
-        # Band-clamped fallback, mirroring the monolithic refined scan:
-        # below-band candidates are servable with the cooler pinned at
-        # the band edge; their cost grows with k, so the smallest
-        # capacity-feasible size wins.  A size whose best prefix at
-        # t = 0 cannot carry the load is no candidate at any t >= 0
-        # (the monolithic table's ``Lmax > load``).
-        for k in range(k_cap, n + 1):
-            if cum_x0[k - 1] <= load:
-                continue
-            t_star, sum_cap = self._ratio_fixpoint(k, load, self.t_min)
-            if sum_cap is not None and sum_cap + 1e-9 < load:
-                continue
-            obs.count("sharding.query_band_clamped")
-            return self._materialize(t_star, k)
-        raise InfeasibleError(
-            f"no candidate subset has the capacity for load {load}"
-        )
-
-    def query_many(
-        self,
-        loads: Iterable[float],
-        refined: bool = True,
-        window: Optional[int] = None,
-        skip_infeasible: bool = False,
-    ) -> list[Optional[list[int]]]:
-        """Batched sharded queries (the :meth:`ConsolidationIndex.query_many`
-        contract: duplicates answered once, shared caches, per-entry
-        ``None`` degradation under ``skip_infeasible``).
-
-        ``refined`` and ``window`` are accepted for interface parity;
-        the sharded query has a single (refined) semantics.
-        """
-        del refined, window
-        try:
-            values = np.asarray(
-                loads if isinstance(loads, np.ndarray) else list(loads),
-                dtype=np.float64,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"loads must be numeric: {exc}"
-            ) from exc
-        if values.ndim != 1:
-            raise ConfigurationError("loads must be one-dimensional")
-        if values.shape[0] == 0:
-            return []
-        with obs.timed("sharding/query_many"):
-            obs.count("sharding.query_many_queries", values.shape[0])
-            uniq, inverse = np.unique(values, return_inverse=True)
-            answers: list[Optional[tuple[int, ...]]] = []
-            for load in uniq.tolist():
-                try:
-                    answers.append(tuple(self._query(load)))
-                except InfeasibleError:
-                    if not skip_infeasible:
-                        raise
-                    answers.append(None)
-            obs.set_span_attributes(
-                queries=int(values.shape[0]), distinct=int(uniq.shape[0])
-            )
-        return [
-            None if answers[j] is None else list(answers[j])
-            for j in inverse
-        ]
 
     def max_load(self, power_budget: float) -> float:
         """The paper's ``maxL`` across pods: the largest load servable

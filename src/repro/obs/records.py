@@ -4,7 +4,7 @@ A :class:`RunRecord` captures one unit of work end to end — one
 :meth:`~repro.core.optimizer.JointOptimizer.solve` call, one profiling
 campaign, one controller trace — with its inputs, the selection method
 used, disjoint per-stage wall-clock timings, solver-iteration counters
-(active-set repair rounds, ``query_refined`` window re-scores, bisection
+(active-set repair rounds, refined queries and memo hits, bisection
 steps), and the outcome.  Records are created by
 :func:`repro.obs.runtime.record_run` and collected on the active
 :class:`~repro.obs.metrics.MetricsRegistry`.

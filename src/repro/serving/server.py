@@ -684,6 +684,8 @@ class AllocationServer:
         looked up in the answer memo first; only the misses are solved,
         and a successful answer is memoized with its encoded body.  Every
         outcome, error or not, is the one ``solve`` gives for the load.
+        The ``serving.query_many`` span covers that ``solve_many`` call
+        only, so a batch the memo answers whole carries none.
         """
         # Keyed with the sign too: 0.0 == -0.0, but their errors differ.
         slots: dict[tuple[float, float], list[int]] = {}
@@ -695,20 +697,20 @@ class AllocationServer:
             self.coalesced += coalesced
             obs.count("serving.coalesced", coalesced)
         memo = self._answer_memo
+        misses = []
+        for key, positions in slots.items():
+            outcome = memo.get(key[0])
+            if outcome is None:
+                misses.append(key)
+            for i in positions:
+                outcomes[i] = outcome
+        if not misses:
+            return
         with obs.trace.span(
             "serving.query_many", sink=self.telemetry.record_span,
-            loads=len(slots),
+            loads=len(misses),
         ):
-            misses = []
-            for key, positions in slots.items():
-                outcome = memo.get(key[0])
-                if outcome is None:
-                    misses.append(key)
-                for i in positions:
-                    outcomes[i] = outcome
-            results = self.optimizer.solve_many(
-                [load for load, _ in misses]
-            ) if misses else []
+            results = self.optimizer.solve_many([load for load, _ in misses])
         for key, result in zip(misses, results):
             if isinstance(result, OptimizationResult):
                 result = EncodedResult(

@@ -7,9 +7,8 @@ drive both through the same public API and compare results bit for bit:
 - :class:`LoopRoomSimulation` — the per-node derivative loop and the
   tuple-state RK4 stepper behind
   :class:`~repro.thermal.simulation.RoomSimulation`;
-- :class:`LoopConsolidationIndex` — the per-row Algorithm-1 build and
-  the per-position refined Algorithm-2 scan behind
-  :class:`~repro.core.consolidation.ConsolidationIndex`;
+- :class:`LoopConsolidationIndex` — the per-row Algorithm-1 build
+  behind :class:`~repro.core.consolidation.ConsolidationIndex`;
 - :class:`LoopLinearizedPlant` — one RK4 rollout per probe behind the
   stacked extraction of :class:`~repro.control.plant.LinearizedPlant`;
 - :class:`LoopTestbed` — one power-law call per machine behind

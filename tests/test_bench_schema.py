@@ -158,6 +158,7 @@ def _scale_entry(**overrides):
         "speedup": 20.0, "query_seconds_cold": 2e-3,
         "query_seconds_single": 1e-4,
         "query_seconds_batched": 5e-5, "identical_answers": True,
+        "exact_gap": 0.0,
     }
     entry.update(overrides)
     return entry
@@ -864,13 +865,19 @@ class TestClaims:
         assert self._failed("serving", document) == ["no_errors"]
 
     def test_scale_claim_needs_a_measured_exact_gap(self):
-        document = _scale_document()
+        document = _scale_document(exact_gap=None)
+        document["sharded"] = [_sharded_entry(exact_gap=None)]
         assert self._failed("consolidation-scale", document) == [
             "exact_gap"
         ]
-        document["sharded"] = [_sharded_entry(exact_gap=0.01)]
+        document["entries"][0]["exact_gap"] = -1e-12
         assert self._failed("consolidation-scale", document) == []
-        document["sharded"].append(_sharded_entry(exact_gap=-0.2))
+        document["sharded"].append(_sharded_entry(exact_gap=1e-6))
+        assert self._failed("consolidation-scale", document) == [
+            "exact_gap"
+        ]
+        document["sharded"].pop()
+        document["entries"][0]["exact_gap"] = 0.01
         assert self._failed("consolidation-scale", document) == [
             "exact_gap"
         ]

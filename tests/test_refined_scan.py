@@ -1,47 +1,43 @@
-"""The vectorized refined Algorithm-2 scan against its loop oracle.
+"""The refined query against the exhaustive reference.
 
-:meth:`ConsolidationIndex.query_refined` re-scores a bounded window of
-candidate subsets in one numpy pass per load, deduplicating them by
-exact subset ids over lazily built row arrays.  The per-position loop
-it replaced lives on as :class:`tests.oracles.LoopConsolidationIndex`.
-These tests pin the two together on answers, ``InfeasibleError``s and
-the four scan counters, across heterogeneous and clone-block instances,
-capacities and supply bands on and off, and several windows — including
-a forced Zobrist collision — and check that the row arrays stay lazy.
+Both index classes answer :meth:`query_refined` and :meth:`query_many`
+through one per-cardinality sweep
+(:class:`~repro.core.consolidation.RatioSweep`).  These tests pin its
+answers to :func:`~repro.core.select.brute_force_subset` (or, past 12
+machines, the exact per-``k`` scan :func:`~repro.core.select.optimal_subset`)
+on equal Eq. 23 cost:
+
+- randomized instances with the optimizer's real supply band and
+  capacities, including loads whose optimal ratio saturates at
+  ``t_max``, for the monolithic index and the pod-sharded one at one to
+  three pods;
+- the edge rules: the band-clamped fallback, the ``1e-9`` capacity
+  tolerance, the ``1e-12`` band-edge tolerance, first-kept on near-tie
+  costs and the inverted band;
+- the serving benchmark's 48 load levels, where ``selection="index"``,
+  ``"sharded"`` and ``"exact"`` must cost the same.
+
+Capacities here are uniform per instance, as the fitted models' are:
+with heterogeneous capacities the sweep skips a size whose champion
+lacks capacity, a bounded approximation pinned in
+``tests/test_consolidation_scale.py`` and ``tests/test_sharding.py``.
 """
 
 import asyncio
-import itertools
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.core import consolidation
-from repro.core.consolidation import (
-    ConsolidationIndex,
-    _first_cheapest,
-    _subset_ids,
-)
+from repro.core.consolidation import ConsolidationIndex
 from repro.core.optimizer import JointOptimizer
-from repro.errors import InfeasibleError
-from repro.obs import MetricsRegistry
+from repro.core.select import brute_force_subset, optimal_subset, ratio
+from repro.core.sharding import PodShardedIndex
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.serving import AllocationServer
 from repro.testbed.synthetic import make_system_model
-from tests.oracles import LoopConsolidationIndex
 
-#: The counters the refined scan reports per query.
-SCAN_COUNTERS = (
-    "consolidation.query_refined_rescored",
-    "consolidation.query_refined_scanned",
-    "consolidation.query_refined_truncated",
-    "consolidation.query_band_clamped",
-)
-
-WINDOWS = (1, 3, 17, None)
+#: Largest instance the exhaustive reference enumerates.
+BRUTE_MAX = 12
 
 
 def _heterogeneous(n, seed, capacities, bounds):
@@ -55,15 +51,16 @@ def _heterogeneous(n, seed, capacities, bounds):
         "rho": float(rng.uniform(50.0, 500.0)),
     }
     if capacities:
-        spec["capacities"] = [float(c) for c in rng.uniform(40.0, 90.0, n)]
+        spec["capacities"] = [float(rng.uniform(40.0, 90.0))] * n
     if bounds:
         spec["t_min"], spec["t_max"] = 20.0, 45.0
     return spec
 
 
 def _clone_block(capacities, bounds):
-    # The scan-cap instance: 100 parallel clones and one fast crosser,
-    # so the status table holds ~100-row runs of duplicate subsets.
+    # 100 parallel clones and one fast crosser: the status table holds
+    # ~100-row runs of duplicate subsets, and every size ties its
+    # neighbours to within 1e-9 of coordinate.
     spec = {
         "pairs": [(50.0 + i * 1e-9, 1.0) for i in range(100)]
         + [(200.0, 5.0)],
@@ -71,308 +68,314 @@ def _clone_block(capacities, bounds):
         "rho": 1.0,
     }
     if capacities:
-        spec["capacities"] = [0.6 + 0.01 * (i % 7) for i in range(101)]
+        spec["capacities"] = [0.62] * 101
     if bounds:
         spec["t_min"], spec["t_max"] = 10.0, 45.0
     return spec
 
 
-def _oracle(index):
-    """The loop oracle over ``index``'s own tables (the table build is
-    pinned separately), so only the scan differs."""
-    return LoopConsolidationIndex._from_tables(
-        pairs=index.pairs, w2=index.w2, rho=index.rho,
-        theta0=index.theta0, t_min=index.t_min, t_max=index.t_max,
-        capacities=index.capacities, event_t=index._event_t,
-        event_p=index._event_p, event_q=index._event_q,
-        times=index._times, orders_mat=index._orders_mat,
-        tab_row=index._tab_row, tab_k=index._tab_k,
-        tab_lmax=index._tab_lmax,
-    )
-
-
-def _loads(index, count, seed):
-    """Loads over the whole table — infeasible at the top end — plus
-    exact table values, where the binary search ties."""
+def _real_spec(n, seed):
+    """The optimizer's own index parameters for a randomized
+    ``make_system_model``, with the machines' ``(a, b)`` jittered so the
+    particles cross in a seeded, non-monotone pattern.  The band and the
+    capacities stay the optimizer's."""
     rng = np.random.default_rng(seed)
-    top = float(index._tab_lmax[-1])
-    tied = rng.choice(index._tab_lmax, size=4).tolist()
-    return rng.uniform(0.0, 1.05 * top, count).tolist() + tied
+    model = make_system_model(
+        n=n,
+        alpha_spread=float(rng.uniform(0.1, 0.6)),
+        capacity=float(rng.uniform(20.0, 60.0)),
+    )
+    optimizer = JointOptimizer(model)
+    w2, rho = optimizer._cost_coefficients()
+    t_min, t_max = optimizer._t_bounds()
+    jitter = rng.uniform(0.85, 1.15, (n, 2))
+    return {
+        "pairs": [(a * ja, b * jb)
+                  for (a, b), (ja, jb) in zip(model.ab_pairs(), jitter)],
+        "w2": w2,
+        "rho": rho,
+        "t_min": t_min,
+        "t_max": t_max,
+        "capacities": list(model.capacities),
+    }
 
 
-def _observe(call):
-    """``(answer or "infeasible", scan counters)`` of one call."""
-    registry = obs.enable(MetricsRegistry())
+def _reference(spec, load, **override):
+    """``(subset, Eq. 23 power)`` of the exhaustive optimum, or of the
+    exact per-``k`` scan past :data:`BRUTE_MAX` machines.  Without a
+    band floor the candidates are the ratios ``t >= 0``, as in the
+    index's tables."""
+    s = {"t_min": 0.0, **spec, **override}
+    if s["t_min"] is None:
+        s["t_min"] = 0.0
+    n = len(s["pairs"])
+    solver = brute_force_subset if n <= BRUTE_MAX else optimal_subset
+    best, _ = solver(
+        s["pairs"], load, w2=s["w2"], rho=s["rho"], theta=0.0,
+        t_min=s["t_min"], t_max=s.get("t_max"),
+        capacities=s.get("capacities"),
+    )
+    return best, _power(s, best, load)
+
+
+def _power(spec, subset, load):
+    t = ratio(spec["pairs"], subset, load)
+    if spec.get("t_max") is not None:
+        t = min(t, spec["t_max"])
+    return len(subset) * spec["w2"] - spec["rho"] * t
+
+
+def _assert_matches_reference(index, spec, load):
+    """``index.query_refined(load)`` costs what the reference's optimum
+    costs; where no candidate is in band, it is the band-clamped
+    fallback: the fewest machines that carry the load at some ratio
+    ``t >= 0`` (the reference with the band collapsed onto ``t = 0``
+    and one watt per machine)."""
     try:
+        _, power = _reference(spec, load)
+    except InfeasibleError:
         try:
-            answer = call()
+            fallback, _ = _reference(
+                spec, load, w2=1.0, rho=1.0, t_min=0.0, t_max=0.0
+            )
         except InfeasibleError:
-            answer = "infeasible"
-    finally:
-        obs.disable()
-    counters = registry.snapshot()["counters"]
-    return answer, {name: counters.get(name, 0) for name in SCAN_COUNTERS}
+            with pytest.raises(InfeasibleError):
+                index.query_refined(load)
+            return
+        chosen = index.query_refined(load)
+        assert len(chosen) == len(fallback), load
+    else:
+        chosen = index.query_refined(load)
+        assert _power(spec, chosen, load) == pytest.approx(
+            power, rel=1e-12, abs=1e-9
+        ), load
+    capacities = spec.get("capacities")
+    if capacities is not None:
+        assert sum(capacities[i] for i in chosen) + 1e-9 >= load
 
 
-def _assert_scan_matches(index, oracle, loads):
-    for window in WINDOWS:
-        for load in loads:
-            got = _observe(lambda: index.query_refined(load, window))
-            want = _observe(lambda: oracle.query_refined(load, window))
-            assert got == want, (load, window)
+def _loads(spec, count, seed):
+    """Loads from nearly idle (ratios far above any band) to past the
+    cluster's reach, half of them at high utilization, where the real
+    band's optimum leaves ``t_max``."""
+    rng = np.random.default_rng(seed)
+    top = sum(a for a, _ in spec["pairs"])
+    if spec.get("capacities") is not None:
+        top = min(top, sum(spec["capacities"]))
+    high = count // 2
+    return (rng.uniform(0.01 * top, 1.05 * top, count - high).tolist()
+            + rng.uniform(0.6 * top, top, high).tolist())
 
 
-def _assert_batches_match(index, oracle, loads):
-    for window in WINDOWS:
-        index._memo.clear()
-        oracle._memo.clear()
-        got = _observe(lambda: index.query_many(
-            loads, window=window, skip_infeasible=True))
-        want = _observe(lambda: oracle.query_many(
-            loads, window=window, skip_infeasible=True))
-        assert got == want, window
+def _assert_all_match(index, spec, loads):
+    for load in loads:
+        _assert_matches_reference(index, spec, load)
+    index._memo.clear()
+    batch = index.query_many(loads, skip_infeasible=True)
+    index._memo.clear()
+    for load, answer in zip(loads, batch):
+        try:
+            assert answer == index.query_refined(load)
+        except InfeasibleError:
+            assert answer is None
 
 
-CASES = list(itertools.product((True, False), (True, False)))
+CASES = [(c, b) for c in (True, False) for b in (True, False)]
 
 
 class TestScanEquivalence:
     @pytest.mark.parametrize("capacities,bounds", CASES)
     @pytest.mark.parametrize("n,seed", [(6, 0), (13, 7), (24, 2012)])
     def test_heterogeneous(self, n, seed, capacities, bounds):
-        index = ConsolidationIndex(
-            **_heterogeneous(n, seed, capacities, bounds)
+        spec = _heterogeneous(n, seed, capacities, bounds)
+        _assert_all_match(
+            ConsolidationIndex(**spec), spec, _loads(spec, 10, seed)
         )
-        oracle = _oracle(index)
-        loads = _loads(index, 10, seed)
-        _assert_scan_matches(index, oracle, loads)
-        _assert_batches_match(index, oracle, loads)
 
     @pytest.mark.parametrize("capacities,bounds", CASES)
     def test_clone_block(self, capacities, bounds):
-        index = ConsolidationIndex(**_clone_block(capacities, bounds))
-        oracle = _oracle(index)
-        loads = [0.5, 40.0, 55.0, 120.0, 300.0, 5000.0] + _loads(
-            index, 4, 3
-        )
-        _assert_scan_matches(index, oracle, loads)
-        _assert_batches_match(index, oracle, loads)
+        spec = _clone_block(capacities, bounds)
+        loads = [0.5, 40.0, 55.0, 120.0, 300.0, 5000.0]
+        _assert_all_match(ConsolidationIndex(**spec), spec, loads)
 
     @pytest.mark.parametrize("band", [{"t_max": 1.0}, {"t_min": 1e6}],
                              ids=["t_max-pinned", "clamped"])
     def test_near_tie_costs_keep_the_first(self, band):
         # With every ratio pinned to one band edge, a candidate's cost
         # is k * w2 plus a constant, and w2 = 1e-13 puts every pair of
-        # costs within the 1e-12 tolerance: a later, marginally
-        # cheaper subset must not displace the first one.
-        spec = _heterogeneous(9, 11, False, False)
-        spec.update(w2=1e-13, **band)
+        # costs within the 1e-12 tolerance: the sweep keeps the first,
+        # smallest size, which is the one the reference picks once a
+        # machine costs a whole watt.
+        spec = {**_heterogeneous(9, 11, False, False), "w2": 1e-13, **band}
         index = ConsolidationIndex(**spec)
-        _assert_scan_matches(index, _oracle(index), _loads(index, 10, 1))
-
-    def test_scan_reaching_the_table_end_is_not_truncated(self):
-        # Large a and small, well-spread b: every row's full set (one
-        # subset) outweighs any smaller prefix, so the table ends in
-        # one run of duplicates.  At pos = total - 8 * window the row
-        # cap and the table end meet.
-        rng = np.random.default_rng(5)
-        pairs = [(5000.0 + float(c), 0.5 + 0.1 * i)
-                 for i, c in enumerate(rng.uniform(0.0, 10.0, 16))]
-        index = ConsolidationIndex(pairs, w2=2.0, rho=3.0)
-        total = index.status_count
-        assert len(set(index._tab_k[total - 25:].tolist())) == 1
-        for window in (1, 2, 3):
-            load = float(index._tab_lmax[total - 8 * window - 1])
-            got = _observe(lambda: index.query_refined(load, window))
-            assert got == _observe(
-                lambda: _oracle(index).query_refined(load, window)
-            )
-
-    def test_capacity_tolerance_matches_the_loop(self):
-        # Capacities a hair under a: at t = 0 a prefix's capacity sits
-        # just below its Lmax, and a load between the two is within the
-        # 1e-9 capacity tolerance.
-        spec = _heterogeneous(10, 9, False, False)
-        spec["capacities"] = [a - 1e-11 for a, _ in spec["pairs"]]
-        index = ConsolidationIndex(**spec)
-        start = np.cumsum([spec["pairs"][i][0]
-                           for i in index._orders_mat[0]])
-        loads = [float(v) - 5e-12 * k for k, v in enumerate(start, 1)]
-        _assert_scan_matches(index, _oracle(index), loads)
-
-    def test_band_edge_tolerance_matches_the_loop(self):
-        # t_min a hair above the first candidate's own ratio: inside
-        # the 1e-12 band tolerance, so it is still scored unclamped.
-        spec = _heterogeneous(10, 4, False, False)
-        probe = ConsolidationIndex(**spec)
-        _, a_pref, b_pref, _ = probe._scan_arrays()
-        n = len(probe.pairs)
-        for load in _loads(probe, 6, 2)[:6]:
-            pos = int(np.searchsorted(probe._tab_lmax, load, side="right"))
-            if pos >= probe.status_count:
+        for load in _loads(spec, 10, 1):
+            try:
+                expected, _ = _reference(spec, load, w2=1.0)
+            except InfeasibleError:
+                _assert_matches_reference(index, spec, load)
                 continue
-            e = int(probe._tab_row[pos]) * n + int(probe._tab_k[pos]) - 1
-            t = (a_pref[e] - load) / b_pref[e]
-            index = ConsolidationIndex(t_min=float(t) + 5e-13, **spec)
-            _assert_scan_matches(index, _oracle(index), [load])
+            assert len(index.query_refined(load)) == len(expected)
+            _assert_matches_reference(index, spec, load)
 
-    def test_forced_zobrist_collisions(self, monkeypatch):
-        # Constant keys make every prefix of odd length share one key
-        # and every even one another: the bitset check must split them
-        # all back into exact subsets.
-        monkeypatch.setattr(
-            consolidation, "_zobrist_keys",
-            lambda n: np.full(n, 0x9E3779B97F4A7C15, dtype=np.uint64),
-        )
-        for spec in (
-            _heterogeneous(13, 7, True, True),
-            _heterogeneous(9, 1, False, False),
-            _clone_block(True, False),
-        ):
-            index = ConsolidationIndex(**spec)
-            oracle = _oracle(index)
-            loads = _loads(index, 8, 5)
-            _assert_scan_matches(index, oracle, loads)
-            _assert_batches_match(index, oracle, loads)
+    @pytest.mark.parametrize("pods", [None, 1, 2])
+    def test_exact_tie_keeps_the_smaller_size(self, pods):
+        # Five clones at load 12: two machines (t* = 4) and three
+        # (t* = 6) cost exactly 0 W with w2 = 2 rho, and the bound does
+        # not prune the third.  The sweep keeps the first, as brute
+        # force's lexicographic tie rule does.
+        spec = {"pairs": [(10.0, 1.0)] * 5, "w2": 2.0, "rho": 1.0,
+                "t_min": 0.0, "t_max": 100.0}
+        index = (ConsolidationIndex(**spec) if pods is None
+                 else PodShardedIndex(pods=pods, max_workers=1, **spec))
+        best, power = _reference(spec, 12.0)
+        assert power == 0.0 and len(best) == 2
+        assert index.query_refined(12.0) == best
 
+    def test_capacity_tolerance_matches_brute_force(self):
+        # At low load every size saturates at t_max, so the fewest
+        # machines with the capacity win: k machines while the load is
+        # within 1e-9 of their capacity, k + 1 just beyond it.
+        spec = _real_spec(8, 9)
+        cap = spec["capacities"][0]
+        index = ConsolidationIndex(**spec)
+        for k in (2, 3):
+            for excess, size in ((5e-10, k), (2e-9, k + 1)):
+                load = k * cap + excess
+                assert len(_reference(spec, load)[0]) == size
+                assert len(index.query_refined(load)) == size
+                _assert_matches_reference(index, spec, load)
 
-def _loop_first_cheapest(power, eligible):
-    best, best_power = None, float("inf")
-    for i, (p, ok) in enumerate(zip(power.tolist(), eligible.tolist())):
-        if ok and p < best_power - 1e-12:
-            best, best_power = i, p
-    return best
-
-
-class TestFirstCheapest:
-    def test_matches_the_running_loop(self):
-        rng = np.random.default_rng(8)
-        for size in (0, 1, 2, 5, 40, 300):
-            for _ in range(50):
-                power = 1.0 + rng.integers(-3, 4, size) * 4e-13
-                power[rng.random(size) < 0.1] = np.nan
-                power[rng.random(size) < 0.05] = -np.inf
-                eligible = rng.random(size) < 0.8
-                assert _first_cheapest(power, eligible) == (
-                    _loop_first_cheapest(power, eligible)
+    def test_band_edge_tolerance_matches_brute_force(self):
+        # t_min a hair above the optimum's own ratio: within the 1e-12
+        # band tolerance it stays a candidate, beyond it it does not.
+        spec = _real_spec(8, 4)
+        spec["t_max"] = 1e4  # keep the optimum's ratio unclamped
+        for load in _loads(spec, 6, 2)[:4]:
+            try:
+                best, _ = _reference(spec, load)
+            except InfeasibleError:
+                continue
+            t = ratio(spec["pairs"], best, load)
+            for delta in (5e-13, 2e-12):
+                edged = {**spec, "t_min": t + delta}
+                _assert_matches_reference(
+                    ConsolidationIndex(**edged), edged, load
                 )
 
+    def test_band_clamped_fallback_matches_brute_force(self):
+        # A band floor above every subset's ratio: no candidate is in
+        # band, and the fallback takes the fewest machines that carry
+        # the load (cost grows with k at the clamped ratio).
+        spec = {**_real_spec(7, 3), "t_min": 400.0, "t_max": 500.0}
+        index = ConsolidationIndex(**spec)
+        for load in _loads(spec, 8, 6):
+            with pytest.raises(InfeasibleError):
+                _reference(spec, load)
+            _assert_matches_reference(index, spec, load)
 
-def _exact_partition(orders):
-    """Reference subset ids: one per distinct prefix set, named by the
-    bytes of its membership mask."""
-    n = orders.shape[1]
-    sizes = np.arange(1, n + 1)[:, None]
-    names: dict = {}
-    ids = []
-    for row in orders:
-        rank = np.empty(n, dtype=np.int64)
-        rank[row] = np.arange(n)
-        masks = np.packbits(rank[None, :] < sizes, axis=1)
-        ids += [names.setdefault(mask.tobytes(), len(names))
-                for mask in masks]
-    return np.array(ids)
+    def test_inverted_band_matches_brute_force(self):
+        # t_min > t_max: in-band candidates all price at t_max, so the
+        # fewest in-band machines win; below the band the clamp sits at
+        # min(t_min, t_max) = t_max.
+        spec = _real_spec(8, 5)
+        spec["t_min"], spec["t_max"] = spec["t_max"] + 5.0, spec["t_min"]
+        index = ConsolidationIndex(**spec)
+        _assert_all_match(index, spec, _loads(spec, 12, 8))
 
 
-def _same_partition(ids, reference):
-    pairs = set(zip(ids.tolist(), reference.tolist()))
-    return len(pairs) == len(set(ids.tolist())) == len(set(reference.tolist()))
+class TestRealBand:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_monolithic_matches_brute_force(self, seed):
+        n = int(np.random.default_rng(seed).integers(4, BRUTE_MAX + 1))
+        spec = _real_spec(n, seed)
+        loads = _loads(spec, 8, seed)
+        _assert_all_match(ConsolidationIndex(**spec), spec, loads)
+
+    @pytest.mark.parametrize("pods", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sharded_matches_brute_force(self, seed, pods):
+        spec = _real_spec(9, 100 + seed)
+        index = PodShardedIndex(pods=pods, max_workers=1, **spec)
+        _assert_all_match(index, spec, _loads(spec, 8, seed))
+
+    def test_loads_saturate_at_t_max(self):
+        # At low load the optimal subset's own ratio exceeds t_max, and
+        # the fewest machines that reach it win.
+        spec = _real_spec(10, 1)
+        load = 0.1 * sum(spec["capacities"])
+        best, _ = _reference(spec, load)
+        assert ratio(spec["pairs"], best, load) > spec["t_max"]
+        _assert_matches_reference(ConsolidationIndex(**spec), spec, load)
 
 
-class TestSubsetIds:
-    @pytest.mark.parametrize("one_row_blocks", [False, True])
-    @pytest.mark.parametrize("constant_keys", [False, True])
-    @pytest.mark.parametrize("spec", [
-        _heterogeneous(11, 3, False, False),
-        _clone_block(False, False),
-        # Wider than 512 machines: two groups of eight bitset words.
-        {"pairs": [(100.0 + 1e-6 * i, 1.0) for i in range(519)]
-         + [(300.0, 5.0)], "w2": 1.0, "rho": 1.0},
-    ], ids=["heterogeneous", "clone-block", "wide"])
-    def test_ids_name_exact_subsets(
-        self, spec, constant_keys, one_row_blocks, monkeypatch
-    ):
-        if constant_keys:
-            monkeypatch.setattr(
-                consolidation, "_zobrist_keys",
-                lambda n: np.zeros(n, dtype=np.uint64),
-            )
-        if one_row_blocks:
-            # Leaders and the members they confirm in different blocks.
-            monkeypatch.setattr(consolidation, "_BITSET_BLOCK_WORDS", 1)
-        orders = ConsolidationIndex(**spec)._orders_mat
-        assert _same_partition(_subset_ids(orders), _exact_partition(orders))
+class TestServeLevels:
+    def test_index_sharded_and_exact_cost_the_same(self):
+        # The serving benchmark's 48 levels (10-80% of capacity).
+        model = make_system_model(n=100)
+        capacity = model.total_capacity
+        levels = np.linspace(0.1 * capacity, 0.8 * capacity, 48).tolist()
+        powers = {
+            selection: [
+                result.predicted_total_power
+                for result in JointOptimizer(
+                    model, selection=selection
+                ).solve_many(levels)
+            ]
+            for selection in ("index", "sharded", "exact")
+        }
+        assert powers["index"] == pytest.approx(powers["exact"], abs=1e-6)
+        assert powers["sharded"] == pytest.approx(powers["exact"], abs=1e-6)
+
+
+def _query_caches(index):
+    return index._memo, index._row_cache, index._eval_cache
 
 
 class TestLazyRows:
+    """The query caches fill only as refined queries touch rows; they
+    are never built up front or saved."""
+
     def test_not_built_at_construction_or_load(self, tmp_path):
-        index = ConsolidationIndex(**_heterogeneous(8, 2, True, True))
-        assert index._scan_rows is None
+        spec = _real_spec(8, 2)
+        index = ConsolidationIndex(**spec)
+        assert not any(_query_caches(index))
         loaded = ConsolidationIndex.load(index.save(tmp_path / "i.npz"))
-        assert loaded._scan_rows is None
-        index.query(float(index._tab_lmax[5]))
-        assert index._scan_rows is None
-        index.query_refined(float(index._tab_lmax[5]))
-        assert index._scan_rows is not None
+        assert not any(_query_caches(loaded))
+        load = 0.4 * sum(spec["capacities"])
+        index.query(load)
+        assert not any(_query_caches(index))
+        index.query_refined(load)
+        assert all(_query_caches(index))
 
     def test_not_built_by_server_warm_up(self):
         server = AllocationServer(JointOptimizer(make_system_model(n=6)))
 
         async def scenario():
             await server.start()
-            index = server.optimizer.query_index
-            built_at_warm_up = index._scan_rows is not None
+            caches = _query_caches(server.optimizer.query_index)
             await server.drain()
-            return built_at_warm_up
+            return caches
 
-        assert asyncio.run(scenario()) is False
+        assert not any(asyncio.run(scenario()))
 
-    def test_concurrent_first_scans_build_once(self, monkeypatch):
-        index = ConsolidationIndex(**_heterogeneous(12, 3, True, True))
-        loads = _loads(index, 16, 4)
-        expected = [_observe(lambda: _oracle(index).query_refined(load))[0]
-                    for load in loads]
-        builds = []
-        build = consolidation._subset_ids
 
-        def slow_build(orders):
-            builds.append(threading.get_ident())
-            time.sleep(0.05)  # widen the window for a racing second build
-            return build(orders)
+class TestNaNLoads:
+    @pytest.fixture(params=["monolithic", "sharded"])
+    def index(self, request):
+        spec = _real_spec(6, 0)
+        if request.param == "sharded":
+            return PodShardedIndex(pods=2, max_workers=1, **spec)
+        return ConsolidationIndex(**spec)
 
-        monkeypatch.setattr(consolidation, "_subset_ids", slow_build)
-        barrier = threading.Barrier(len(loads))
-        answers = [None] * len(loads)
+    def test_query_refined_rejects_nan(self, index):
+        with pytest.raises(ConfigurationError,
+                           match="total load must be a number, got nan"):
+            index.query_refined(float("nan"))
 
-        def worker(i):
-            barrier.wait(timeout=10)
-            try:
-                answers[i] = index.query_refined(loads[i])
-            except InfeasibleError:
-                answers[i] = "infeasible"
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(len(loads))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(builds) == 1
-        assert answers == expected
-
-    def test_prefix_sums_match_per_row_cumsum(self):
-        index = ConsolidationIndex(**_heterogeneous(10, 6, True, False))
-        _, a_pref, b_pref, cap_pref = index._scan_arrays()
-        n = len(index.pairs)
-        caps = np.asarray(index.capacities)
-        for row, order in enumerate(index._orders_mat):
-            span = slice(row * n, (row + 1) * n)
-            assert np.array_equal(a_pref[span], np.cumsum(index._a[order]))
-            assert np.array_equal(b_pref[span], np.cumsum(index._b[order]))
-            assert np.array_equal(cap_pref[span], np.cumsum(caps[order]))
+    @pytest.mark.parametrize("skip_infeasible", [False, True])
+    def test_query_many_rejects_nan(self, index, skip_infeasible):
+        with pytest.raises(ConfigurationError,
+                           match="total load must be a number, got nan"):
+            index.query_many(
+                [50.0, float("nan")], skip_infeasible=skip_infeasible
+            )

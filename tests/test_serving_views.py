@@ -133,8 +133,9 @@ class TestGoldenViews:
             "ServingUnavailableError"
         )
         assert replies["trace"]["result"]["events"] == 0
-        # 4 batches, 3 query_many passes and 9 batched request spans.
-        assert replies["trace"]["result"]["spans"] == 16
+        # 4 batches, 2 query_many passes (the memo hit's batch runs
+        # none) and 9 batched request spans.
+        assert replies["trace"]["result"]["spans"] == 15
 
     def test_stats(self):
         replies, stats, _, _ = _scripted_views()
@@ -238,7 +239,7 @@ class TestGoldenViews:
                 "failure": None,
             },
             "trace": {
-                "recent_spans": 16,
+                "recent_spans": 15,
                 "recent_events": 0,
                 "pending_export": 0,
             },
