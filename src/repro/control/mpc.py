@@ -23,9 +23,12 @@ adds exactly that lookahead:
    cooling energy (Eq. 10: ``P_ac = c_f_ac * (T_SP - T_ac)`` with
    ``T_SP`` affine in ``u`` via the actuation map) subject to the
    thermal cap ``T_cpu <= T_max - margin`` at every step is a linear
-   program, solved with :func:`scipy.optimize.linprog` (HiGHS) and a
-   pure-numpy coordinate-sweep fallback when scipy is unavailable or
-   the solver errors out.
+   program.  It is solved by HiGHS through a prepared entry (one
+   options object built at import, a fresh solver per call, and
+   :func:`scipy.optimize.linprog`'s acceptance rule), which falls back
+   to :func:`~scipy.optimize.linprog` itself when scipy's private HiGHS
+   module is missing; a pure-numpy coordinate sweep solves the horizon
+   when scipy is unavailable or the LP fails.
 3. **Warm start + graceful degradation.**  The previous horizon's
    trajectory, shifted one step, seeds the sweep solver and serves as
    the first fallback when the LP fails; if no trajectory is feasible
@@ -39,6 +42,7 @@ is individually traceable (``mpc.precool``).
 
 from __future__ import annotations
 
+import importlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -51,10 +55,121 @@ from repro.core.controller import RuntimeController
 from repro.core.optimizer import JointOptimizer, OptimizationResult
 from repro.errors import ConfigurationError, InfeasibleError
 
-try:  # pragma: no cover - exercised via the fallback tests
-    from scipy.optimize import linprog as _linprog
-except Exception:  # pragma: no cover - scipy is available in CI
-    _linprog = None
+#: An LP entry: ``(cost, rows, gaps, lo, hi) -> u`` minimizes
+#: ``cost @ u`` subject to ``rows @ u <= gaps`` and ``lo <= u <= hi``,
+#: returning ``None`` when it has no accepted optimum.
+LPEntry = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, float, float], Optional[np.ndarray]
+]
+
+#: ``linprog``'s acceptance tolerance (``_check_result``:
+#: ``sqrt(tol) * 10`` with its default ``tol = 1e-9``).
+_LP_TOL = float(np.sqrt(1e-9) * 10)
+
+
+def _choose_lp_entry() -> Optional[LPEntry]:
+    """The horizon LP's solver entry, chosen once at import.
+
+    - ``highs``: HiGHS through scipy's private binding
+      (``scipy.optimize._highspy._core``), with one options object
+      holding exactly what ``linprog(method="highs")`` sets: presolve
+      on, dual simplex, debug level none, output and log off.  Each
+      solve gets a fresh ``HighsLp`` and a fresh solver (a reused one
+      could warm-start from the last basis and move the bits of
+      ``u``), the CSC arrays are built from the dense rows dropping
+      explicit zeros as ``csc_array`` does, and a result is accepted
+      by ``linprog``'s rule: input finite, status optimal, nothing
+      NaN, ``u`` and the row slack within :data:`_LP_TOL` of their
+      bounds.  It returns what ``linprog`` returns, bit for bit,
+      without the wrapper's per-call option checks and conversions.
+    - ``linprog``: :func:`scipy.optimize.linprog` itself, when the
+      private module or one of its attributes is missing.
+    - ``None`` without scipy: the coordinate sweep solves every horizon.
+    """
+    try:
+        from scipy.optimize import linprog as scipy_linprog
+    except ImportError:
+        return None
+
+    def linprog(cost, rows, gaps, lo, hi):
+        some = len(rows) > 0
+        solved = scipy_linprog(
+            cost, A_ub=rows if some else None, b_ub=gaps if some else None,
+            bounds=[(lo, hi)] * len(cost), method="highs",
+        )
+        return np.asarray(solved.x, dtype=float) if solved.success else None
+
+    try:
+        core = importlib.import_module("scipy.optimize._highspy._core")
+        options = core.HighsOptions()
+        options.presolve = "on"
+        options.simplex_strategy = (
+            core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        )
+        options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+        options.output_flag = False
+        options.log_to_console = False
+        colwise = core.MatrixFormat.kColwise
+        error = core.HighsStatus.kError
+        optimal = core.HighsModelStatus.kOptimal
+        new_lp, new_solver, infinity = core.HighsLp, core._Highs, core.kHighsInf
+    except (ImportError, AttributeError):
+        return linprog
+
+    def highs(cost, rows, gaps, lo, hi):
+        if not (
+            np.isfinite(cost).all()
+            and np.isfinite(rows).all()
+            and np.isfinite(gaps).all()
+        ):
+            return None  # linprog rejects the input
+        m, n = rows.shape
+        lp = new_lp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.format_ = colwise
+        columns = rows.T
+        nonzero = columns != 0.0
+        # Integer arrays go in as lists: the binding converts a numpy
+        # integer array element by element, at about twice the cost.
+        lp.a_matrix_.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
+        lp.a_matrix_.index_ = np.nonzero(nonzero)[1].tolist()
+        lp.a_matrix_.value_ = columns[nonzero]
+        lp.col_cost_ = cost
+        lp.col_lower_ = np.full(n, lo)
+        lp.col_upper_ = np.full(n, hi)
+        lp.row_lower_ = np.full(m, -infinity)
+        lp.row_upper_ = gaps
+        solver = new_solver()
+        if (
+            solver.passOptions(options) == error
+            or solver.passModel(lp) == error
+            or solver.run() == error
+            or solver.getModelStatus() != optimal
+        ):
+            return None
+        solution = solver.getSolution()
+        u = np.array(solution.col_value)
+        slack = gaps - np.array(solution.row_value)
+        if (
+            np.isnan(u).any()
+            or np.isnan(slack).any()
+            or np.isnan(solver.getInfo().objective_function_value)
+            or (u < lo - _LP_TOL).any()
+            or (u > hi + _LP_TOL).any()
+            or (slack < -_LP_TOL).any()
+        ):
+            return None
+        return u
+
+    return highs
+
+
+_lp_entry = _choose_lp_entry()
+
+#: Which entry :func:`_choose_lp_entry` picked: ``"highs"``,
+#: ``"linprog"`` or ``"sweep"`` (no scipy).
+LP_ENTRY = "sweep" if _lp_entry is None else _lp_entry.__name__
 
 
 @dataclass(frozen=True)
@@ -336,7 +451,7 @@ class MPCController(RuntimeController):
 
     def _constraint_rows(
         self, masks, power_vecs
-    ) -> tuple[list[tuple[np.ndarray, int]], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Affine thermal-cap rows of the horizon.
 
         Propagates ``x_h = base_h + sum_j S_hj u_j`` through the
@@ -345,34 +460,31 @@ class MPCController(RuntimeController):
         with the constraint ``coeffs @ u <= gap`` where
         ``gap = T_max - margin - base_h[i]``.
 
-        Returns ``(rows, gaps)`` with rows as a dense array pair:
-        ``rows[k]`` is the coefficient vector, ``gaps[k]`` its bound.
+        Returns ``(rows, gaps)``: an ``(m, H)`` coefficient array (its
+        row ``k`` has step ``h``'s sensitivities in columns ``0..h``
+        and zeros after) and the ``(m,)`` bounds.  The sensitivity
+        columns ``S_hj`` are kept as the rows of one ``(H, 2n+1)``
+        block: each is propagated by its own ``a @ column`` product
+        on a contiguous vector (one ``a @ block`` GEMM rounds
+        differently), and a step's ON rows are one fancy-index gather.
         """
         model = self.optimizer.model
         horizon = len(masks)
         cap = model.t_max - self.margin
         base = self._state.copy()
-        cols: list[np.ndarray] = []
-        coeff_rows: list[np.ndarray] = []
-        gaps: list[float] = []
+        cols = np.zeros((horizon, base.size))
+        blocks: list[np.ndarray] = []
+        gaps: list[np.ndarray] = []
         for h in range(horizon):
             mats = self.plant.matrices(masks[h])
             base = mats.a @ base + mats.b_power @ power_vecs[h] + mats.offset
-            for j in range(len(cols)):
+            for j in range(h):
                 cols[j] = mats.a @ cols[j]
-            cols.append(mats.b_supply.copy())
-            for i in np.flatnonzero(masks[h]):
-                row = np.zeros(horizon)
-                for j in range(h + 1):
-                    row[j] = cols[j][i]
-                coeff_rows.append(row)
-                gaps.append(cap - base[i])
-        if not coeff_rows:
-            return [], np.zeros(0)
-        return (
-            list(np.asarray(coeff_rows)),
-            np.asarray(gaps, dtype=float),
-        )
+            cols[h] = mats.b_supply
+            on = np.flatnonzero(masks[h])
+            blocks.append(cols[:, on].T)
+            gaps.append(cap - base[on])
+        return np.concatenate(blocks), np.concatenate(gaps)
 
     # ------------------------------------------------------------------ #
     # Solvers
@@ -381,32 +493,23 @@ class MPCController(RuntimeController):
     def _solve_lp(
         self,
         cost: np.ndarray,
-        rows,
+        rows: np.ndarray,
         gaps: np.ndarray,
         lo: float,
         hi: float,
     ) -> Optional[np.ndarray]:
-        """The horizon LP via scipy (HiGHS), else the coordinate sweep."""
-        horizon = len(cost)
-        if _linprog is not None:
+        """The horizon LP via the chosen entry, else the coordinate sweep."""
+        if _lp_entry is not None:
             try:
-                a_ub = np.asarray(rows) if len(rows) else None
-                b_ub = gaps if len(rows) else None
-                solved = _linprog(
-                    cost, A_ub=a_ub, b_ub=b_ub,
-                    bounds=[(lo, hi)] * horizon, method="highs",
-                )
+                solved = _lp_entry(cost, rows, gaps, lo, hi)
             except Exception:
                 solved = None
-            if solved is not None and solved.success:
-                return np.asarray(solved.x, dtype=float)
-            if solved is not None and not solved.success:
-                return self._solve_sweep(rows, gaps, lo, hi)
-            return self._solve_sweep(rows, gaps, lo, hi)
+            if solved is not None:
+                return solved
         return self._solve_sweep(rows, gaps, lo, hi)
 
     def _solve_sweep(
-        self, rows, gaps: np.ndarray, lo: float, hi: float
+        self, rows: np.ndarray, gaps: np.ndarray, lo: float, hi: float
     ) -> Optional[np.ndarray]:
         """Pure-numpy fallback: coordinate sweeps toward the warmest
         feasible trajectory (optimal when warmer supply is cheaper,
@@ -419,15 +522,14 @@ class MPCController(RuntimeController):
             else np.full(horizon, hi)
         )
         u = np.clip(start, lo, hi)
-        if not rows:
+        if not len(rows):
             return u
-        a = np.asarray(rows)
         for _ in range(3):
             for j in range(horizon):
-                others = a @ u - a[:, j] * u[j]
+                others = rows @ u - rows[:, j] * u[j]
                 upper, lower = hi, lo
-                for r in range(a.shape[0]):
-                    c = a[r, j]
+                for r in range(rows.shape[0]):
+                    c = rows[r, j]
                     if abs(c) < 1e-12:
                         continue
                     limit = (gaps[r] - others[r]) / c
@@ -440,15 +542,13 @@ class MPCController(RuntimeController):
                 u[j] = min(max(upper, lo), hi)
                 if u[j] < lower - 1e-9:
                     return None
-        if np.all(a @ u <= gaps + 1e-6):
+        if np.all(rows @ u <= gaps + 1e-6):
             return u
         return None
 
     @staticmethod
-    def _feasible(rows, gaps: np.ndarray, u: np.ndarray) -> bool:
-        if not rows:
-            return True
-        return bool(np.all(np.asarray(rows) @ u <= gaps + 1e-6))
+    def _feasible(rows: np.ndarray, gaps: np.ndarray, u: np.ndarray) -> bool:
+        return bool(np.all(rows @ u <= gaps + 1e-6))
 
     # ------------------------------------------------------------------ #
     # Plan adoption

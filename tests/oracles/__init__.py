@@ -13,6 +13,9 @@ drive both through the same public API and compare results bit for bit:
   stacked extraction of :class:`~repro.control.plant.LinearizedPlant`;
 - :class:`LoopTestbed` — one power-law call per machine behind
   :meth:`~repro.testbed.experiment.Testbed.true_server_powers`;
+- :class:`LoopMPCController` — the row-by-row thermal-cap constraints
+  behind the gathered blocks of
+  :class:`~repro.control.mpc.MPCController`'s horizon LP;
 - :mod:`tests.oracles.loop` — the per-substep closed-loop march and the
   scalar ``follow_plan``/``follow_demand`` balancers behind
   :func:`~repro.faults.loop.march` and its vector balancers;
@@ -28,6 +31,7 @@ They are test code: nothing under ``src/`` imports them.
 
 from tests.oracles.closed_form import LoopSystemModel
 from tests.oracles.consolidation import LoopConsolidationIndex
+from tests.oracles.mpc import LoopMPCController
 from tests.oracles.plant import LoopLinearizedPlant
 from tests.oracles.simulation import LoopRoomSimulation
 from tests.oracles.testbed import LoopTestbed
@@ -35,6 +39,7 @@ from tests.oracles.testbed import LoopTestbed
 __all__ = [
     "LoopConsolidationIndex",
     "LoopLinearizedPlant",
+    "LoopMPCController",
     "LoopRoomSimulation",
     "LoopSystemModel",
     "LoopTestbed",

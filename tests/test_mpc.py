@@ -355,3 +355,50 @@ class TestReplayBitIdentity:
         reference = document()
         assert all(used.values()), used  # every reference path ran
         assert shipped == reference
+
+
+class TestConstraintRows:
+    """The gathered-block rows equal the row-by-row reference
+    (``tests.oracles.LoopMPCController``) bit for bit."""
+
+    def _pair(self, ctx, plant, horizon, rng):
+        from tests.oracles import LoopMPCController
+
+        state = (
+            rng.uniform(310.0, 330.0, plant.n),
+            rng.uniform(300.0, 315.0, plant.n),
+            float(rng.uniform(295.0, 302.0)),
+        )
+        controllers = []
+        for cls in (MPCController, LoopMPCController):
+            controller = cls(ctx.optimizer, plant, horizon=horizon)
+            controller.observe_thermal_state(0.0, *state)
+            controllers.append(controller)
+        return controllers
+
+    @pytest.mark.parametrize("horizon", range(1, 9))
+    def test_random_masks_match_the_loop(self, ctx, plant, horizon):
+        rng = np.random.default_rng(100 + horizon)
+        shipped, loop = self._pair(ctx, plant, horizon, rng)
+        for _ in range(4):
+            masks = [rng.random(plant.n) < 0.6 for _ in range(horizon)]
+            powers = [
+                np.where(mask, rng.uniform(80.0, 160.0, plant.n), 0.0)
+                for mask in masks
+            ]
+            rows, gaps = shipped._constraint_rows(masks, powers)
+            ref_rows, ref_gaps = loop._constraint_rows(masks, powers)
+            assert rows.shape == (sum(int(m.sum()) for m in masks), horizon)
+            assert rows.tobytes() == ref_rows.tobytes()
+            assert gaps.tobytes() == ref_gaps.tobytes()
+
+    def test_empty_masks_give_no_rows(self, ctx, plant):
+        rng = np.random.default_rng(7)
+        shipped, loop = self._pair(ctx, plant, 3, rng)
+        masks = [np.zeros(plant.n, dtype=bool)] * 3
+        powers = [np.zeros(plant.n)] * 3
+        rows, gaps = shipped._constraint_rows(masks, powers)
+        ref_rows, ref_gaps = loop._constraint_rows(masks, powers)
+        assert rows.shape == ref_rows.shape == (0, 3)
+        assert gaps.shape == ref_gaps.shape == (0,)
+        assert gaps.dtype == ref_gaps.dtype == np.float64
