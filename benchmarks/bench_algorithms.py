@@ -4,7 +4,8 @@ Regenerates the algorithm study (heuristic failures, brute-force
 agreement, event/status counts) and times the three complexity claims:
 
 - Algorithm 1 pre-processing at testbed scale (n = 20);
-- Algorithm 2 online query (paper: O(log n));
+- Algorithm 2 online query (paper: O(log n)), and the refined query
+  the optimizer uses, at n = 20 and n = 500;
 - the closed-form solution for a fixed ON set (paper: linear in n).
 """
 
@@ -13,6 +14,7 @@ import pytest
 
 from repro.core.closed_form import solve_closed_form
 from repro.core.consolidation import ConsolidationIndex
+from repro.core.optimizer import JointOptimizer
 from repro.experiments.algorithms import random_instance, run_algorithm_study
 from repro.testbed.synthetic import make_system_model
 
@@ -41,12 +43,24 @@ def test_algorithm2_online_query(benchmark):
     benchmark(index.query, load)
 
 
-def test_refined_query(benchmark):
-    rng = np.random.default_rng(0)
-    pairs = random_instance(rng, 20)
-    index = ConsolidationIndex(pairs, w2=38.0, rho=9000.0)
-    load = 0.4 * sum(a for a, _ in pairs)
-    benchmark(index.query_refined, load)
+@pytest.mark.parametrize("n", [20, 500])
+def test_refined_query(benchmark, n):
+    """One refined query at 40% of capacity on the optimizer's index,
+    its query caches (answers, merges, rows, prefix sums) cleared before
+    every round, as a load no earlier query touched finds them."""
+    model = make_system_model(n=n)
+    index = JointOptimizer(model).index
+    load = 0.4 * model.total_capacity
+    caches = (index._memo, index._eval_cache, index._row_cache,
+              index._prefix_cache)
+
+    def clear():
+        for cache in caches:
+            cache.clear()
+
+    benchmark.pedantic(
+        index.query_refined, args=(load,), setup=clear, rounds=200
+    )
 
 
 @pytest.mark.parametrize("n", [5, 20, 80, 500])

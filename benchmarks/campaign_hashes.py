@@ -1,18 +1,20 @@
-"""Fingerprint the closed-loop campaign documents of one source tree.
+"""Fingerprint the closed-loop campaign documents and the served answers
+of one source tree.
 
-Runs six seeded, deterministic campaigns and prints one line per
-document: its name and the first 16 hex digits of the SHA-256 of its
-``json.dumps(doc, sort_keys=True)``.  A refactor of the closed loop
-(:func:`repro.faults.loop.march` and what it calls) that claims bit
-identity must leave all six lines unchanged.  To compare two trees, run
-the script against each one's ``src`` and ``cmp`` the outputs::
+Runs six seeded, deterministic campaigns and one batch of refined
+queries, and prints one line per document: its name and the first 16
+hex digits of the SHA-256 of its ``json.dumps(doc, sort_keys=True)``.
+A refactor of the closed loop (:func:`repro.faults.loop.march` and what
+it calls) or of the refined query that claims bit identity must leave
+all seven lines unchanged.  To compare two trees, run the script
+against each one's ``src`` and ``cmp`` the outputs::
 
     PYTHONPATH=base/src python benchmarks/campaign_hashes.py > base.txt
     PYTHONPATH=src python benchmarks/campaign_hashes.py > head.txt
     cmp base.txt head.txt
 
 With a directory argument the documents are also written there, one
-``<name>.json`` each, for a ``diff`` when a hash moves.  The six runs
+``<name>.json`` each, for a ``diff`` when a hash moves.  The seven runs
 take about 30 s on a two-core Xeon.
 
 The documents:
@@ -23,7 +25,11 @@ The documents:
 - ``mpc20`` — the full MPC campaign at n=20, the ``control-replay``
   benchmark's workload;
 - ``mpc6-weather-quick`` — the quick MPC campaign priced through the
-  chiller plant under a diurnal wet-bulb trace.
+  chiller plant under a diurnal wet-bulb trace;
+- ``answers`` — the ON sets ``query_many`` serves (``None`` for an
+  infeasible load) from the default index of ``make_system_model(n)``:
+  the serving benchmark's 48 levels (10-80% of capacity) at n=100 and
+  n=500, and 200 seeded loads at n=500 up to 1.05x capacity.
 """
 
 from __future__ import annotations
@@ -34,17 +40,42 @@ import pathlib
 import sys
 from typing import Optional
 
+import numpy as np
+
 from repro.control.campaign import run_mpc_campaign
+from repro.core.optimizer import JointOptimizer
 from repro.experiments.common import default_context
 from repro.faults.campaign import run_campaign
+from repro.testbed.synthetic import make_system_model
 from repro.units import celsius_to_kelvin
 from repro.workload.weather import diurnal_wetbulb
 
 SEED = 2012
 
 
+def served_answers() -> dict:
+    """``query_many``'s ON sets for the serve levels and seeded loads."""
+    answers = {}
+    for n in (100, 500):
+        model = make_system_model(n=n)
+        capacity = model.total_capacity
+        loads = np.linspace(0.1 * capacity, 0.8 * capacity, 48).tolist()
+        if n == 500:
+            rng = np.random.default_rng(SEED)
+            loads += rng.uniform(0.0, 1.05 * capacity, 200).tolist()
+        index = JointOptimizer(model).query_index
+        answers[f"n={n}"] = [
+            [load, on_set]
+            for load, on_set in zip(
+                loads, index.query_many(loads, skip_infeasible=True)
+            )
+        ]
+    return answers
+
+
 def documents():
-    """``(name, document)`` for each of the six campaigns, in order."""
+    """``(name, document)`` for each of the six campaigns, in order,
+    then the served answers."""
     for quick in (True, False):
         results, doc = run_campaign(seed=SEED, n_machines=6, quick=quick)
         doc["fault_events"] = {
@@ -65,6 +96,7 @@ def documents():
         seed=SEED, n_machines=6, quick=True,
         context=default_context(seed=SEED, n_machines=6), weather=weather,
     )[1]
+    yield "answers", served_answers()
 
 
 def main(out: Optional[pathlib.Path]) -> None:

@@ -394,14 +394,13 @@ class MPCController(RuntimeController):
             coeff = cooler.c_f_ac * (cooler.actuation_t_ac - 1.0)
             cost = np.full(horizon, coeff * self.control_dt)
             solution: Optional[np.ndarray] = None
-            solver = "linprog"
             relaxed = False
             for slack in (0.0, self.margin):
-                trajectory = self._solve_lp(
+                solved = self._solve_lp(
                     cost, rows, bounds_gap + slack, lo, hi
                 )
-                if trajectory is not None:
-                    solution = trajectory
+                if solved is not None:
+                    solution, solver = solved
                     relaxed = slack > 0.0
                     break
             if solution is None and self._warm is not None:
@@ -497,16 +496,22 @@ class MPCController(RuntimeController):
         gaps: np.ndarray,
         lo: float,
         hi: float,
-    ) -> Optional[np.ndarray]:
-        """The horizon LP via the chosen entry, else the coordinate sweep."""
+    ) -> Optional[tuple[np.ndarray, str]]:
+        """The horizon LP via the chosen entry, else the coordinate sweep.
+
+        Returns ``(trajectory, solver)`` with ``solver`` ``"linprog"``
+        or ``"sweep"`` for the path that solved it, or ``None`` when
+        both failed.
+        """
         if _lp_entry is not None:
             try:
                 solved = _lp_entry(cost, rows, gaps, lo, hi)
             except Exception:
                 solved = None
             if solved is not None:
-                return solved
-        return self._solve_sweep(rows, gaps, lo, hi)
+                return solved, "linprog"
+        swept = self._solve_sweep(rows, gaps, lo, hi)
+        return None if swept is None else (swept, "sweep")
 
     def _solve_sweep(
         self, rows: np.ndarray, gaps: np.ndarray, lo: float, hi: float

@@ -69,6 +69,7 @@ cached index when given ``index_cache_dir``.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from collections.abc import Mapping as _MappingABC
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
@@ -92,6 +93,10 @@ _EVAL_CAPACITY = 32
 
 #: Bounded cache of per-(source, row) order-aligned coefficient arrays.
 _ROW_CAPACITY = 4096
+
+#: Bound on the cumulative sums the per-row top-k cache holds (three per
+#: machine per cached order row: 16 MiB of float64).
+_PREFIX_FLOATS = 1 << 21
 
 #: Absolute tolerance of the sweep's "strictly cheaper" and band tests.
 _COST_TOL = 1e-12
@@ -294,11 +299,14 @@ class RatioSweep:
     edge; capacity-infeasible champions are skipped.  Without a band the
     sweep runs over ``t >= 0``.
 
-    Subclasses differ only in :meth:`_sources`: the tabulated indexes
-    whose order rows are merged at a ratio.  They set ``pairs``, ``w2``,
-    ``rho``, ``theta0``, ``t_min``, ``t_max``, ``_a`` and ``_b``, call
-    :meth:`_init_sweep`, and name their spans and counters with
-    ``_OBS`` and ``_QUERY_COUNTER``.
+    Subclasses supply the layout: :meth:`_sources`, the tabulated
+    indexes whose order rows are merged at a ratio, and optionally
+    :meth:`_topk_sums`, the top-``k`` aggregates the ratio iteration
+    reads (pods partition their merged coordinates; a monolithic index
+    reads them off its order row's prefix sums).  They set
+    ``pairs``, ``w2``, ``rho``, ``theta0``, ``t_min``, ``t_max``, ``_a``
+    and ``_b``, call :meth:`_init_sweep`, and name their spans and
+    counters with ``_OBS`` and ``_QUERY_COUNTER``.
     """
 
     #: Prefix of the query spans and counters.
@@ -400,14 +408,14 @@ class RatioSweep:
         self, t: float, k: int
     ) -> tuple[float, float, Optional[float]]:
         """Aggregates ``(sum a, sum b, sum cap)`` of the global top-``k``
-        at ratio ``t``.
+        at ratio ``t`` (``sum cap`` is ``None`` without capacities).
 
         The ratio iteration needs only these sums, never the member
-        order, so they come from an O(n) selection
-        (``numpy.argpartition``) on the raw coordinate array — the full
-        merge is reserved for the cached band-edge rows and the final
-        materialization.  Any tie set at the cut yields the same
-        ``maxL`` value, so the fixpoint below is unaffected by
+        order, so any layout can take them from an O(n) selection
+        (``numpy.argpartition``) on the raw coordinate array — the pods'
+        path; the full merge is reserved for the cached band-edge rows
+        and the final materialization.  Any tie set at the cut yields
+        the same ``maxL`` value, so the fixpoint below is unaffected by
         partition tie-breaking.
         """
         a, b, caps = self._a, self._b, self._caps
@@ -676,9 +684,17 @@ class ConsolidationIndex(RatioSweep):
         self._a = np.ascontiguousarray(arr[:, 0])
         self._b = np.ascontiguousarray(arr[:, 1])
         self._init_sweep(self.capacities)
+        # The (a, b[, cap]) rows one gather aligns to an order row.
+        self._coef_rows = np.vstack(
+            (self._a, self._b) if self._caps is None
+            else (self._a, self._b, self._caps)
+        )
         # Lazy caches (filled on demand; never persisted).
         self._events_cache: Optional[list[Event]] = None
         self._row_by_time: Optional[dict[float, int]] = None
+        self._time_list: Optional[list[float]] = None
+        self._prefix_cache: dict[int, np.ndarray] = {}
+        self._prefix_rows = max(1, _PREFIX_FLOATS // (3 * len(self.pairs)))
         self._status_view = _StatusView(self)
         self._orders_view = _OrdersView(self)
 
@@ -925,6 +941,37 @@ class ConsolidationIndex(RatioSweep):
         """The sweep reads this index's own order rows (the one-pod
         case of the pod-sharded merge)."""
         return ((self, 0),)
+
+    def _topk_sums(
+        self, t: float, k: int
+    ) -> tuple[float, float, Optional[float]]:
+        """Entry ``k - 1`` of the prefix sums of the order row valid at
+        ``t``.
+
+        Row ``r`` is the exact descending order of ``x(t)`` on
+        ``[times[r], times[r + 1])`` (Algorithm 1), so its ``k``-prefix
+        is the top ``k`` there.  The row is the last event time ``<= t``
+        (the rule of :meth:`_pod_row`), found by bisection over the
+        event times held as a list; each row's running sums of
+        ``(a, b, cap)`` in its order are computed on first use and kept
+        in a bounded cache (never persisted).  The tables start at ``t = 0``,
+        so a negative iterate (a band floor below zero) partitions.
+        """
+        times = self._time_list
+        if times is None:
+            times = self._time_list = self._times.tolist()
+        row = bisect_right(times, t) - 1
+        if row < 0:
+            return super()._topk_sums(t, k)
+        sums = self._prefix_cache.get(row)
+        if sums is None:
+            sums = self._coef_rows.take(self._orders_mat[row], axis=1)
+            np.cumsum(sums, axis=1, out=sums)
+            if len(self._prefix_cache) >= self._prefix_rows:
+                self._prefix_cache.pop(next(iter(self._prefix_cache)))
+            self._prefix_cache[row] = sums
+        top = sums[:, k - 1].tolist()
+        return top[0], top[1], (top[2] if len(top) > 2 else None)
 
     # ------------------------------------------------------------------ #
     # Persistence

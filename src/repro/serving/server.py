@@ -309,9 +309,11 @@ class AllocationServer:
         """Force the index build (or ``.npz`` cache load) before the
         first request, so no client pays the O(n^3 log n) cold start.
 
-        The refined scan's O(m n) row arrays are deliberately left to
-        the first batch: building them here would only move that cost
-        into start-up."""
+        The refined sweep's caches fill lazily, each as a query first
+        touches it: the order rows' top-k prefix sums (and the event
+        times they are located by), the per-ratio merge evaluations and
+        the order-aligned row arrays.  Building any of them here would
+        only move that cost into start-up."""
         with obs.timed("serving/warm_start"):
             index = self.optimizer.query_index
         self.index_statuses = index.status_count

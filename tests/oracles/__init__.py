@@ -9,6 +9,9 @@ drive both through the same public API and compare results bit for bit:
   :class:`~repro.thermal.simulation.RoomSimulation`;
 - :class:`LoopConsolidationIndex` — the per-row Algorithm-1 build
   behind :class:`~repro.core.consolidation.ConsolidationIndex`;
+- :class:`PartitionConsolidationIndex` — the per-iterate top-``k``
+  partition behind the refined sweep's reads of the order rows' prefix
+  sums in :class:`~repro.core.consolidation.ConsolidationIndex`;
 - :class:`LoopLinearizedPlant` — one RK4 rollout per probe behind the
   stacked extraction of :class:`~repro.control.plant.LinearizedPlant`;
 - :class:`LoopTestbed` — one power-law call per machine behind
@@ -30,7 +33,10 @@ They are test code: nothing under ``src/`` imports them.
 """
 
 from tests.oracles.closed_form import LoopSystemModel
-from tests.oracles.consolidation import LoopConsolidationIndex
+from tests.oracles.consolidation import (
+    LoopConsolidationIndex,
+    PartitionConsolidationIndex,
+)
 from tests.oracles.mpc import LoopMPCController
 from tests.oracles.plant import LoopLinearizedPlant
 from tests.oracles.simulation import LoopRoomSimulation
@@ -43,4 +49,5 @@ __all__ = [
     "LoopRoomSimulation",
     "LoopSystemModel",
     "LoopTestbed",
+    "PartitionConsolidationIndex",
 ]

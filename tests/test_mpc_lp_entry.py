@@ -169,14 +169,19 @@ class TestAcceptanceRule:
         assert entry.__name__ == "highs"
         return entry
 
+    #: What the stand-in sweep returns for a trajectory.
+    SWEPT = "swept trajectory"
+
     def _routed(self, monkeypatch, entry):
-        """What ``_solve_lp`` returns with ``entry`` installed, and
-        whether it took the sweep."""
+        """What ``_solve_lp`` returns (``(trajectory, solver)``) with
+        ``entry`` installed, and whether it took the sweep."""
         ctx = default_context(seed=SEED, n_machines=6)
         plant = LinearizedPlant.from_testbed(ctx.testbed, dt=60.0)
         controller = MPCController(ctx.optimizer, plant, horizon=2)
         swept = []
-        controller._solve_sweep = lambda *args: swept.append(args) or "sweep"
+        controller._solve_sweep = (
+            lambda *args: swept.append(args) or self.SWEPT
+        )
         monkeypatch.setattr(mpc_module, "_lp_entry", entry)
         result = controller._solve_lp(
             self.COST, self.ROWS, self.GAPS, self.LO, self.HI
@@ -188,9 +193,9 @@ class TestAcceptanceRule:
         entry = self._entry(
             monkeypatch, x=x, row_value=[290.0, 295.0 + 0.5 * self.TOL]
         )
-        result, swept = self._routed(monkeypatch, entry)
-        assert not swept
-        assert result.tobytes() == np.array(x).tobytes()
+        (u, solver), swept = self._routed(monkeypatch, entry)
+        assert not swept and solver == "linprog"
+        assert u.tobytes() == np.array(x).tobytes()
 
     def test_slack_below_tolerance_goes_to_the_sweep(self, monkeypatch):
         entry = self._entry(
@@ -198,14 +203,14 @@ class TestAcceptanceRule:
             row_value=[290.0, 295.0 + 2.0 * self.TOL],
         )
         assert entry(self.COST, self.ROWS, self.GAPS, self.LO, self.HI) is None
-        assert self._routed(monkeypatch, entry) == ("sweep", True)
+        assert self._routed(monkeypatch, entry) == ((self.SWEPT, "sweep"), True)
 
     def test_nan_in_x_goes_to_the_sweep(self, monkeypatch):
         entry = self._entry(
             monkeypatch, x=[np.nan, 295.0], row_value=[290.0, 295.0]
         )
         assert entry(self.COST, self.ROWS, self.GAPS, self.LO, self.HI) is None
-        assert self._routed(monkeypatch, entry) == ("sweep", True)
+        assert self._routed(monkeypatch, entry) == ((self.SWEPT, "sweep"), True)
 
     @pytest.mark.parametrize(
         "result",
@@ -223,20 +228,20 @@ class TestAcceptanceRule:
     )
     def test_other_refusals_go_to_the_sweep(self, monkeypatch, result):
         entry = self._entry(monkeypatch, **result)
-        assert self._routed(monkeypatch, entry) == ("sweep", True)
+        assert self._routed(monkeypatch, entry) == ((self.SWEPT, "sweep"), True)
 
     def test_non_optimal_status_goes_to_the_sweep(self, monkeypatch):
         entry = self._entry(
             monkeypatch, status=highs_core.HighsModelStatus.kInfeasible,
             x=[290.0, 295.0], row_value=[290.0, 295.0],
         )
-        assert self._routed(monkeypatch, entry) == ("sweep", True)
+        assert self._routed(monkeypatch, entry) == ((self.SWEPT, "sweep"), True)
 
     def test_a_raising_entry_goes_to_the_sweep(self, monkeypatch):
         def broken(*args):
             raise RuntimeError("solver crashed")
 
-        assert self._routed(monkeypatch, broken) == ("sweep", True)
+        assert self._routed(monkeypatch, broken) == ((self.SWEPT, "sweep"), True)
 
 
 @pytest.fixture
@@ -318,12 +323,17 @@ class TestFallbacks:
 
         controller._solve_sweep = checked
         n = plant.n
+        solvers = []
         for step in range(8):
             time = 60.0 * step
             controller.observe_thermal_state(
                 time, np.full(n, 318.0 + step), np.full(n, 310.0), 299.0
             )
+            solves = controller.horizon_solves
             controller.observe(time, capacity * 0.3)
+            if controller.horizon_solves > solves:
+                solvers.append(controller.last_horizon.solver)
         assert swept and any(u is not None for u in swept)
         assert controller.horizon_solves >= 1
         assert controller.last_horizon is not None
+        assert set(solvers) == {"sweep"}

@@ -15,7 +15,11 @@ on equal Eq. 23 cost:
   tolerance, the ``1e-12`` band-edge tolerance, first-kept on near-tie
   costs and the inverted band;
 - the serving benchmark's 48 load levels, where ``selection="index"``,
-  ``"sharded"`` and ``"exact"`` must cost the same.
+  ``"sharded"`` and ``"exact"`` must cost the same;
+- the monolithic index's top-``k`` sums, read off its order rows'
+  prefix sums: every row orders ``x(t)`` on its interval, and the
+  answers equal those of the per-iterate partition
+  (:class:`tests.oracles.PartitionConsolidationIndex`).
 
 Capacities here are uniform per instance, as the fitted models' are:
 with heterogeneous capacities the sweep skips a size whose champion
@@ -28,6 +32,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core import consolidation
 from repro.core.consolidation import ConsolidationIndex
 from repro.core.optimizer import JointOptimizer
 from repro.core.select import brute_force_subset, optimal_subset, ratio
@@ -35,6 +40,7 @@ from repro.core.sharding import PodShardedIndex
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.serving import AllocationServer
 from repro.testbed.synthetic import make_system_model
+from tests.oracles import PartitionConsolidationIndex
 
 #: Largest instance the exhaustive reference enumerates.
 BRUTE_MAX = 12
@@ -327,8 +333,165 @@ class TestServeLevels:
         assert powers["sharded"] == pytest.approx(powers["exact"], abs=1e-6)
 
 
+def _serve_spec(n):
+    """The optimizer's own index parameters for ``make_system_model(n)``
+    (no jitter: the serving benchmark's index)."""
+    model = make_system_model(n=n)
+    optimizer = JointOptimizer(model)
+    w2, rho = optimizer._cost_coefficients()
+    t_min, t_max = optimizer._t_bounds()
+    return {
+        "pairs": model.ab_pairs(), "w2": w2, "rho": rho,
+        "t_min": t_min, "t_max": t_max,
+        "capacities": list(model.capacities),
+    }
+
+
+def _random_spec(rng, band, capacities):
+    """A seeded random instance: a supply band (``"wide"``, ``"real"``
+    -like, ``"negative"`` floor, or ``None``) and uniform,
+    heterogeneous or no capacities."""
+    n = int(rng.integers(3, 70))
+    a = rng.uniform(20.0, 400.0, n)
+    b = rng.uniform(0.3, 6.0, n)
+    spec = {
+        "pairs": list(zip(a.tolist(), b.tolist())),
+        "w2": float(rng.uniform(1.0, 80.0)),
+        "rho": float(rng.uniform(10.0, 500.0)),
+    }
+    if band == "wide":
+        spec["t_min"], spec["t_max"] = 0.0, float(rng.uniform(100.0, 400.0))
+    elif band == "real":
+        t_min = float(rng.uniform(0.0, 30.0))
+        spec["t_min"] = t_min
+        spec["t_max"] = t_min + float(rng.uniform(0.0, 40.0))
+    elif band == "negative":
+        spec["t_min"] = float(rng.uniform(-20.0, 0.0))
+        spec["t_max"] = float(rng.uniform(0.0, 100.0))
+    if capacities == "uniform":
+        spec["capacities"] = [float(rng.uniform(20.0, 120.0))] * n
+    elif capacities == "heterogeneous":
+        spec["capacities"] = rng.uniform(20.0, 120.0, n).tolist()
+    return spec
+
+
+def _outcomes(index, loads):
+    """Per load: the ON set ``query_many`` serves, or the type and
+    message of the error it raises for that load alone."""
+    served = index.query_many(loads, skip_infeasible=True)
+    outcomes = []
+    for load, on_set in zip(loads, served):
+        if on_set is None:
+            with pytest.raises(InfeasibleError) as raised:
+                index.query_many([load])
+            on_set = (type(raised.value), str(raised.value))
+        outcomes.append(on_set)
+    return outcomes
+
+
+def _row_order_holds(index, t, row):
+    """Row ``row`` lists ``x(t)`` non-increasing, to within the
+    rounding of ``a - t*b`` (a few ulps of ``|a| + |t b|``)."""
+    order = index._orders_mat[row]
+    a, b = index._a[order], index._b[order]
+    x = a - t * b
+    slack = 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(t * b))
+    return bool(np.all(x[1:] <= x[:-1] + np.maximum(slack[1:], slack[:-1])))
+
+
+class TestRowPrefixSums:
+    """The monolithic sweep reads each top-``k`` off the order row valid
+    at the ratio: the rows must order the coordinates on their
+    intervals, and the answers must be the partition's."""
+
+    @pytest.mark.parametrize("spec", [
+        _clone_block(True, True),
+        _heterogeneous(24, 2012, True, True),
+        _heterogeneous(13, 7, False, False),
+        {**_heterogeneous(9, 11, False, False), "w2": 1e-13},
+        _serve_spec(100),
+    ], ids=["clone-block", "heterogeneous", "unbanded", "near-ties",
+            "system-100"])
+    def test_every_row_orders_its_interval(self, spec):
+        index = ConsolidationIndex(**spec)
+        times = index._times
+        rng = np.random.default_rng(len(times))
+        for row, start in enumerate(times):
+            end = (times[row + 1] if row + 1 < len(times)
+                   else start + max(1.0, start))
+            for t in (start, end, *rng.uniform(start, end, 4)):
+                assert _row_order_holds(index, t, row), (row, t)
+
+    @pytest.mark.parametrize("n", [100, 500])
+    def test_serve_levels_match_the_partition(self, n):
+        spec = _serve_spec(n)
+        capacity = sum(spec["capacities"])
+        loads = np.linspace(0.1 * capacity, 0.8 * capacity, 48).tolist()
+        assert _outcomes(ConsolidationIndex(**spec), loads) == _outcomes(
+            PartitionConsolidationIndex(**spec), loads
+        )
+
+    @pytest.mark.parametrize(
+        "capacities", ["uniform", "heterogeneous", None]
+    )
+    @pytest.mark.parametrize("band", ["wide", "real", "negative", None])
+    def test_random_instances_match_the_partition(self, band, capacities):
+        rng = np.random.default_rng(
+            [("wide", "real", "negative", None).index(band),
+             ("uniform", "heterogeneous", None).index(capacities)]
+        )
+        for _ in range(4):
+            spec = _random_spec(rng, band, capacities)
+            top = sum(a for a, _ in spec["pairs"])
+            if "capacities" in spec:
+                top = min(top, sum(spec["capacities"]))
+            # Half the loads near the top, where a negative band floor
+            # admits sizes whose ratio lies below the tables' t = 0.
+            loads = (rng.uniform(0.0, 1.1 * top, 15).tolist()
+                     + rng.uniform(0.7 * top, top, 15).tolist())
+            assert _outcomes(ConsolidationIndex(**spec), loads) == (
+                _outcomes(PartitionConsolidationIndex(**spec), loads)
+            )
+
+    def test_negative_ratios_read_below_the_tables(self):
+        # The particles cross at t = -1, before the tables' first row:
+        # at t* = -3 the top one is machine 1, while row 0 (valid from
+        # t = 0) lists machine 0 first.  Read off row 0, size 1 would
+        # price at t = -5 and lose to both machines (10 - 4/3 W).
+        spec = {"pairs": [(10.0, 1.0), (9.0, 2.0)], "w2": 5.0, "rho": 1.0,
+                "t_min": -10.0, "t_max": 10.0}
+        index = ConsolidationIndex(**spec)
+        assert index._times[0] == 0.0
+        best, power = brute_force_subset(
+            spec["pairs"], 15.0, w2=5.0, rho=1.0, theta=0.0,
+            t_min=-10.0, t_max=10.0,
+        )
+        assert (best, power) == ([1], 8.0)
+        assert index.query_refined(15.0) == best
+        assert PartitionConsolidationIndex(**spec).query_refined(15.0) == best
+
+    def test_reloaded_index_matches_the_partition(self, tmp_path):
+        spec = _serve_spec(100)
+        path = ConsolidationIndex(**spec).save(tmp_path / "index.npz")
+        capacity = sum(spec["capacities"])
+        loads = np.random.default_rng(5).uniform(
+            0.0, 1.05 * capacity, 60
+        ).tolist()
+        assert _outcomes(ConsolidationIndex.load(path), loads) == _outcomes(
+            PartitionConsolidationIndex(**spec), loads
+        )
+
+
 def _query_caches(index):
     return index._memo, index._row_cache, index._eval_cache
+
+
+def _wide_band_spec():
+    # Crossing particles and a band spanning every event time: a load
+    # sweep lands its ratio iterates in hundreds of distinct rows.
+    spec = _random_spec(np.random.default_rng(3), "wide", "uniform")
+    spec["t_max"] = 1e4
+    return spec
 
 
 class TestLazyRows:
@@ -339,24 +502,57 @@ class TestLazyRows:
         spec = _real_spec(8, 2)
         index = ConsolidationIndex(**spec)
         assert not any(_query_caches(index))
+        assert not index._prefix_cache and index._time_list is None
         loaded = ConsolidationIndex.load(index.save(tmp_path / "i.npz"))
         assert not any(_query_caches(loaded))
+        assert not loaded._prefix_cache and loaded._time_list is None
         load = 0.4 * sum(spec["capacities"])
         index.query(load)
-        assert not any(_query_caches(index))
+        assert not any(_query_caches(index)) and not index._prefix_cache
         index.query_refined(load)
-        assert all(_query_caches(index))
+        assert all(_query_caches(index)) and index._prefix_cache
 
     def test_not_built_by_server_warm_up(self):
         server = AllocationServer(JointOptimizer(make_system_model(n=6)))
 
         async def scenario():
             await server.start()
-            caches = _query_caches(server.optimizer.query_index)
+            index = server.optimizer.query_index
+            caches = (*_query_caches(index), index._prefix_cache)
             await server.drain()
-            return caches
+            return caches, index._time_list
 
-        assert not any(asyncio.run(scenario()))
+        caches, times = asyncio.run(scenario())
+        assert not any(caches) and times is None
+
+    def test_prefix_cache_stays_within_its_bound(self):
+        spec = _wide_band_spec()
+        index = ConsolidationIndex(**spec)
+        capacity = sum(spec["capacities"])
+        index.query_many(
+            np.linspace(0.01 * capacity, capacity, 400).tolist(),
+            skip_infeasible=True,
+        )
+        n = len(spec["pairs"])
+        assert len(index._prefix_cache) >= 100
+        assert len(index._prefix_cache) <= index._prefix_rows
+        held = sum(sums.size for sums in index._prefix_cache.values())
+        assert held <= consolidation._PREFIX_FLOATS
+        assert index._prefix_rows * 3 * n <= consolidation._PREFIX_FLOATS
+
+    def test_eviction_keeps_the_answers(self, monkeypatch):
+        spec = _wide_band_spec()
+        capacity = sum(spec["capacities"])
+        loads = np.linspace(0.01 * capacity, capacity, 400).tolist()
+        expected = ConsolidationIndex(**spec).query_many(
+            loads, skip_infeasible=True
+        )
+        n = len(spec["pairs"])
+        monkeypatch.setattr(consolidation, "_PREFIX_FLOATS", 8 * 3 * n)
+        small = ConsolidationIndex(**spec)
+        assert small._prefix_rows == 8
+        assert small.query_many(loads, skip_infeasible=True) == expected
+        assert len(small._prefix_cache) == 8
 
 
 class TestNaNLoads:
