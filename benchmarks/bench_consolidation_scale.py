@@ -32,7 +32,7 @@ for each ``n:pods`` size it builds a
 single/batched queries, and reports two optimality gaps — versus the
 exact per-``k`` scan where that is affordable (``n <=
 REPRO_BENCH_SCALE_EXACT_MAX``), and versus the seeded
-simulated-annealing baseline (:func:`repro.core.sharding.anneal_on_set`)
+simulated-annealing baseline (:func:`tests.oracles.anneal_on_set`)
 everywhere.  The annealing gap may go *negative* at high utilization:
 the index query and the exact scan only consider the ratio-optimal
 subset per cardinality and skip a size whose champion lacks capacity,
@@ -69,9 +69,10 @@ import numpy as np
 from repro import obs
 from repro.core.consolidation import ConsolidationIndex
 from repro.core.select import optimal_subset
-from repro.core.sharding import PodShardedIndex, anneal_on_set, subset_power
+from repro.core.sharding import PodShardedIndex
 from repro.errors import InfeasibleError
 from repro.obs.artifacts import EXACT_GAP_TOL
+from tests.oracles import anneal_on_set, subset_power
 
 SEED = 2012
 

@@ -143,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="shard the consolidation index into this many contiguous "
-        "pods (selection='sharded'): per-pod Algorithm-1 tables with a "
-        "shared-ratio cross-pod query, the scaling path beyond n≈500 "
+        "pods: per-pod Algorithm-1 tables with a shared-ratio "
+        "cross-pod query, the scaling path beyond n≈500 "
         "(index and serve targets; see docs/algorithms.md)",
     )
     parser.add_argument(
@@ -485,10 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ctx = default_context(seed=args.seed, n_machines=args.machines)
             model = ctx.model
         optimizer = JointOptimizer(
-            model,
-            selection="sharded" if args.pods is not None else "index",
-            pods=args.pods,
-            index_cache_dir=args.cache_dir,
+            model, pods=args.pods, index_cache_dir=args.cache_dir
         )
         config = ServingConfig(
             socket_path=args.socket,
@@ -676,10 +673,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
         optimizer = JointOptimizer(
-            model,
-            selection="sharded" if args.pods is not None else "index",
-            pods=args.pods,
-            index_cache_dir=args.cache_dir,
+            model, pods=args.pods, index_cache_dir=args.cache_dir
         )
         start = time.perf_counter()
         index = optimizer.query_index

@@ -138,11 +138,7 @@ class RuntimeController:
         derated = replace(model, t_max=model.t_max - overshoot - margin)
         # Rebuild the optimizer around the derated belief; subsequent
         # ordinary observations keep using it until a re-profile.
-        self.optimizer = type(self.optimizer)(
-            derated,
-            selection=self.optimizer.selection,
-            cost_model=self.optimizer.cost_model,
-        )
+        self.optimizer = self.optimizer.with_model(derated)
         obs.count("controller.watchdog_trips")
         with obs.timed("controller/replan"):
             obs.set_span_attributes(
@@ -368,11 +364,10 @@ class RuntimeController:
         of selection queries can be answered in one
         :meth:`~repro.core.consolidation.ConsolidationIndex.query_many`
         batch up front; the replay's re-plans then hit the query memo.
-        Only meaningful on the indexed selection paths (monolithic or
-        pod-sharded) with healthy hardware (exclusions bypass the index
-        entirely).
+        Only meaningful with healthy hardware: a re-plan around failed
+        machines queries a survivor index, not the warmed one.
         """
-        if self.optimizer.selection not in ("index", "sharded") or self.failed:
+        if self.failed:
             return
         capacity = sum(self.optimizer.model.capacities)
         targets = set()

@@ -3,9 +3,12 @@
 :class:`JointOptimizer` wires together the pieces of Section III: given the
 fitted :class:`~repro.core.model.SystemModel` and a total load ``L``, it
 
-1. chooses the set of machines to power on (Section III-B) — via the
-   paper's event-based :class:`~repro.core.consolidation.ConsolidationIndex`
-   (default), the exact Dinkelbach scan, or brute force;
+1. chooses the set of machines to power on (Section III-B) — through
+   the per-cardinality sweep of
+   :class:`~repro.core.consolidation.RatioSweep` over the paper's
+   event-based :class:`~repro.core.consolidation.ConsolidationIndex`, or
+   over a :class:`~repro.core.sharding.PodShardedIndex` when the room is
+   split into pods or machines are excluded;
 2. computes the closed-form optimal load split and cooling-air temperature
    for that set (Section III-A, Eqs. 18-22);
 3. translates the desired supply temperature into the set point to command
@@ -37,10 +40,8 @@ from repro.core.consolidation import (
     consolidation_cache_key,
 )
 from repro.core.model import SystemModel
-from repro.core.select import brute_force_subset, optimal_subset
 from repro.core.sharding import PodShardedIndex
 
-SelectionMethod = Literal["index", "sharded", "exact", "brute"]
 CostModel = Literal["paper", "actuated"]
 
 #: Interior grid points probed in one batch to shrink the ``maxL``
@@ -65,8 +66,9 @@ class OptimizationResult:
     solution:
         Full closed-form record (predicted temperatures and powers).
     method:
-        Selection method that produced the ON set ("all" when
-        consolidation was disabled).
+        How the ON set was chosen: ``"index"`` (the monolithic
+        Algorithm-1 index), ``"sharded"`` (pods), ``"explicit"`` (a
+        caller's ON set) or ``"all"`` (consolidation disabled).
     """
 
     loads: np.ndarray
@@ -101,15 +103,6 @@ class JointOptimizer:
     ----------
     model:
         Fitted coefficients of the machine room (from profiling).
-    selection:
-        How to pick the ON set when consolidating: ``"index"`` uses the
-        paper's Algorithms 1-2 (answering through the per-cardinality
-        sweep of :class:`~repro.core.consolidation.RatioSweep`),
-        ``"sharded"`` the pod-partitioned
-        :class:`~repro.core.sharding.PodShardedIndex` (thousands of
-        machines; the monolithic pre-processing walls out near n = 500),
-        ``"exact"`` the Dinkelbach per-``k`` scan, ``"brute"`` exhaustive
-        search (small n only).
     cost_model:
         Cost coefficients used during subset selection.  ``"paper"``
         follows Eq. 23 verbatim (``rho = c*f_ac*w1``, set point treated as
@@ -122,35 +115,29 @@ class JointOptimizer:
         the parameters' content hash and loads it instead of re-running
         the O(n^3 log n) pre-processing; a fresh build is written back
         for the next run.  Stale or corrupt files are rebuilt, never
-        trusted.  With ``selection="sharded"`` the same directory holds
-        the per-pod documents.
+        trusted.  Pod-sharded indexes keep their per-pod documents in
+        the same directory.
     pods:
-        Pod count for ``selection="sharded"`` (default: sized so each
-        pod holds about
-        :data:`~repro.core.sharding.DEFAULT_POD_MACHINES` machines).
-        Rejected with any other selection method — it would silently do
-        nothing.
+        ``None`` (default) answers healthy queries from the monolithic
+        Algorithm-1 :attr:`index`; an integer splits the room into that
+        many contiguous pods of a
+        :class:`~repro.core.sharding.PodShardedIndex` (thousands of
+        machines; the monolithic pre-processing walls out near
+        n = 500).  Both answer through the same per-cardinality sweep.
+        Queries with exclusions always go to a pod-sharded index over
+        the survivors (:meth:`_survivor_index`).
     """
 
     def __init__(
         self,
         model: SystemModel,
-        selection: SelectionMethod = "index",
         cost_model: CostModel = "paper",
         index_cache_dir: Optional[Union[str, pathlib.Path]] = None,
         pods: Optional[int] = None,
     ) -> None:
-        if selection not in ("index", "sharded", "exact", "brute"):
-            raise ConfigurationError(f"unknown selection method {selection!r}")
         if cost_model not in ("paper", "actuated"):
             raise ConfigurationError(f"unknown cost model {cost_model!r}")
-        if pods is not None and selection != "sharded":
-            raise ConfigurationError(
-                f'pods={pods} only applies to selection="sharded" '
-                f"(got selection={selection!r})"
-            )
         self.model = model
-        self.selection = selection
         self.cost_model = cost_model
         self.pods = None if pods is None else int(pods)
         self.index_cache_dir = (
@@ -161,6 +148,26 @@ class JointOptimizer:
         self._survivor_indexes: OrderedDict[
             frozenset, tuple[PodShardedIndex, list[int]]
         ] = OrderedDict()
+
+    @property
+    def method(self) -> str:
+        """The ``method`` label of a consolidated answer: ``"sharded"``
+        with pods, ``"index"`` without."""
+        return "index" if self.pods is None else "sharded"
+
+    def with_model(self, model: SystemModel) -> "JointOptimizer":
+        """A fresh optimizer of the same kind over ``model``.
+
+        Keeps ``cost_model``, ``pods`` and ``index_cache_dir``; the
+        indexes are rebuilt lazily for the new coefficients.  Controllers
+        call it when they plan against a derated ``T_max``.
+        """
+        return type(self)(
+            model,
+            cost_model=self.cost_model,
+            index_cache_dir=self.index_cache_dir,
+            pods=self.pods,
+        )
 
     # ------------------------------------------------------------------ #
     # Cost coefficients of the subset-selection reduction (Eq. 23)
@@ -252,44 +259,48 @@ class JointOptimizer:
         save_consolidation_index(index, path)
         return index
 
-    @property
-    def sharded_index(self) -> PodShardedIndex:
-        """The lazily built pod-sharded structure (shared across queries).
-
-        Pod tables go through the same ``.npz`` cache directory as the
-        monolithic index when ``index_cache_dir`` is set — each pod is
-        keyed by its own content hash, so pods are reused across runs
-        (and across optimizers over the same machine subsets).
-        """
-        if self._sharded_index is None:
-            w2_eff, rho = self._cost_coefficients()
-            t_min, t_max = self._t_bounds()
-            obs.count("optimizer.sharded_index_builds")
-            self._sharded_index = PodShardedIndex(
-                pairs=self.model.ab_pairs(),
-                w2=w2_eff,
-                rho=rho,
-                t_min=t_min,
-                t_max=t_max,
-                capacities=self.model.capacities,
-                pods=self.pods,
-                cache_dir=self.index_cache_dir,
-            )
-        return self._sharded_index
+    def _pod_index(
+        self,
+        ids: Sequence[int],
+        pods: Optional[int],
+        cache_dir: Optional[pathlib.Path] = None,
+    ) -> PodShardedIndex:
+        """A pod-sharded index over the machines ``ids`` (global ids, in
+        order), with per-pod documents in ``cache_dir`` when set."""
+        w2_eff, rho = self._cost_coefficients()
+        t_min, t_max = self._t_bounds()
+        pairs = self.model.ab_pairs()
+        return PodShardedIndex(
+            pairs=[pairs[i] for i in ids],
+            w2=w2_eff,
+            rho=rho,
+            t_min=t_min,
+            t_max=t_max,
+            capacities=[self.model.capacities[i] for i in ids],
+            pods=pods,
+            cache_dir=cache_dir,
+        )
 
     @property
     def query_index(self):
         """The index a selection without exclusions queries.
 
-        ``selection="sharded"`` routes to :attr:`sharded_index`; every
-        other method uses the monolithic :attr:`index`.  The serving
-        daemon warms this index at start-up; its answers go through
-        :meth:`solve` and :meth:`solve_many`, which pick the index the
-        same way for every selection method.
+        The monolithic :attr:`index` when ``pods`` is ``None``, else a
+        lazily built :class:`~repro.core.sharding.PodShardedIndex` of
+        ``pods`` pods over every machine.  Pod tables go through the
+        same ``.npz`` cache directory as the monolithic index — each pod
+        is keyed by its own content hash, so pods are reused across runs
+        (and across optimizers over the same machine subsets).  The
+        serving daemon warms this index at start-up.
         """
-        if self.selection == "sharded":
-            return self.sharded_index
-        return self.index
+        if self.pods is None:
+            return self.index
+        if self._sharded_index is None:
+            obs.count("optimizer.sharded_index_builds")
+            self._sharded_index = self._pod_index(
+                range(self.model.node_count), self.pods, self.index_cache_dir
+            )
+        return self._sharded_index
 
     def _survivor_index(
         self, excluded: frozenset
@@ -298,10 +309,15 @@ class JointOptimizer:
 
         Exclusions invalidate the pre-computed global tables (they are
         prefix-based), but fault-campaign replans re-probe the same
-        degraded room many times — so with ``selection="sharded"`` the
-        survivors get their own sharded index, memoized per exclusion
-        set.  Sharded builds are ``sum_p m_p^3``, cheap enough to
-        amortize within a single bracketing pass even at n = 500.
+        degraded room many times — so the survivors get their own
+        sharded index, memoized per exclusion set, whatever ``pods`` is.
+        Sharded builds are ``sum_p m_p^3``, cheap enough to amortize
+        within a single bracketing pass even at n = 500.  The survivors'
+        pods keep the healthy room's pod count (capped at the survivor
+        count) or, without pods, the default pod size.  Survivor pods
+        are never written to ``index_cache_dir``: the exclusion sets come
+        from callers, so their number has no bound, and the in-memory
+        memo already serves the repeats.
 
         Returns ``(index, survivors)`` where ``survivors[j]`` maps the
         index's local machine ``j`` back to the global id.
@@ -313,23 +329,11 @@ class JointOptimizer:
         survivors = [
             i for i in range(self.model.node_count) if i not in excluded
         ]
-        w2_eff, rho = self._cost_coefficients()
-        t_min, t_max = self._t_bounds()
         pods = self.pods
         if pods is not None:
             pods = max(1, min(pods, len(survivors)))
         obs.count("optimizer.survivor_index_builds")
-        pairs = self.model.ab_pairs()
-        index = PodShardedIndex(
-            pairs=[pairs[i] for i in survivors],
-            w2=w2_eff,
-            rho=rho,
-            t_min=t_min,
-            t_max=t_max,
-            capacities=[self.model.capacities[i] for i in survivors],
-            pods=pods,
-            cache_dir=self.index_cache_dir,
-        )
+        index = self._pod_index(survivors, pods)
         while len(self._survivor_indexes) >= 4:
             self._survivor_indexes.popitem(last=False)
         self._survivor_indexes[excluded] = (index, survivors)
@@ -339,13 +343,13 @@ class JointOptimizer:
         self,
         loads: Sequence[float],
         exclude: Optional[Sequence[int]],
-    ) -> tuple[frozenset, list[int], list[Optional[ReproError]]]:
+    ) -> tuple[frozenset, list[Optional[ReproError]]]:
         """:meth:`select_on_set`'s input checks, for many loads at once.
 
-        Returns ``(excluded, survivors, errors)``: ``errors[i]`` is the
-        exception :meth:`select_on_set` raises for ``loads[i]``, or
-        ``None`` when the load passes.  The surviving capacity is summed
-        once per call, not once per load.
+        Returns ``(excluded, errors)``: ``errors[i]`` is the exception
+        :meth:`select_on_set` raises for ``loads[i]``, or ``None`` when
+        the load passes.  The surviving capacity is summed once per
+        call, not once per load.
         """
         excluded = frozenset(int(i) for i in exclude or ())
         n = self.model.node_count
@@ -376,21 +380,18 @@ class JointOptimizer:
                     f"{capacity:.3f}"
                 )
             errors.append(error)
-        return excluded, survivors, errors
+        return excluded, errors
 
     def _selection_index(self, excluded: frozenset):
-        """``(index, ids)`` that :meth:`select_on_set` queries, or ``None``.
+        """``(index, ids)`` that :meth:`select_on_set` queries.
 
-        ``ids`` maps the index's machine numbers to global ids (``None``
-        when they coincide).  ``selection="index"`` with exclusions,
-        ``"exact"`` and ``"brute"`` scan the survivors instead.
+        :attr:`query_index` for a healthy room, the memoized
+        :meth:`_survivor_index` when machines are excluded.  ``ids``
+        maps the index's machine numbers to global ids (``None`` when
+        they coincide).
         """
-        if self.selection == "index" and not excluded:
-            return self.index, None
-        if self.selection != "sharded":
-            return None
         if not excluded:
-            return self.sharded_index, None
+            return self.query_index, None
         return self._survivor_index(excluded)
 
     # ------------------------------------------------------------------ #
@@ -405,41 +406,16 @@ class JointOptimizer:
         """Choose which machines to power on for ``total_load`` tasks/s.
 
         ``exclude`` removes machines from consideration (failed hardware,
-        maintenance).  Exclusions invalidate the pre-computed index:
-        ``selection="index"`` falls back to the exact per-query scan
-        over the surviving machines (polynomial, exactly optimal), while
-        ``selection="sharded"`` re-shards the survivors (memoized per
-        exclusion set) so degraded queries stay fast at n = 5000.
+        maintenance).  Exclusions invalidate the pre-computed index, so
+        the survivors are re-sharded (memoized per exclusion set) and
+        degraded queries stay fast at n = 5000.
         """
-        excluded, survivors, (error,) = self._selection_errors(
-            [total_load], exclude
-        )
+        excluded, (error,) = self._selection_errors([total_load], exclude)
         if error is not None:
             raise error
-        indexed = self._selection_index(excluded)
-        if indexed is not None:
-            index, ids = indexed
-            chosen = index.query_refined(total_load)
-            return chosen if ids is None else sorted(ids[j] for j in chosen)
-        w2_eff, rho = self._cost_coefficients()
-        t_min, t_max = self._t_bounds()
-        all_pairs = self.model.ab_pairs()
-        pairs = [all_pairs[i] for i in survivors]
-        capacities = [self.model.capacities[i] for i in survivors]
-        solver = (
-            brute_force_subset if self.selection == "brute" else optimal_subset
-        )
-        best, _ = solver(
-            pairs,
-            total_load,
-            w2=w2_eff,
-            rho=rho,
-            theta=0.0,
-            t_min=t_min,
-            t_max=t_max,
-            capacities=capacities,
-        )
-        return sorted(survivors[j] for j in best)
+        index, ids = self._selection_index(excluded)
+        chosen = index.query_refined(total_load)
+        return chosen if ids is None else sorted(ids[j] for j in chosen)
 
     def solve_many(
         self,
@@ -451,28 +427,20 @@ class JointOptimizer:
         Each entry is the :class:`OptimizationResult` that
         ``solve(load, exclude=exclude)`` returns, or the
         :class:`~repro.errors.ReproError` it raises, with the same type
-        and message.  Duplicate loads are answered once.  Where
-        :meth:`select_on_set` queries an index, one ``query_many`` pass
+        and message.  Duplicate loads are answered once, and one
+        ``query_many`` pass over the index :meth:`select_on_set` queries
         selects every distinct load; a load that pass finds infeasible
         is asked again through :meth:`select_on_set`, so its error is
-        the single query's own.  The exact and brute-force scans solve
-        each distinct load in turn.
+        the single query's own.
         """
         loads = list(loads)
-        excluded, _, errors = self._selection_errors(loads, exclude)
+        excluded, errors = self._selection_errors(loads, exclude)
         distinct = list(dict.fromkeys(
             load for load, error in zip(loads, errors) if error is None
         ))
-        indexed = self._selection_index(excluded) if distinct else None
         answers: dict = {}
-        if indexed is None:
-            for load in distinct:
-                try:
-                    answers[load] = self.solve(load, exclude=exclude)
-                except ReproError as exc:
-                    answers[load] = exc
-        else:
-            index, ids = indexed
+        if distinct:
+            index, ids = self._selection_index(excluded)
             on_sets = index.query_many(distinct, skip_infeasible=True)
             for load, chosen in zip(distinct, on_sets):
                 try:
@@ -482,7 +450,7 @@ class JointOptimizer:
                         chosen = sorted(ids[j] for j in chosen)
                     answers[load] = _result(
                         solve_closed_form(self.model, chosen, load),
-                        self.selection,
+                        self.method,
                     )
                 except ReproError as exc:
                     answers[load] = exc
@@ -540,12 +508,6 @@ class JointOptimizer:
             comes from the sequential refinement.
             """
             obs.count("optimizer.max_load_probes", len(loads))
-            batched = self._selection_index(frozenset(excluded)) is not None
-            obs.count(
-                "optimizer.max_load_batched_probes" if batched
-                else "optimizer.max_load_fallback_solves",
-                len(loads),
-            )
             powers = []
             for result in self.solve_many(loads, exclude=sorted(excluded)):
                 if isinstance(result, InfeasibleError):
@@ -559,7 +521,7 @@ class JointOptimizer:
         with obs.record_run(
             "optimizer.max_load",
             inputs={"power_budget": float(power_budget)},
-            method=self.selection,
+            method=self.method,
         ) as rec:
             lo = 1e-6 * capacity
             if predicted(lo) > power_budget:
@@ -641,7 +603,7 @@ class JointOptimizer:
                     method = "explicit"
                 elif consolidate:
                     chosen = self.select_on_set(total_load, exclude=exclude)
-                    method = self.selection
+                    method = self.method
                 else:
                     chosen = [
                         i

@@ -109,11 +109,7 @@ class ResilientController(RuntimeController):
                 optimizer.model, t_max=optimizer.model.t_max - thermal_guard
             )
             self.true_t_max = optimizer.model.t_max
-            optimizer = type(optimizer)(
-                derated,
-                selection=optimizer.selection,
-                cost_model=optimizer.cost_model,
-            )
+            optimizer = optimizer.with_model(derated)
         else:
             self.true_t_max = optimizer.model.t_max
         self.thermal_guard = thermal_guard

@@ -47,8 +47,8 @@ class RunRecord:
     inputs:
         The run's inputs (load, budget, machine count, ...), JSON-safe.
     method:
-        Selection method for optimizer runs (``"index"``, ``"exact"``,
-        ``"brute"``, ``"explicit"``, ``"all"``); ``None`` otherwise.
+        Selection method for optimizer runs (``"index"``, ``"sharded"``,
+        ``"explicit"``, ``"all"``); ``None`` otherwise.
     stages:
         Wall-clock seconds per stage.  Top-level stages (no ``/`` in the
         key) are disjoint and together cover essentially the whole run;

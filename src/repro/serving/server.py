@@ -22,8 +22,8 @@ successful answer with its encoded JSON body: the answer is a pure
 function of the load, and a server's optimizer never changes, so a
 repeated load skips selection, the closed form and the response encode.
 The batch's remaining loads, and a ``what-if`` horizon, go to one
-:meth:`~repro.core.optimizer.JointOptimizer.solve_many` call, whatever
-the selection method.  Every path that can fail returns the same
+:meth:`~repro.core.optimizer.JointOptimizer.solve_many` call, monolithic
+or pod-sharded.  Every path that can fail returns the same
 :mod:`repro.errors` exception the library call would raise locally; the
 protocol layer turns it into a structured error response.
 

@@ -31,8 +31,8 @@ with ``eta_eff = 1/s = effective_efficiency(t_wb, q0)``, and the
 tangent's offset folds into the fitted :class:`~repro.core.model.
 CoolerModel`'s ``idle_power``.  :meth:`ChillerPlant.linearize` performs
 exactly that substitution on a fitted cooler model; the
-:class:`~repro.core.optimizer.JointOptimizer`, the MPC's supply-air LP,
-and the sharded index's ``subset_power`` scorer consume the replaced
+:class:`~repro.core.optimizer.JointOptimizer` (its Eq. 23 selection
+coefficients included) and the MPC's supply-air LP consume the replaced
 model completely unchanged in form.
 """
 

@@ -22,6 +22,14 @@ drive both through the same public API and compare results bit for bit:
 - :mod:`tests.oracles.loop` — the per-substep closed-loop march and the
   scalar ``follow_plan``/``follow_demand`` balancers behind
   :func:`~repro.faults.loop.march` and its vector balancers;
+- :class:`ExactSelectionOptimizer` and :class:`BruteForceOptimizer` —
+  the per-query exact Dinkelbach scan and subset enumeration over the
+  surviving machines behind the sweep every
+  :class:`~repro.core.optimizer.JointOptimizer` selection, healthy or
+  degraded, goes through;
+- :mod:`tests.oracles.anneal` — the Eq. 23 subset scorer
+  (:func:`subset_power`) and the seeded simulated-annealing baseline
+  (:func:`anneal_on_set`) the scale benchmark reports gaps against;
 - :mod:`tests.oracles.closed_form` — the per-node closed form (Eqs.
   18-22, active-set repair, back-off bisection, KKT multipliers) behind
   :mod:`repro.core.closed_form`, and :class:`LoopSystemModel`, whose
@@ -32,6 +40,7 @@ drive both through the same public API and compare results bit for bit:
 They are test code: nothing under ``src/`` imports them.
 """
 
+from tests.oracles.anneal import AnnealResult, anneal_on_set, subset_power
 from tests.oracles.closed_form import LoopSystemModel
 from tests.oracles.consolidation import (
     LoopConsolidationIndex,
@@ -39,10 +48,17 @@ from tests.oracles.consolidation import (
 )
 from tests.oracles.mpc import LoopMPCController
 from tests.oracles.plant import LoopLinearizedPlant
+from tests.oracles.selection import (
+    BruteForceOptimizer,
+    ExactSelectionOptimizer,
+)
 from tests.oracles.simulation import LoopRoomSimulation
 from tests.oracles.testbed import LoopTestbed
 
 __all__ = [
+    "AnnealResult",
+    "BruteForceOptimizer",
+    "ExactSelectionOptimizer",
     "LoopConsolidationIndex",
     "LoopLinearizedPlant",
     "LoopMPCController",
@@ -50,4 +66,6 @@ __all__ = [
     "LoopSystemModel",
     "LoopTestbed",
     "PartitionConsolidationIndex",
+    "anneal_on_set",
+    "subset_power",
 ]

@@ -496,12 +496,11 @@ class TestControllerPrefetch:
         assert counters["consolidation.query_memo_hits"] >= len(warmed)
 
     def test_prefetch_warms_sharded_index(self):
-        # Regression: _prefetch_trace used to bail on selection="sharded"
-        # even though the pod-sharded index answers query_many and keeps
-        # the same result memo — the scaled replay path lost its warmup.
-        optimizer = JointOptimizer(
-            make_system_model(n=10), selection="sharded", pods=2
-        )
+        # Regression: _prefetch_trace used to bail on a pod-sharded
+        # optimizer even though the pod-sharded index answers query_many
+        # and keeps the same result memo — the scaled replay path lost
+        # its warmup.
+        optimizer = JointOptimizer(make_system_model(n=10), pods=2)
         controller = RuntimeController(
             optimizer, hysteresis=0.15, min_dwell=600.0
         )
@@ -515,23 +514,6 @@ class TestControllerPrefetch:
         assert counters["sharding.query_many_queries"] > 0
         # Every replanned selection was answered from the warmed memo.
         assert counters["sharding.query_memo_hits"] >= len(events)
-
-    def test_prefetch_skipped_off_the_index_path(self):
-        optimizer = JointOptimizer(
-            make_system_model(n=6), selection="exact"
-        )
-        controller = RuntimeController(optimizer, hysteresis=0.15)
-        registry = obs.enable(MetricsRegistry())
-        try:
-            controller.run_trace(
-                step_trace([40.0, 90.0], dwell=1800.0),
-                dt=300.0,
-                prefetch=True,
-            )
-        finally:
-            obs.disable()
-        counters = registry.snapshot()["counters"]
-        assert "consolidation.query_many_queries" not in counters
 
 
 class TestBudgetBracketing:

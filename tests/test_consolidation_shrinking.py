@@ -1,10 +1,10 @@
 """ConsolidationIndex under shrinking machine sets (quarantine path).
 
 Safe-mode planning solves over the *surviving* machines: the optimizer
-masks excluded ids and falls back to the exact per-query scan, while an
-index rebuilt on only the survivors must answer the same queries.  These
-tests pin both routes against each other and against brute force, for
-growing numbers k of quarantined machines.
+masks excluded ids and queries a pod-sharded index built on the
+survivors, while a monolithic index rebuilt on only the survivors must
+answer the same queries.  These tests pin both routes against each other
+and against brute force, for growing numbers k of quarantined machines.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.core.optimizer import JointOptimizer
 from repro.core.select import brute_force_subset, ratio
 from repro.errors import InfeasibleError
 from tests.conftest import make_system_model
+from tests.oracles import BruteForceOptimizer
 
 
 def survivors_of(n, excluded):
@@ -74,8 +75,8 @@ class TestMaskedOptimizerMatchesRebuild:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_masked_equals_brute_under_exclusions(self, k):
         model = make_system_model(n=10)
-        indexed = JointOptimizer(model, selection="index")
-        brute = JointOptimizer(model, selection="brute")
+        indexed = JointOptimizer(model)
+        brute = BruteForceOptimizer(model)
         excluded = list(range(k))
         capacity = sum(
             model.capacities[i] for i in survivors_of(10, set(excluded))
@@ -91,9 +92,9 @@ class TestMaskedOptimizerMatchesRebuild:
 
     def test_index_unused_results_unchanged_by_exclusions_of_idle(self):
         # Excluding machines the optimum would not use anyway must not
-        # change the answer (the masked scan is exact, not heuristic).
+        # change the answer (the survivor sweep is exact, not heuristic).
         model = make_system_model(n=10)
-        optimizer = JointOptimizer(model, selection="index")
+        optimizer = JointOptimizer(model)
         baseline = optimizer.solve(100.0)
         idle = [
             i for i in range(10) if i not in baseline.on_ids
@@ -107,7 +108,7 @@ class TestMaskedOptimizerMatchesRebuild:
     def test_shrinking_sets_monotone_power(self):
         # Quarantining machines can never *improve* the optimum.
         model = make_system_model(n=10)
-        optimizer = JointOptimizer(model, selection="index")
+        optimizer = JointOptimizer(model)
         load = 0.4 * sum(model.capacities)
         last = -float("inf")
         for k in range(0, 5):
@@ -119,7 +120,7 @@ class TestMaskedOptimizerMatchesRebuild:
         # Interleaving masked and healthy solves must not corrupt the
         # prebuilt index (safe mode exits back to the index path).
         model = make_system_model(n=10)
-        optimizer = JointOptimizer(model, selection="index")
+        optimizer = JointOptimizer(model)
         healthy_before = optimizer.solve(120.0)
         optimizer.solve(120.0, exclude=[0, 1])
         healthy_after = optimizer.solve(120.0)

@@ -92,12 +92,18 @@ class TestApiDocument:
     def test_documented_selection_methods_exist(self):
         from repro.core.optimizer import JointOptimizer
         from repro.testbed.synthetic import make_system_model
+        from tests import oracles
 
         text = (REPO / "docs" / "api.md").read_text()
         model = make_system_model(n=4)
-        for method in ("index", "exact", "brute"):
-            assert f"`{method}`" in text, method
-            JointOptimizer(model, selection=method)  # doc claim holds
+        assert "`pods`" in text
+        for pods, method in ((None, "index"), (2, "sharded")):
+            assert f"`method=\"{method}\"`" in text, method
+            # doc claim holds
+            assert JointOptimizer(model, pods=pods).method == method
+        for oracle in ("ExactSelectionOptimizer", "BruteForceOptimizer"):
+            assert f"`{oracle}`" in text, oracle
+            assert hasattr(oracles, oracle), oracle
         assert "query_refined" in text
 
 

@@ -11,6 +11,7 @@ from repro.workload.balancer import Allocation, LoadBalancer
 from repro.workload.cluster import Cluster, Server, ServerState
 from repro.workload.tasks import Task
 from tests.conftest import make_system_model
+from tests.oracles import BruteForceOptimizer
 
 
 def make_cluster(n=4) -> Cluster:
@@ -125,8 +126,8 @@ class TestOptimizerExclusion:
             optimizer.solve(130.0, exclude=[0])
 
     def test_exclusion_matches_brute_force(self, big_system_model):
-        fast = JointOptimizer(big_system_model, selection="exact")
-        slow = JointOptimizer(big_system_model, selection="brute")
+        fast = JointOptimizer(big_system_model)
+        slow = BruteForceOptimizer(big_system_model)
         a = fast.solve(120.0, exclude=[2, 5])
         b = slow.solve(120.0, exclude=[2, 5])
         assert a.predicted_total_power == pytest.approx(

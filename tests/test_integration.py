@@ -5,6 +5,7 @@ import pytest
 
 from repro import JointOptimizer, build_testbed, scenario_by_number
 from repro.testbed.rack import TestbedConfig
+from tests.oracles import BruteForceOptimizer
 
 
 class TestProfileOptimizeEvaluate:
@@ -30,7 +31,7 @@ class TestProfileOptimizeEvaluate:
     def test_small_rack_pipeline(self):
         testbed = build_testbed(TestbedConfig(n_machines=5), seed=31)
         model = testbed.profile().system_model
-        optimizer = JointOptimizer(model, selection="brute")
+        optimizer = BruteForceOptimizer(model)
         decision = scenario_by_number(8).decide(
             model, 0.5 * testbed.total_capacity, optimizer=optimizer
         )

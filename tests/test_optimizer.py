@@ -1,17 +1,24 @@
 """Tests for the end-to-end JointOptimizer."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core.optimizer import JointOptimizer
 from repro.errors import ConfigurationError, InfeasibleError
 from tests.conftest import make_system_model
+from tests.oracles import BruteForceOptimizer, ExactSelectionOptimizer
 
 
 class TestConstruction:
     def test_rejects_unknown_selection(self, system_model):
-        with pytest.raises(ConfigurationError):
+        # One selection path: there is no selection knob to set.
+        with pytest.raises(TypeError):
             JointOptimizer(system_model, selection="magic")
+        assert list(inspect.signature(JointOptimizer).parameters) == [
+            "model", "cost_model", "index_cache_dir", "pods",
+        ]
 
     def test_rejects_unknown_cost_model(self, system_model):
         with pytest.raises(ConfigurationError):
@@ -39,12 +46,16 @@ class TestSolve:
         assert result.method == "explicit"
 
     def test_selection_methods_agree_on_cost(self, big_system_model):
-        # index, exact and brute must produce equally good ON sets
-        # (ties may differ) as judged by the model-predicted power.
+        # The index and the exact and brute-force references must
+        # produce equally good ON sets (ties may differ) as judged by the
+        # model-predicted power.
         results = {}
-        for method in ("index", "exact", "brute"):
-            optimizer = JointOptimizer(big_system_model, selection=method)
-            results[method] = optimizer.solve(120.0)
+        for optimizer in (
+            JointOptimizer(big_system_model),
+            ExactSelectionOptimizer(big_system_model),
+            BruteForceOptimizer(big_system_model),
+        ):
+            results[optimizer.method] = optimizer.solve(120.0)
         powers = {
             m: r.predicted_total_power for m, r in results.items()
         }
@@ -140,14 +151,15 @@ class TestCostModels:
 
 class TestExcludePairs:
     """Excluded machines rebuild the Section III-B pairs for the
-    survivors; each build reads every machine's pair at most once."""
+    survivors' index, monolithic or pod-sharded optimizer alike; each
+    build reads every machine's pair at most once."""
 
     @pytest.mark.parametrize(
-        "selection, spied", [("sharded", "PodShardedIndex"),
-                             ("exact", "optimal_subset")],
+        "method, spied", [("sharded", "PodShardedIndex"),
+                          ("index", "PodShardedIndex")],
     )
     def test_survivor_pairs_cost_one_pass(
-        self, monkeypatch, selection, spied
+        self, monkeypatch, method, spied
     ):
         from repro.core import optimizer as optimizer_module
         from repro.core.model import NodeCoefficients
@@ -178,8 +190,64 @@ class TestExcludePairs:
 
         monkeypatch.setattr(optimizer_module, spied, spy)
         monkeypatch.setattr(NodeCoefficients, "k_constant", counted)
-        optimizer = JointOptimizer(model, selection=selection)
+        optimizer = JointOptimizer(
+            model, pods=3 if method == "sharded" else None
+        )
+        assert optimizer.method == method
         optimizer.select_on_set(150.0, exclude=excluded)
         assert len(seen) == 1
         assert seen[0] == expected
         assert len(calls) <= model.node_count
+
+
+class TestRebuiltOptimizer:
+    """Controllers that plan against a derated ``T_max`` rebuild their
+    optimizer; the rebuild keeps every index setting."""
+
+    @staticmethod
+    def _assert_kept(optimizer, cache_dir):
+        assert optimizer.pods == 3
+        assert optimizer.index_cache_dir == cache_dir
+        assert optimizer.cost_model == "actuated"
+        assert len(optimizer.query_index.pod_ranges) == 3
+
+    def test_with_model_keeps_settings(self, tmp_path):
+        from dataclasses import replace
+
+        model = make_system_model(n=12)
+        optimizer = JointOptimizer(
+            model, cost_model="actuated", index_cache_dir=tmp_path, pods=3
+        )
+        derated = replace(model, t_max=model.t_max - 1.0)
+        rebuilt = optimizer.with_model(derated)
+        assert rebuilt.model is derated and rebuilt is not optimizer
+        self._assert_kept(rebuilt, tmp_path)
+
+    def test_resilient_controller_keeps_pods_and_cache(self, tmp_path):
+        from repro.faults.resilience import ResilientController
+
+        optimizer = JointOptimizer(
+            make_system_model(n=60),
+            cost_model="actuated",
+            index_cache_dir=tmp_path,
+            pods=3,
+        )
+        controller = ResilientController(optimizer)  # thermal_guard=1.5
+        assert controller.optimizer is not optimizer
+        self._assert_kept(controller.optimizer, tmp_path)
+
+    def test_watchdog_replan_keeps_pods_and_cache(self, tmp_path):
+        from repro.core.controller import RuntimeController
+
+        optimizer = JointOptimizer(
+            make_system_model(n=12),
+            cost_model="actuated",
+            index_cache_dir=tmp_path,
+            pods=3,
+        )
+        controller = RuntimeController(optimizer)
+        controller.observe(0.0, 200.0)
+        t_max = optimizer.model.t_max
+        assert controller.observe_temperature(10.0, t_max, t_max) is not None
+        assert controller.optimizer is not optimizer
+        self._assert_kept(controller.optimizer, tmp_path)

@@ -14,8 +14,9 @@ on equal Eq. 23 cost:
 - the edge rules: the band-clamped fallback, the ``1e-9`` capacity
   tolerance, the ``1e-12`` band-edge tolerance, first-kept on near-tie
   costs and the inverted band;
-- the serving benchmark's 48 load levels, where ``selection="index"``,
-  ``"sharded"`` and ``"exact"`` must cost the same;
+- the serving benchmark's 48 load levels, where the monolithic and the
+  pod-sharded optimizer must cost the same as the exact-scan reference
+  (:class:`tests.oracles.ExactSelectionOptimizer`);
 - the monolithic index's top-``k`` sums, read off its order rows'
   prefix sums: every row orders ``x(t)`` on its interval, and the
   answers equal those of the per-iterate partition
@@ -36,11 +37,11 @@ from repro.core import consolidation
 from repro.core.consolidation import ConsolidationIndex
 from repro.core.optimizer import JointOptimizer
 from repro.core.select import brute_force_subset, optimal_subset, ratio
-from repro.core.sharding import PodShardedIndex
+from repro.core.sharding import PodShardedIndex, default_pod_count
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.serving import AllocationServer
 from repro.testbed.synthetic import make_system_model
-from tests.oracles import PartitionConsolidationIndex
+from tests.oracles import ExactSelectionOptimizer, PartitionConsolidationIndex
 
 #: Largest instance the exhaustive reference enumerates.
 BRUTE_MAX = 12
@@ -321,13 +322,15 @@ class TestServeLevels:
         capacity = model.total_capacity
         levels = np.linspace(0.1 * capacity, 0.8 * capacity, 48).tolist()
         powers = {
-            selection: [
+            optimizer.method: [
                 result.predicted_total_power
-                for result in JointOptimizer(
-                    model, selection=selection
-                ).solve_many(levels)
+                for result in optimizer.solve_many(levels)
             ]
-            for selection in ("index", "sharded", "exact")
+            for optimizer in (
+                JointOptimizer(model),
+                JointOptimizer(model, pods=default_pod_count(100)),
+                ExactSelectionOptimizer(model),
+            )
         }
         assert powers["index"] == pytest.approx(powers["exact"], abs=1e-6)
         assert powers["sharded"] == pytest.approx(powers["exact"], abs=1e-6)

@@ -640,9 +640,7 @@ class TestSocketTransports:
             ServingConfig(socket_path="x.sock", port=7077)
 
     def test_sharded_optimizer_serves_end_to_end(self, tmp_path):
-        optimizer = JointOptimizer(
-            make_system_model(n=6), selection="sharded", pods=2
-        )
+        optimizer = JointOptimizer(make_system_model(n=6), pods=2)
         capacity = sum(optimizer.model.capacities)
         sock = str(tmp_path / "serve.sock")
         config = ServingConfig(socket_path=sock, batch_window=0.002)

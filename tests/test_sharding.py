@@ -9,14 +9,13 @@ from repro.core.optimizer import JointOptimizer
 from repro.core.select import brute_force_subset
 from repro.core.sharding import (
     PodShardedIndex,
-    anneal_on_set,
     contiguous_pods,
     default_pod_count,
-    subset_power,
 )
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.obs import MetricsRegistry
 from tests.conftest import make_system_model
+from tests.oracles import ExactSelectionOptimizer, anneal_on_set, subset_power
 
 W2 = 5.0
 RHO = 1.0
@@ -423,13 +422,11 @@ class TestAnneal:
 
 class TestOptimizerIntegration:
     def test_sharded_selection_matches_exact_power(self):
-        # Judged against the exhaustive selection, not the monolithic
-        # index: at loads whose optimal ratio sits above the band the
-        # table query settles for a costlier in-band status while the
-        # shared-ratio scan clamps exactly (and matches "exact").
+        # The pod-sharded sweep against the exact per-k scan, judged on
+        # Eq. 23 power: a tie may keep a different ON set.
         model = make_system_model(n=10)
-        sharded = JointOptimizer(model, selection="sharded", pods=3)
-        exact = JointOptimizer(model, selection="exact")
+        sharded = JointOptimizer(model, pods=3)
+        exact = ExactSelectionOptimizer(model)
         for load in (60.0, 150.0, 240.0):
             a = sharded.solve(load)
             b = exact.solve(load)
@@ -437,22 +434,17 @@ class TestOptimizerIntegration:
                 b.predicted_total_power, abs=1e-6
             )
 
-    def test_pods_requires_sharded_selection(self):
-        model = make_system_model(n=6)
-        with pytest.raises(ConfigurationError, match="pods"):
-            JointOptimizer(model, selection="index", pods=2)
-
     def test_sharded_solve_respects_exclusions(self):
         model = make_system_model(n=10)
-        optimizer = JointOptimizer(model, selection="sharded", pods=3)
+        optimizer = JointOptimizer(model, pods=3)
         result = optimizer.solve(120.0, exclude=[0, 1])
         assert 0 not in result.on_ids
         assert 1 not in result.on_ids
 
     def test_sharded_max_load_matches_index(self):
         model = make_system_model(n=10)
-        sharded = JointOptimizer(model, selection="sharded", pods=3)
-        indexed = JointOptimizer(model, selection="index")
+        sharded = JointOptimizer(model, pods=3)
+        indexed = JointOptimizer(model)
         budget = indexed.solve(150.0).predicted_total_power + 1.0
         load_sharded, _ = sharded.max_load_under_budget(budget)
         load_indexed, _ = indexed.max_load_under_budget(budget)
@@ -465,11 +457,11 @@ class TestExcludedQueryPath:
     def test_excluded_max_load_hits_batched_probes(
         self, registry, monkeypatch
     ):
-        # selection="index" with exclusions scans the survivors, exactly
-        # as solve does: the grid probes are one solve_many call whose
-        # answers equal solve's, and no survivor index is built.
+        # Exclusions select through one survivor index, exactly as solve
+        # does: the grid probes are one solve_many call whose answers
+        # equal solve's, all from the index built for the exclusion set.
         model = make_system_model(n=10)
-        optimizer = JointOptimizer(model, selection="index")
+        optimizer = JointOptimizer(model)
         calls = []
         solve_many = optimizer.solve_many
 
@@ -483,43 +475,34 @@ class TestExcludedQueryPath:
             optimizer.solve(120.0).predicted_total_power + 1.0,
             exclude=[0, 1],
         )
-        assert registry.counter("optimizer.survivor_index_builds").value == 0
-        assert (
-            registry.counter("optimizer.max_load_batched_probes").value == 0
-        )
         (loads, exclude, results), = calls
         assert exclude == [0, 1] and len(loads) > 0
-        assert (
-            registry.counter("optimizer.max_load_fallback_solves").value
-            == len(loads)
-        )
         for load, result in zip(loads, results):
             direct = optimizer.solve(load, exclude=[0, 1])
             assert result.on_ids == direct.on_ids
             assert result.loads.tobytes() == direct.loads.tobytes()
             assert result.t_ac == direct.t_ac
+        assert registry.counter("optimizer.survivor_index_builds").value == 1
 
-    def test_non_index_selection_counts_fallbacks(self, registry):
-        model = make_system_model(n=6)
-        optimizer = JointOptimizer(model, selection="exact")
-        optimizer.max_load_under_budget(
-            optimizer.solve(60.0).predicted_total_power + 1.0
-        )
-        assert (
-            registry.counter("optimizer.max_load_fallback_solves").value
-            > 0
-        )
-        assert (
-            registry.counter("optimizer.max_load_batched_probes").value
-            == 0
-        )
+    def test_survivor_pods_stay_out_of_the_cache_dir(self, tmp_path):
+        # Exclusion sets come from callers; only the healthy room's
+        # tables are persisted, whatever the pod setting.
+        model = make_system_model(n=10)
+        for pods in (None, 2):
+            cache = tmp_path / f"pods-{pods}"
+            optimizer = JointOptimizer(model, index_cache_dir=cache, pods=pods)
+            optimizer.solve(100.0)
+            written = sorted(cache.iterdir())
+            optimizer.solve(100.0, exclude=[3])
+            optimizer.solve_many([60.0, 90.0], exclude=[0, 7])
+            assert written and sorted(cache.iterdir()) == written
 
     def test_excluded_answer_matches_unbatched_reference(self):
         # Same question through the batched survivor path and through
         # sequential exact solves must land on the same load.
         model = make_system_model(n=8)
-        batched = JointOptimizer(model, selection="index")
-        reference = JointOptimizer(model, selection="exact")
+        batched = JointOptimizer(model)
+        reference = ExactSelectionOptimizer(model)
         budget = reference.solve(100.0).predicted_total_power + 1.0
         load_b, _ = batched.max_load_under_budget(budget, exclude=[2])
         load_r, _ = reference.max_load_under_budget(budget, exclude=[2])

@@ -1,10 +1,12 @@
 """One batched solve: ``JointOptimizer.solve_many`` and the daemon's
 batched ``allocate`` and ``what-if`` replies equal per-load ``solve``.
 
-Every selection method answers a batch of loads through
-:meth:`~repro.core.optimizer.JointOptimizer.solve_many`; these tests pin
-it to the single-load route, bit for bit and error for error, and pin
-the daemon's replies to it.
+The optimizer answers a batch of loads through
+:meth:`~repro.core.optimizer.JointOptimizer.solve_many`, monolithic or
+pod-sharded, healthy or degraded; these tests pin it to the single-load
+route, bit for bit and error for error, and pin the daemon's replies to
+it.  The exact-scan and brute-force references of
+:mod:`tests.oracles.selection` are pinned the same way.
 """
 
 import asyncio
@@ -17,9 +19,18 @@ from repro.core.consolidation import ConsolidationIndex
 from repro.errors import ReproError
 from repro.serving import AllocationServer, ServingConfig
 from repro.testbed.synthetic import make_system_model
+from tests.oracles import BruteForceOptimizer, ExactSelectionOptimizer
 
-#: ``(selection, pods)`` of every optimizer the parity tests build.
+#: ``(selection, pods)`` of every optimizer the parity tests build: the
+#: ``method`` label its answers carry, and its pod count.
 SELECTIONS = [("index", None), ("sharded", 2), ("exact", None)]
+
+
+def _optimizer(model, selection, pods):
+    """The shipped optimizer, or the exact-scan oracle for ``"exact"``."""
+    if selection == "exact":
+        return ExactSelectionOptimizer(model)
+    return JointOptimizer(model, pods=pods)
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +67,8 @@ class TestSolveMany:
     @pytest.mark.parametrize("selection,pods", SELECTIONS)
     @pytest.mark.parametrize("exclude", [None, [0, 3]])
     def test_equals_per_load_solve(self, model, selection, pods, exclude):
-        batched = JointOptimizer(model, selection=selection, pods=pods)
-        single = JointOptimizer(model, selection=selection, pods=pods)
+        batched = _optimizer(model, selection, pods)
+        single = _optimizer(model, selection, pods)
         capacity = sum(model.capacities)
         loads = _loads(model) + [0.65 * capacity, math.nan]
         results = batched.solve_many(loads, exclude=exclude)
@@ -68,8 +79,8 @@ class TestSolveMany:
 
     def test_brute_force_equals_per_load_solve(self):
         small = make_system_model(n=6)
-        batched = JointOptimizer(small, selection="brute")
-        single = JointOptimizer(small, selection="brute")
+        batched = BruteForceOptimizer(small)
+        single = BruteForceOptimizer(small)
         for exclude in (None, [1]):
             loads = _loads(small)
             results = batched.solve_many(loads, exclude=exclude)
@@ -78,7 +89,7 @@ class TestSolveMany:
 
     @pytest.mark.parametrize("selection,pods", SELECTIONS)
     def test_unknown_exclusions_fail_like_solve(self, model, selection, pods):
-        optimizer = JointOptimizer(model, selection=selection, pods=pods)
+        optimizer = _optimizer(model, selection, pods)
         loads = _loads(model)
         for load, result in zip(
             loads, optimizer.solve_many(loads, exclude=[99])
@@ -128,8 +139,8 @@ def _allocate(load, request_id):
 class TestServingParity:
     @pytest.mark.parametrize("selection,pods", SELECTIONS)
     def test_batched_replies_equal_solve(self, model, selection, pods):
-        optimizer = JointOptimizer(model, selection=selection, pods=pods)
-        reference = JointOptimizer(model, selection=selection, pods=pods)
+        optimizer = _optimizer(model, selection, pods)
+        reference = _optimizer(model, selection, pods)
         loads = _loads(model) + [-0.0]
 
         async def scenario(server):
@@ -166,7 +177,7 @@ class TestServingParity:
             )
 
     def test_sharded_daemon_coalesces_and_memoizes(self, model):
-        optimizer = JointOptimizer(model, selection="sharded", pods=2)
+        optimizer = JointOptimizer(model, pods=2)
         capacity = sum(model.capacities)
         levels = [(0.1 + 0.07 * i) * capacity for i in range(10)]
 
