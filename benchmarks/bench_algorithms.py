@@ -5,7 +5,7 @@ agreement, event/status counts) and times the three complexity claims:
 
 - Algorithm 1 pre-processing at testbed scale (n = 20);
 - Algorithm 2 online query (paper: O(log n)), and the refined query
-  the optimizer uses, at n = 20 and n = 500;
+  the optimizer uses, at n = 20, 500 and 1000;
 - the closed-form solution for a fixed ON set (paper: linear in n).
 """
 
@@ -43,7 +43,7 @@ def test_algorithm2_online_query(benchmark):
     benchmark(index.query, load)
 
 
-@pytest.mark.parametrize("n", [20, 500])
+@pytest.mark.parametrize("n", [20, 500, 1000])
 def test_refined_query(benchmark, n):
     """One refined query at 40% of capacity on the optimizer's index,
     its query caches (answers, merges, rows, prefix sums) cleared before

@@ -49,10 +49,11 @@ Implementation notes (documented deviations, none affecting complexity):
   :meth:`ConsolidationIndex.query` is the faithful version;
   :meth:`ConsolidationIndex.query_refined` is what
   :class:`~repro.core.optimizer.JointOptimizer` uses by default.  It
-  answers the way Sec. III-B poses the problem: one ``select(A, k, L)``
+  answers the way Sec. III-B poses the problem: ``select(A, k, L)``
   per cardinality ``k`` (Dinkelbach iteration on the tabulated order
   rows, see :class:`RatioSweep`), then the cheapest of the ``k``
-  champions under Eq. 23 with the ratio clamped into the supply band.
+  champions under Eq. 23 with the ratio clamped into the supply band;
+  a certified bisection skips the sizes a top-``k`` sum proves dearer.
   The same sweep answers :class:`~repro.core.sharding.PodShardedIndex`
   queries, whose order rows come from its pods; a monolithic index is
   the one-pod case and reads its own Algorithm-1 rows.  Repeated loads
@@ -284,13 +285,13 @@ class RatioSweep:
     right-most particles (Eq. 26), and a tabulated order row valid at
     ``t`` lists them first.  A query
 
-    1. finds each size's optimal shared ratio ``t*(k)`` by the Dinkelbach
+    1. finds a size's optimal shared ratio ``t*(k)`` by the Dinkelbach
        iteration of :func:`repro.core.select.select_subset` (the paper's
        ``select(A, k, L)``),
     2. prices that champion with Eq. 23, its ratio clamped into the
-       supply band, scanning ``k`` upward with an exact pruning bound
-       (a size-``k`` candidate costs at least ``k*w2 - rho*t_max +
-       theta0``, which grows with ``k``), and
+       supply band; a certified bisection over the sizes
+       (:meth:`_sweep_sizes`) runs this only where a top-``k`` sum
+       cannot rule a whole block of sizes out, and
     3. returns the cheapest champion: the top ``k`` of the order rows
        merged at ``t*(k)``.
 
@@ -331,6 +332,7 @@ class RatioSweep:
         self._row_cache: dict[tuple[int, int], tuple] = {}
         self._eval_cache: dict[float, tuple] = {}
         self._memo: dict[float, tuple[int, ...]] = {}
+        self._ratio_list: Optional[list[float]] = None
 
     def _sources(self) -> Sequence[tuple["ConsolidationIndex", int]]:
         """``(index, first machine id)`` of every table whose order rows
@@ -450,6 +452,130 @@ class RatioSweep:
             t = t_new
         return t, sum_cap
 
+    def _positive_count(self, t: float) -> int:
+        """How many coordinates are positive at ``t``: the size at which
+        the top-``k`` sum ``F_k(t)`` peaks (it rises with ``k`` while
+        the ``k``-th coordinate is positive, then falls).
+        ``x_i(t) > 0`` iff ``t < a_i / b_i`` (every ``b_i > 0``), so
+        this is one bisection over the sorted particle ratios."""
+        ratios = self._ratio_list
+        if ratios is None:
+            ratios = self._ratio_list = np.sort(self._a / self._b).tolist()
+        return len(ratios) - bisect_right(ratios, t)
+
+    def _top_sum(self, t: float, k: int) -> float:
+        """``F_k(t)``: the sum of the ``k`` largest coordinates at ``t``."""
+        sum_a, sum_b, _ = self._topk_sums(t, k)
+        return sum_a - t * sum_b
+
+    def _block_max(self, t: float, a: int, b: int) -> float:
+        """``max F_k(t)`` over the sizes ``k`` in ``[a, b]``: the top-``k``
+        sum at the size nearest its peak, ``#positive``."""
+        return self._top_sum(t, min(b, max(a, self._positive_count(t))))
+
+    def _price(
+        self, k: int, load: float, t0: float, t_lo: float, t_hi: float
+    ) -> tuple[Optional[float], float]:
+        """``(Eq. 23 power, t*)`` of size ``k``'s champion, its ratio
+        clamped to ``t_hi``; the power is ``None`` when the champion
+        lacks the capacity or its ratio fell out of band."""
+        t_star, sum_cap = self._ratio_fixpoint(k, load, t0)
+        if sum_cap is not None and sum_cap + _CAP_TOL < load:
+            return None, t_star
+        if t_star < t_lo - _COST_TOL:
+            return None, t_star  # numeric edge: fell out of band
+        return k * self.w2 - self.rho * min(t_star, t_hi) + self.theta0, t_star
+
+    def _sweep_sizes(
+        self, load: float, k_lo: int, k_hi: int, t_lo: float, t_hi: float
+    ) -> tuple[Optional[tuple[float, int]], int, int]:
+        """The cheapest in-band champion over sizes ``[k_lo, k_hi]``.
+
+        Returns ``((t*, k) or None, fixpoints run, block reads)``.  The
+        answer is the one an upward walk over every size gives: the
+        smallest size wins unless a larger one is cheaper by more than
+        ``_COST_TOL``.  Instead of a fixpoint per size, the sweep
+
+        1. bisects the rising part of ``F_k(t_hi)`` for the first
+           saturated size ``k_s`` (``t*(k) >= t_hi`` iff
+           ``F_k(t_hi) >= load``), one top-``k`` read per step;
+        2. walks upward from ``k_s`` with the exact bound
+           ``k*w2 - rho*t_hi + theta0``, which grows with ``k`` and
+           stops the walk right after ``k_s``'s champion unless that
+           champion lacks the capacity;
+        3. certifies ``[k_lo, k_s - 1]`` against the cheapest power
+           ``best`` found so far by recursive halving.  Size ``k``
+           costs more than ``best + _COST_TOL`` iff ``t*(k) <
+           t_req(k) = (k*w2 + theta0 - best - _COST_TOL) / rho``, iff
+           ``F_k(t_req(k)) < load``.  ``t_req`` grows with ``k`` and
+           ``F`` falls with ``t``, so one read of the block's largest
+           top-``k`` sum at ``t_req(a)`` (:meth:`_block_max`)
+           certifies a block ``[a, b]`` at once; a block with
+           ``t_req(a) > t_hi`` is certified by the bound alone.  Blocks
+           nearer ``k_s`` go first, so ``best`` falls early; only
+           singletons that fail run a fixpoint.
+
+        ``_COST_TOL`` is subtracted in ``t_req`` because a smaller size
+        within ``_COST_TOL`` above ``best`` still wins the tie rule.
+        """
+        w2, rho, theta0 = self.w2, self.rho, self.theta0
+        fixpoints = reads = 0
+        # (k, power, t*) of every priced, capacity-feasible size.
+        priced: list[tuple[int, float, float]] = []
+        k_s = k_hi + 1
+        k_top = min(k_hi, self._positive_count(t_hi))
+        if k_top >= k_lo:
+            reads += 1
+            if self._top_sum(t_hi, k_top) >= load:
+                lo, hi = k_lo, k_top
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    reads += 1
+                    if self._top_sum(t_hi, mid) >= load:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                k_s = lo
+        best = float("inf")
+        t_warm = t_hi
+        for k in range(k_s, k_hi + 1):
+            if k * w2 - rho * t_hi + theta0 > best - _COST_TOL:
+                break  # exact prune: the bound only grows with k
+            power, t_star = self._price(k, load, t_warm, t_lo, t_hi)
+            fixpoints += 1
+            t_warm = max(t_lo, t_star)
+            if power is not None:
+                priced.append((k, power, t_star))
+                best = min(best, power)
+        blocks = [(k_lo, k_s - 1)] if k_s > k_lo else []
+        while blocks:
+            a, b = blocks.pop()
+            t_req = (a * w2 + theta0 - best - _COST_TOL) / rho
+            if t_req > t_hi:
+                continue  # the bound alone: every size costs more
+            if t_req >= t_lo:
+                reads += 1
+                if self._block_max(t_req, a, b) < load:
+                    continue
+            if a < b:
+                mid = (a + b) // 2
+                blocks.append((a, mid))
+                blocks.append((mid + 1, b))
+                continue
+            power, t_star = self._price(
+                a, load, max(t_lo, t_req), t_lo, t_hi
+            )
+            fixpoints += 1
+            if power is not None:
+                priced.append((a, power, t_star))
+                best = min(best, power)
+        # The walk's tie rule over the priced sizes, smallest first.
+        chosen = None
+        for k, power, t_star in sorted(priced):
+            if chosen is None or power < chosen[0] - _COST_TOL:
+                chosen = (power, t_star, k)
+        return (None if chosen is None else chosen[1:]), fixpoints, reads
+
     def _materialize(self, t: float, k: int) -> list[int]:
         """The global ON set at ``(t, k)``: the merge's top ``k``."""
         return sorted(int(i) for i in self._evaluate(t)[0][:k])
@@ -498,29 +624,15 @@ class RatioSweep:
         # carry the load (concave prefix sums => a contiguous range).
         cum_x_floor = self._evaluate(t_lo)[1]
         viable = np.flatnonzero(cum_x_floor >= load - _CAP_TOL)
-        best_k = best_t = None
-        best_power = float("inf")
         if viable.size:
-            k_lo, k_hi = int(viable[0]) + 1, int(viable[-1]) + 1
-            k_lo = max(k_lo, k_cap)
-            t_warm = t_lo
-            for k in range(k_lo, k_hi + 1):
-                floor_power = k * self.w2 - self.rho * t_hi + self.theta0
-                if floor_power > best_power - _COST_TOL:
-                    break  # exact prune: the bound only grows with k
-                t_star, sum_cap = self._ratio_fixpoint(k, load, t_warm)
-                t_warm = max(t_lo, t_star)
-                if sum_cap is not None and sum_cap + _CAP_TOL < load:
-                    continue
-                if t_star < t_lo - _COST_TOL:
-                    continue  # numeric edge: fell out of band
-                t_eff = min(t_star, t_hi)
-                power = k * self.w2 - self.rho * t_eff + self.theta0
-                if power < best_power - _COST_TOL:
-                    best_power = power
-                    best_k, best_t = k, t_star
-        if best_k is not None:
-            return self._materialize(best_t, best_k)
+            k_lo = max(int(viable[0]) + 1, k_cap)
+            best, fixpoints, reads = self._sweep_sizes(
+                load, k_lo, int(viable[-1]) + 1, t_lo, t_hi
+            )
+            obs.count(f"{self._OBS}.sweep_fixpoints", fixpoints)
+            obs.count(f"{self._OBS}.sweep_block_reads", reads)
+            if best is not None:
+                return self._materialize(*best)
         # Band-clamped fallback: below-band candidates are servable
         # with the cooler pinned at the band edge; their cost grows with
         # k, so the smallest capacity-feasible size wins.  A size whose
@@ -972,6 +1084,23 @@ class ConsolidationIndex(RatioSweep):
             self._prefix_cache[row] = sums
         top = sums[:, k - 1].tolist()
         return top[0], top[1], (top[2] if len(top) > 2 else None)
+
+    def _materialize(self, t: float, k: int) -> list[int]:
+        """The ON set at ``(t, k)``: the ``k``-prefix of the order row
+        valid at ``t``.
+
+        The prefix is the merge's top ``k`` whenever its smallest
+        coordinate at ``t`` exceeds the largest one after it.  Only
+        where it does not (a tie at the cut from an event at ``t`` or
+        from rounding, or a ratio below the tables' ``t = 0``, where
+        row 0 need not order ``x(t)``) does the merge and its tie rule
+        decide.
+        """
+        ids, a, b, _ = self._pod_row(0, self, 0, t)
+        x = a - t * b
+        if k < x.shape[0] and not x[:k].min() > x[k:].max():
+            return super()._materialize(t, k)
+        return np.sort(ids[:k]).tolist()
 
     # ------------------------------------------------------------------ #
     # Persistence

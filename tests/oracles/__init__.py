@@ -12,6 +12,11 @@ drive both through the same public API and compare results bit for bit:
 - :class:`PartitionConsolidationIndex` — the per-iterate top-``k``
   partition behind the refined sweep's reads of the order rows' prefix
   sums in :class:`~repro.core.consolidation.ConsolidationIndex`;
+- :class:`LinearWalkConsolidationIndex` and
+  :class:`LinearWalkPodShardedIndex` — one fixpoint per size, walked
+  upward, behind the refined sweep's certified bisection (the
+  monolithic one also takes every ON set from the full merge instead
+  of the order row);
 - :class:`LoopLinearizedPlant` — one RK4 rollout per probe behind the
   stacked extraction of :class:`~repro.control.plant.LinearizedPlant`;
 - :class:`LoopTestbed` — one power-law call per machine behind
@@ -27,6 +32,9 @@ drive both through the same public API and compare results bit for bit:
   surviving machines behind the sweep every
   :class:`~repro.core.optimizer.JointOptimizer` selection, healthy or
   degraded, goes through;
+- :class:`FullModelOptimizer` — every subset priced by the closed form's
+  full-model ``predicted_total_power``, the optimum the Eq. 23
+  surrogate the selection scores with is measured against (n <= 12);
 - :mod:`tests.oracles.anneal` — the Eq. 23 subset scorer
   (:func:`subset_power`) and the seeded simulated-annealing baseline
   (:func:`anneal_on_set`) the scale benchmark reports gaps against;
@@ -43,9 +51,12 @@ They are test code: nothing under ``src/`` imports them.
 from tests.oracles.anneal import AnnealResult, anneal_on_set, subset_power
 from tests.oracles.closed_form import LoopSystemModel
 from tests.oracles.consolidation import (
+    LinearWalkConsolidationIndex,
+    LinearWalkPodShardedIndex,
     LoopConsolidationIndex,
     PartitionConsolidationIndex,
 )
+from tests.oracles.full_model import FullModelOptimizer
 from tests.oracles.mpc import LoopMPCController
 from tests.oracles.plant import LoopLinearizedPlant
 from tests.oracles.selection import (
@@ -59,6 +70,9 @@ __all__ = [
     "AnnealResult",
     "BruteForceOptimizer",
     "ExactSelectionOptimizer",
+    "FullModelOptimizer",
+    "LinearWalkConsolidationIndex",
+    "LinearWalkPodShardedIndex",
     "LoopConsolidationIndex",
     "LoopLinearizedPlant",
     "LoopMPCController",

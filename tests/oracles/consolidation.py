@@ -1,10 +1,18 @@
-"""Per-row loop reference for the Algorithm-1 table build."""
+"""Loop references for the Algorithm-1 table build and the refined
+sweep."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.consolidation import _EPSILON_SCALE, ConsolidationIndex
+from repro.core.consolidation import (
+    _CAP_TOL,
+    _COST_TOL,
+    _EPSILON_SCALE,
+    ConsolidationIndex,
+    RatioSweep,
+)
+from repro.core.sharding import PodShardedIndex
 
 
 class LoopConsolidationIndex(ConsolidationIndex):
@@ -82,3 +90,53 @@ class PartitionConsolidationIndex(ConsolidationIndex):
         add = np.add.reduce
         sum_cap = None if caps is None else float(add(caps))
         return float(add(a)), float(add(b)), sum_cap
+
+
+class _LinearWalk:
+    """The refined sweep as a walk over every size.
+
+    One Dinkelbach fixpoint per size, upward from ``k_lo``, each warm
+    started at the previous size's ratio, until the exact bound
+    ``k*w2 - rho*t_hi + theta0`` (which grows with ``k``) rules out
+    every larger size.  A size replaces the champion only when it is
+    cheaper by more than ``_COST_TOL``.  The certified bisection of
+    :meth:`~repro.core.consolidation.RatioSweep._sweep_sizes` must give
+    the same answers and errors.
+    """
+
+    def _sweep_sizes(self, load, k_lo, k_hi, t_lo, t_hi):
+        best_k = best_t = None
+        best_power = float("inf")
+        fixpoints = 0
+        t_warm = t_lo
+        for k in range(k_lo, k_hi + 1):
+            floor_power = k * self.w2 - self.rho * t_hi + self.theta0
+            if floor_power > best_power - _COST_TOL:
+                break  # exact prune: the bound only grows with k
+            t_star, sum_cap = self._ratio_fixpoint(k, load, t_warm)
+            fixpoints += 1
+            t_warm = max(t_lo, t_star)
+            if sum_cap is not None and sum_cap + _CAP_TOL < load:
+                continue
+            if t_star < t_lo - _COST_TOL:
+                continue  # numeric edge: fell out of band
+            t_eff = min(t_star, t_hi)
+            power = k * self.w2 - self.rho * t_eff + self.theta0
+            if power < best_power - _COST_TOL:
+                best_power = power
+                best_k, best_t = k, t_star
+        best = None if best_k is None else (best_t, best_k)
+        return best, fixpoints, 0
+
+
+class LinearWalkConsolidationIndex(_LinearWalk, ConsolidationIndex):
+    """:class:`ConsolidationIndex` whose refined sweep walks every size
+    and materializes the ON set from the full merge at the chosen
+    ratio, instead of reading it off the order row."""
+
+    _materialize = RatioSweep._materialize
+
+
+class LinearWalkPodShardedIndex(_LinearWalk, PodShardedIndex):
+    """:class:`~repro.core.sharding.PodShardedIndex` whose refined sweep
+    walks every size."""

@@ -20,9 +20,18 @@ on equal Eq. 23 cost:
 - the monolithic index's top-``k`` sums, read off its order rows'
   prefix sums: every row orders ``x(t)`` on its interval, and the
   answers equal those of the per-iterate partition
-  (:class:`tests.oracles.PartitionConsolidationIndex`).
+  (:class:`tests.oracles.PartitionConsolidationIndex`);
+- the certified bisection over sizes, against the walk over every size
+  (:class:`tests.oracles.LinearWalkConsolidationIndex`, whose ON sets
+  also come from the full merge, and
+  :class:`tests.oracles.LinearWalkPodShardedIndex`): the same ON sets
+  and errors on the random sweeps, the serve levels, heterogeneous
+  capacities (where the champion at the first saturated size can lack
+  the capacity) and near ties within ``_COST_TOL``, and far fewer
+  fixpoints.
 
-Capacities here are uniform per instance, as the fitted models' are:
+Capacities in the comparisons with brute force and the exact scan are
+uniform per instance, as the fitted models' are:
 with heterogeneous capacities the sweep skips a size whose champion
 lacks capacity, a bounded approximation pinned in
 ``tests/test_consolidation_scale.py`` and ``tests/test_sharding.py``.
@@ -33,15 +42,22 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import consolidation
 from repro.core.consolidation import ConsolidationIndex
 from repro.core.optimizer import JointOptimizer
 from repro.core.select import brute_force_subset, optimal_subset, ratio
 from repro.core.sharding import PodShardedIndex, default_pod_count
 from repro.errors import ConfigurationError, InfeasibleError
+from repro.obs import MetricsRegistry
 from repro.serving import AllocationServer
 from repro.testbed.synthetic import make_system_model
-from tests.oracles import ExactSelectionOptimizer, PartitionConsolidationIndex
+from tests.oracles import (
+    ExactSelectionOptimizer,
+    LinearWalkConsolidationIndex,
+    LinearWalkPodShardedIndex,
+    PartitionConsolidationIndex,
+)
 
 #: Largest instance the exhaustive reference enumerates.
 BRUTE_MAX = 12
@@ -483,6 +499,192 @@ class TestRowPrefixSums:
         assert _outcomes(ConsolidationIndex.load(path), loads) == _outcomes(
             PartitionConsolidationIndex(**spec), loads
         )
+
+
+def _walk_pairs(spec, pods=None):
+    """``(sweep, walk)`` indexes over ``spec``: monolithic, or sharded
+    into ``pods`` pods."""
+    if pods is None:
+        return (ConsolidationIndex(**spec),
+                LinearWalkConsolidationIndex(**spec))
+    return (PodShardedIndex(pods=pods, max_workers=1, **spec),
+            LinearWalkPodShardedIndex(pods=pods, max_workers=1, **spec))
+
+
+def _assert_walk_outcomes(spec, loads, pods=None):
+    sweep, walk = _walk_pairs(spec, pods)
+    assert _outcomes(sweep, loads) == _outcomes(walk, loads)
+
+
+def _first_saturated(spec, load):
+    """The smallest size, at least the capacity bound, whose top ``k``
+    at ``t_max`` carries ``load`` (on the rising part of the top-``k``
+    sums), or ``None``."""
+    a, b = np.asarray(spec["pairs"]).T
+    x = np.sort(a - spec["t_max"] * b)[::-1]
+    saturated = np.cumsum(x[x > 0.0]) >= load
+    k_cap = int(np.searchsorted(
+        np.cumsum(np.sort(spec["capacities"])[::-1]), load - 1e-9
+    )) + 1
+    sizes = np.flatnonzero(saturated) + 1
+    sizes = sizes[sizes >= k_cap]
+    return int(sizes[0]) if sizes.size else None
+
+
+def _capacity_spec(seed):
+    """``make_system_model(12)``'s band and coefficients, jittered, with
+    capacities drawn per machine from 5 to 80."""
+    rng = np.random.default_rng(seed)
+    model = make_system_model(n=12, alpha_spread=float(rng.uniform(0.1, 0.6)))
+    optimizer = JointOptimizer(model)
+    w2, rho = optimizer._cost_coefficients()
+    t_min, t_max = optimizer._t_bounds()
+    capacities = rng.uniform(5.0, 80.0, 12).tolist()
+    jitter = rng.uniform(0.85, 1.15, (12, 2))
+    return {
+        "pairs": [(a * ja, b * jb)
+                  for (a, b), (ja, jb) in zip(model.ab_pairs(), jitter)],
+        "w2": w2, "rho": rho, "t_min": t_min, "t_max": t_max,
+        "capacities": capacities,
+    }
+
+
+def _near_tie_spec(delta):
+    """Five clones at load 2 with ``t_max = 8.5``: one machine
+    (``t* = 8``) costs ``w2 - 8`` and two (``t* = 9``, saturated) cost
+    ``2*w2 - 8.5``, so ``w2 = 0.5 + delta`` makes the larger size
+    dearer by ``delta`` and ``w2 = 0.5 - delta`` cheaper by
+    ``delta``."""
+    return {"pairs": [(10.0, 1.0)] * 5, "w2": 0.5 + delta, "rho": 1.0,
+            "t_min": 0.0, "t_max": 8.5}
+
+
+class TestCertifiedSweep:
+    """The certified bisection over sizes answers what the walk over
+    every size answers, ON sets and errors, through far fewer
+    fixpoints."""
+
+    @pytest.mark.parametrize("capacities,bounds", CASES)
+    @pytest.mark.parametrize("n,seed", [(6, 0), (13, 7), (24, 2012)])
+    def test_scan_cases_match_the_walk(self, n, seed, capacities, bounds):
+        spec = _heterogeneous(n, seed, capacities, bounds)
+        loads = _loads(spec, 10, seed)
+        for pods in (None, 2) if bounds else (None,):
+            _assert_walk_outcomes(spec, loads, pods)
+
+    @pytest.mark.parametrize("capacities,bounds", CASES)
+    def test_clone_block_matches_the_walk(self, capacities, bounds):
+        spec = _clone_block(capacities, bounds)
+        loads = [0.5, 40.0, 55.0, 120.0, 300.0, 5000.0]
+        for pods in (None, 3) if bounds else (None,):
+            _assert_walk_outcomes(spec, loads, pods)
+
+    @pytest.mark.parametrize(
+        "capacities", ["uniform", "heterogeneous", None]
+    )
+    @pytest.mark.parametrize("band", ["wide", "real", "negative", None])
+    def test_random_instances_match_the_walk(self, band, capacities):
+        rng = np.random.default_rng(
+            [7, ("wide", "real", "negative", None).index(band),
+             ("uniform", "heterogeneous", None).index(capacities)]
+        )
+        for _ in range(4):
+            spec = _random_spec(rng, band, capacities)
+            top = sum(a for a, _ in spec["pairs"])
+            if "capacities" in spec:
+                top = min(top, sum(spec["capacities"]))
+            loads = (rng.uniform(0.0, 1.1 * top, 15).tolist()
+                     + rng.uniform(0.7 * top, top, 15).tolist())
+            _assert_walk_outcomes(spec, loads)
+            if band in ("wide", "real"):
+                _assert_walk_outcomes(spec, loads, pods=2)
+
+    @pytest.mark.parametrize("n,pods", [(100, default_pod_count(100)),
+                                        (500, 10)])
+    def test_serve_levels_match_the_walk(self, n, pods):
+        spec = _serve_spec(n)
+        capacity = sum(spec["capacities"])
+        loads = np.linspace(0.1 * capacity, 0.8 * capacity, 48).tolist()
+        _assert_walk_outcomes(spec, loads)
+        _assert_walk_outcomes(spec, loads, pods)
+
+    @pytest.mark.parametrize("seed", [22, 40, 140])
+    def test_capacity_fallback_past_the_first_saturated_size(self, seed):
+        # Capacities from 5 to 80: the champion at the first saturated
+        # size often lacks the capacity, and the walk upward from it
+        # finds a larger size.
+        spec = _capacity_spec(seed)
+        n = len(spec["pairs"])
+        capacity = sum(spec["capacities"])
+        loads = np.linspace(0.02 * capacity, capacity, 40).tolist()
+        for pods in (None, 2):
+            sweep, walk = _walk_pairs(spec, pods)
+            outcomes = _outcomes(sweep, loads)
+            assert outcomes == _outcomes(walk, loads)
+            past = [
+                load for load, on_set in zip(loads, outcomes)
+                if isinstance(on_set, list)
+                and len(on_set) > (_first_saturated(spec, load) or n)
+            ]
+            assert len(past) >= 10
+
+    @pytest.mark.parametrize("band", ["wide", "real", None])
+    def test_block_max_is_the_largest_top_k_sum(self, band):
+        # Past #positive the top-k sums fall, so F_b understates a
+        # block that straddles the peak.
+        rng = np.random.default_rng(len(str(band)))
+        for _ in range(4):
+            spec = _random_spec(rng, band, None)
+            index = ConsolidationIndex(**spec)
+            n = len(spec["pairs"])
+            ratios = [a / b for a, b in spec["pairs"]]
+            for t in rng.uniform(0.0, max(ratios), 10).tolist():
+                sums = [index._top_sum(t, k) for k in range(1, n + 1)]
+                for a, b in ((1, n), (1, n // 2), (n // 3, n), (2, 2)):
+                    assert index._block_max(t, a, b) == max(sums[a - 1:b])
+
+    @pytest.mark.parametrize("pods", [None, 1, 2])
+    @pytest.mark.parametrize("delta", [4e-13, -4e-13],
+                             ids=["larger-dearer", "larger-cheaper"])
+    def test_near_ties_keep_the_smaller_size(self, delta, pods):
+        # The two sizes cost within _COST_TOL of each other, either
+        # way round: the smaller one wins, as in the walk.
+        spec = _near_tie_spec(delta)
+        assert abs(delta) < consolidation._COST_TOL
+        sweep, walk = _walk_pairs(spec, pods)
+        assert sweep.query_refined(2.0) == walk.query_refined(2.0) == [0]
+
+    @pytest.mark.parametrize("pods", [None, 2])
+    def test_a_size_cheaper_beyond_the_tolerance_wins(self, pods):
+        spec = _near_tie_spec(-4e-12)
+        sweep, walk = _walk_pairs(spec, pods)
+        assert sweep.query_refined(2.0) == walk.query_refined(2.0) == [0, 1]
+
+    def test_serve_levels_take_few_fixpoints(self):
+        # The walk prices every size from the smallest viable one up to
+        # the t_max bound: 2,410 fixpoints on these 48 levels.
+        spec = _serve_spec(500)
+        capacity = sum(spec["capacities"])
+        loads = np.linspace(0.1 * capacity, 0.8 * capacity, 48).tolist()
+        counts = {}
+        for index in (ConsolidationIndex(**spec),
+                      PodShardedIndex(pods=10, max_workers=1, **spec),
+                      LinearWalkConsolidationIndex(**spec)):
+            registry = obs.enable(MetricsRegistry())
+            try:
+                index.query_many(loads)
+                index.query_many(loads)  # memo hits count nothing
+            finally:
+                obs.disable()
+            counters = registry.snapshot()["counters"]
+            counts[type(index).__name__] = (
+                counters[f"{index._OBS}.sweep_fixpoints"],
+                counters[f"{index._OBS}.sweep_block_reads"],
+            )
+        for name in ("ConsolidationIndex", "PodShardedIndex"):
+            fixpoints, reads = counts[name]
+            assert fixpoints < 150 and reads > 0, name
+        assert counts["LinearWalkConsolidationIndex"] == (2410, 0)
 
 
 def _query_caches(index):
