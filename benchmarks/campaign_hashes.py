@@ -1,12 +1,13 @@
 """Fingerprint the closed-loop campaign documents and the served answers
 of one source tree.
 
-Runs six seeded, deterministic campaigns and two batches of refined
-queries, and prints one line per document: its name and the first 16
-hex digits of the SHA-256 of its ``json.dumps(doc, sort_keys=True)``.
-A refactor of the closed loop (:func:`repro.faults.loop.march` and what
-it calls) or of the refined query that claims bit identity must leave
-all eight lines unchanged.  To compare two trees, run the script
+Runs six seeded, deterministic campaigns, two batches of refined
+queries and a batch of algebraic steady states, and prints one line per
+document: its name and the first 16 hex digits of the SHA-256 of its
+``json.dumps(doc, sort_keys=True)``.  A refactor of the closed loop
+(:func:`repro.faults.loop.march` and what it calls), of the refined
+query or of the steady-state solver that claims bit identity must leave
+all nine lines unchanged.  To compare two trees, run the script
 against each one's ``src`` and ``cmp`` the outputs::
 
     PYTHONPATH=base/src python benchmarks/campaign_hashes.py > base.txt
@@ -14,7 +15,7 @@ against each one's ``src`` and ``cmp`` the outputs::
     cmp base.txt head.txt
 
 With a directory argument the documents are also written there, one
-``<name>.json`` each, for a ``diff`` when a hash moves.  The eight runs
+``<name>.json`` each, for a ``diff`` when a hash moves.  The nine runs
 take about 30 s on a two-core Xeon.
 
 The documents:
@@ -35,7 +36,13 @@ The documents:
   on the n=500 loads of ``answers``, and from ``make_system_model(200)``
   with seeded per-machine capacities (10 to 70), monolithic and in 4
   pods, on its 48 serve levels and 100 seeded loads: the pod merge and
-  the sweep's capacity checks.
+  the sweep's capacity checks;
+- ``steady`` — every field of seeded steady states of the n=20
+  testbed, each row solved by ``steady_state`` and all rows by one
+  ``steady_state_many``: 200 regulated rows with mixed ON masks, 200
+  saturated rows under a cooler with a lowered ``q_max`` (half
+  capacity-, half coil-limited) and 40 floating rows (set point above
+  ``t_env``, all machines off or a light load).
 """
 
 from __future__ import annotations
@@ -53,7 +60,9 @@ from repro.control.campaign import run_mpc_campaign
 from repro.core.optimizer import JointOptimizer
 from repro.experiments.common import default_context
 from repro.faults.campaign import run_campaign
+from repro.testbed.rack import TestbedConfig, build_testbed
 from repro.testbed.synthetic import make_system_model
+from repro.thermal.simulation import RoomSimulation
 from repro.units import celsius_to_kelvin
 from repro.workload.weather import diurnal_wetbulb
 
@@ -112,10 +121,88 @@ def pod_and_capacity_answers() -> dict:
     return answers
 
 
+def _fields(state) -> dict:
+    """Every field of a steady state (or batch) as JSON values."""
+    return {
+        field.name: np.asarray(getattr(state, field.name)).tolist()
+        for field in dataclasses.fields(state)
+    }
+
+
+def steady_states() -> dict:
+    """Seeded steady states of the n=20 testbed in the solver's three
+    modes, row by row and as one batch."""
+    testbed = build_testbed(TestbedConfig(n_machines=20), seed=SEED)
+    n = testbed.n_machines
+    rng = np.random.default_rng(SEED)
+
+    def rows(count, low, high, on_share):
+        powers = rng.uniform(low, high, (count, n))
+        masks = rng.random((count, n)) < on_share
+        powers[~masks] = 0.0
+        return powers, masks
+
+    def set_points(count, low, high):
+        return rng.uniform(low, high, count)
+
+    regulated = rows(200, 30.0, 240.0, rng.uniform(0.2, 1.0, (200, 1)))
+    # Heavy rows hold the weak cooler at q_max; light rows with a set
+    # point just above t_ac_min hit the coil limit first.
+    heavy = rows(100, 120.0, 240.0, 1.0)
+    light = rows(100, 30.0, 100.0, 0.5)
+    weak = testbed.fresh_cooler()
+    weak.q_max = 3000.0
+    # Above t_env the room floats: with every machine off, or with a
+    # load the envelope alone can shed.
+    idle = np.zeros((20, n)), np.zeros((20, n), dtype=bool)
+    warm = rows(20, 5.0, 50.0, 0.5)
+    t_env = testbed.room.t_env
+    cases = {
+        "regulated": (
+            testbed.simulation, *regulated,
+            set_points(200, celsius_to_kelvin(16.0), celsius_to_kelvin(30.0)),
+        ),
+        "saturated": (
+            RoomSimulation(testbed.room, weak),
+            np.vstack([heavy[0], light[0]]),
+            np.vstack([heavy[1], light[1]]),
+            np.concatenate([
+                set_points(100, celsius_to_kelvin(16.0),
+                           celsius_to_kelvin(30.0)),
+                set_points(100, weak.t_ac_min + 0.2, weak.t_ac_min + 1.2),
+            ]),
+        ),
+        "floating": (
+            testbed.simulation,
+            np.vstack([idle[0], warm[0]]),
+            np.vstack([idle[1], warm[1]]),
+            np.concatenate([
+                set_points(20, t_env + 0.5, t_env + 20.0),
+                set_points(20, t_env + 15.0, t_env + 20.0),
+            ]),
+        ),
+    }
+    doc = {}
+    for name, (sim, p, m, sp) in cases.items():
+        batch = sim.steady_state_many(p, m, sp)
+        assert (batch.regulated == (name == "regulated")).all(), name
+        doc[name] = {
+            "rows": [
+                _fields(sim.steady_state(p[r], m[r], sp[r]))
+                for r in range(len(sp))
+            ],
+            "batch": _fields(batch),
+        }
+    q_cool = np.asarray(doc["saturated"]["batch"]["q_cool"])
+    assert (q_cool == weak.q_max).any() and (q_cool < weak.q_max).any()
+    assert not any(doc["floating"]["batch"]["q_cool"])
+    return doc
+
+
 def documents():
     """``(name, document)`` for each of the six campaigns, in order,
     then the served answers through the optimizer's index and through
-    pods and unequal capacities."""
+    pods and unequal capacities, then the steady states."""
     for quick in (True, False):
         results, doc = run_campaign(seed=SEED, n_machines=6, quick=quick)
         doc["fault_events"] = {
@@ -138,6 +225,7 @@ def documents():
     )[1]
     yield "answers", served_answers()
     yield "answers-pods", pod_and_capacity_answers()
+    yield "steady", steady_states()
 
 
 def main(out: Optional[pathlib.Path]) -> None:

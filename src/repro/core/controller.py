@@ -355,51 +355,13 @@ class RuntimeController:
             )
         )
 
-    def _prefetch_trace(self, trace, dt: float) -> None:
-        """Warm the consolidation index for every planning target the
-        replay can request.
-
-        The planning target is a pure function of the observed load
-        (headroom, floored, capacity-capped), so the whole trace's worth
-        of selection queries can be answered in one
-        :meth:`~repro.core.consolidation.ConsolidationIndex.query_many`
-        batch up front; the replay's re-plans then hit the query memo.
-        Only meaningful with healthy hardware: a re-plan around failed
-        machines queries a survivor index, not the warmed one.
-        """
-        if self.failed:
-            return
-        capacity = sum(self.optimizer.model.capacities)
-        targets = set()
-        t = 0.0
-        while t <= trace.duration:
-            load = trace.load_at(t)
-            if 0.0 <= load <= capacity + 1e-9:
-                targets.add(min(max(load * self.headroom, 1e-6), capacity))
-            t += dt
-        if not targets:
-            return
-        with obs.timed("controller/prefetch"):
-            self.optimizer.query_index.query_many(
-                sorted(targets), skip_infeasible=True
-            )
-            obs.set_span_attributes(targets=len(targets))
-
-    def run_trace(
-        self, trace, dt: float = 60.0, prefetch: bool = False
-    ) -> list[ControllerEvent]:
+    def run_trace(self, trace, dt: float = 60.0) -> list[ControllerEvent]:
         """Drive the controller over a :class:`~repro.workload.traces.LoadTrace`.
-
-        With ``prefetch=True``, all distinct planning targets of the
-        replay are resolved in one batched index query before the loop
-        starts, so every re-plan's selection is a memo hit.
 
         Returns the reconfiguration events (also kept on ``self.events``).
         """
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
-        if prefetch:
-            self._prefetch_trace(trace, dt)
         with obs.record_run(
             "controller.trace",
             inputs={"duration": trace.duration, "dt": dt},

@@ -499,35 +499,36 @@ class _OracleController:
             return None
         model = self.optimizer.model
         drift = self.injector.set_point_offset
-        server_power = float(
-            np.sum(self.testbed.true_server_powers(plan.loads, plan.on_ids))
+        # The plan's true powers and ON mask, shared by every probe.
+        powers = self.testbed.true_server_powers(plan.loads, plan.on_ids)
+        mask = np.zeros(self.testbed.n_machines, dtype=bool)
+        mask[list(plan.on_ids)] = True
+        self._probe_cooler.q_max = (
+            self._nominal_q_max * self.injector.derate_factor
         )
         coldest = model.cooler.set_point_for(
-            model.cooler.t_ac_min, server_power
+            model.cooler.t_ac_min, float(np.sum(powers))
         )
         optimal = plan.t_sp
-        if self._true_max_cpu(plan, optimal + drift) is not None:
+        if self._true_max_cpu(powers, mask, optimal + drift) is not None:
             return plan  # the model-optimal set point truly holds
-        if self._true_max_cpu(plan, coldest + drift) is None:
+        if self._true_max_cpu(powers, mask, coldest + drift) is None:
             return None  # even the coldest air cannot save this load
         lo, hi = coldest, optimal  # warmest feasible effective set point
         for _ in range(6):
             mid = 0.5 * (lo + hi)
-            if self._true_max_cpu(plan, mid + drift) is not None:
+            if self._true_max_cpu(powers, mask, mid + drift) is not None:
                 lo = mid
             else:
                 hi = mid
         return replace(plan, t_sp=lo)  # commanded; drift adds on top
 
-    def _true_max_cpu(self, plan, effective_sp: float):
-        """Hottest true steady-state CPU under a plan and effective set
-        point, or ``None`` if it exceeds ``t_max - margin``."""
-        self._probe_cooler.q_max = (
-            self._nominal_q_max * self.injector.derate_factor
-        )
-        powers = self.testbed.true_server_powers(plan.loads, plan.on_ids)
-        mask = np.zeros(self.testbed.n_machines, dtype=bool)
-        mask[list(plan.on_ids)] = True
+    def _true_max_cpu(
+        self, powers: np.ndarray, mask: np.ndarray, effective_sp: float
+    ):
+        """Hottest true steady-state CPU under a plan's powers and ON
+        mask at an effective set point, or ``None`` if it exceeds
+        ``t_max - margin``."""
         state = self._probe.steady_state(
             powers=powers, on_mask=mask, set_point=effective_sp
         )

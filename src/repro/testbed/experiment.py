@@ -255,9 +255,10 @@ class Testbed:
         """Evaluate a whole sweep of decisions in one batched solve.
 
         Uses :meth:`RoomSimulation.steady_state_many` when the underlying
-        simulation offers it (solutions are bit-identical to per-decision
-        :meth:`evaluate` calls); falls back to scalar evaluation for
-        custom substrates, e.g. the zonal simulation.
+        simulation offers it (per-decision :meth:`evaluate` calls solve
+        through its one-row case, so the records are identical); falls
+        back to one :meth:`evaluate` per decision for substrates without
+        a batch solver, e.g. the zonal simulation.
         """
         decisions = list(decisions)
         if not decisions:

@@ -1,30 +1,27 @@
 """Coupled room/cooler simulation and algebraic steady-state solver.
 
-Two ways to evaluate the simulated testbed:
+Two ways to evaluate the simulated testbed, one engine each:
 
 - :class:`RoomSimulation` integrates the full transient system (per-node
   Eqs. 1-2, the bulk room air volume, and the cooling unit's PI loop) with
   a fixed-step RK4 scheme.  Used by the profiling campaign, which — like
   the paper's experiments — waits for temperatures to settle and samples
   noisy sensors along the way.
-- :meth:`RoomSimulation.steady_state` solves the same physics algebraically
-  (the steady-state equations are linear once the active saturation mode of
-  the cooler is known).  Used by the evaluation benches, which need many
-  thousands of operating points.  :meth:`RoomSimulation.steady_state_many`
-  solves a whole batch of operating points in one vectorized pass and
-  returns a :class:`SteadyStateBatch`.
+- :meth:`RoomSimulation.steady_state_many` solves the same physics
+  algebraically (the steady-state equations are linear once the active
+  saturation mode of the cooler is known) for a batch of operating
+  points in one vectorized pass; :meth:`RoomSimulation.steady_state` is
+  its one-row case.  Used by the evaluation benches and the oracle
+  controllers, which need many thousands of operating points.
 
-The transient integrator evaluates the derivatives as pure array
-arithmetic and folds the four RK4 stages into stacked-state updates, with
-no Python-level per-node iteration.  It preserves the exact expression
-structure (and accumulation order) of the original per-node loop, so
-every elementwise IEEE operation rounds the same way:
-``tests/test_simulation_engine.py`` pins it **bit for bit** against that
-loop (kept as a test oracle in ``tests/oracles/``) on randomized
-scenarios, including off nodes, saturated coolers, set-point steps, and
-active fault injectors.
-
-Tests verify that the integrator converges to the algebraic solution.
+Both engines are pure array arithmetic with no Python-level per-node
+iteration, yet keep the expression structure (and accumulation order)
+of the original per-node loops, so every elementwise IEEE operation
+rounds the same way: ``tests/test_simulation_engine.py`` pins them **bit
+for bit** against those loops (kept as test oracles in
+``tests/oracles/``) on randomized scenarios, including off nodes,
+saturated coolers, set-point steps, and active fault injectors.  Tests
+also verify that the integrator converges to the algebraic solution.
 """
 
 from __future__ import annotations
@@ -252,8 +249,8 @@ class RoomSimulation:
     The caller sets per-node electrical power (via
     :meth:`set_node_powers`) and the cooler set point, then advances time
     with :meth:`step` / :meth:`run` or asks for the long-run operating
-    point directly with :meth:`steady_state` /
-    :meth:`steady_state_many`.
+    point directly: :meth:`steady_state_many` solves a batch of them,
+    :meth:`steady_state` one (the batch's one-row case).
     """
 
     def __init__(
@@ -684,100 +681,33 @@ class RoomSimulation:
         first assumes the cooler regulates (room temperature equals the set
         point); if the required capacity violates an actuator limit it
         re-solves the consistent saturated mode.  Powers and mask are
-        checked as :func:`check_node_powers` checks them.
+        checked as :func:`check_node_powers` checks them, the set point
+        as :meth:`set_set_point` checks it.  This is the one-row case of
+        :meth:`steady_state_many`.
         """
         obs.count("simulation.steady_state_solves")
         p, mask = check_node_powers(
-            self.powers.copy() if powers is None else powers,
-            self.on_mask.copy() if on_mask is None else on_mask,
-            self.room.node_count,
+            self.powers if powers is None else powers,
+            self.on_mask if on_mask is None else on_mask,
+            self._n,
         )
         sp = self.cooler.set_point if set_point is None else float(set_point)
-
-        total_power = float(np.sum(p[mask]))
-        f_c = self.cooler.supply_flow * units.C_AIR
-        u = self.room.envelope_conductance
-        t_env = self.room.t_env
-
-        # Regulated mode: T_room == T_SP.
-        q_needed = self.room.steady_heat_load(total_power, sp)
-        coil_limit = (sp - self.cooler.t_ac_min) * f_c
-        if 0.0 <= q_needed <= min(self.cooler.q_max, coil_limit):
-            t_room = sp
-            q = q_needed
-            regulated = True
-        elif q_needed < 0.0:
-            # Room would float below the set point even with the cooler
-            # off (can only happen if the building is colder than the set
-            # point); equilibrium with q == 0.
-            if u <= 0.0:
-                raise ConvergenceError(
-                    "no steady state: zero heat load and no envelope path"
-                )
-            t_room = t_env + total_power / u
-            q = 0.0
-            regulated = False
-        else:
-            # Saturated: try the q_max mode, then the coil-limited mode.
-            t_room, q = self._saturated_mode(total_power, f_c, u, t_env, sp)
-            regulated = False
-
-        t_ac = t_room - q / f_c
-        t_in = self.room.inlet_temperatures(t_ac, t_room)
-        n = self.room.node_count
-        t_cpu = np.empty(n)
-        t_box = np.empty(n)
-        for i, node in enumerate(self.room.nodes):
-            if mask[i]:
-                state = node.steady_state(p[i], t_in[i])
-                t_cpu[i] = state.t_cpu
-                t_box[i] = state.t_box
-            else:
-                t_cpu[i] = t_room
-                t_box[i] = t_room
-                t_in[i] = t_room
+        if not units.is_valid_temperature(sp):
+            raise ConfigurationError(f"set point out of range: {sp}")
+        t_room, t_ac, q, p_ac, nodes, drawn, regulated = self._solve_rows(
+            p[None], mask[None], np.array([sp])
+        )
         return SteadyState(
-            t_room=t_room,
-            t_ac=t_ac,
-            q_cool=q,
-            p_ac=self.cooler.steady_state_power(q),
-            t_cpu=t_cpu,
-            t_box=t_box,
-            t_in=t_in,
-            server_power=np.where(mask, p, 0.0),
-            regulated=regulated,
+            t_room=float(t_room[0]),
+            t_ac=float(t_ac[0]),
+            q_cool=float(q[0]),
+            p_ac=float(p_ac[0]),
+            t_cpu=nodes[2, 0],
+            t_box=nodes[1, 0],
+            t_in=nodes[0, 0],
+            server_power=drawn[0],
+            regulated=bool(regulated[0]),
         )
-
-    def _saturated_mode(
-        self, total_power: float, f_c: float, u: float, t_env: float, sp: float
-    ) -> tuple[float, float]:
-        """Solve the steady state when the cooler cannot hold the set point."""
-        candidates: list[tuple[float, float]] = []
-        if u > 0.0:
-            # Mode A: capacity-limited at q_max.
-            t_room_a = t_env - (self.cooler.q_max - total_power) / u
-            t_ac_a = t_room_a - self.cooler.q_max / f_c
-            if t_room_a >= sp and t_ac_a >= self.cooler.t_ac_min - 1e-9:
-                candidates.append((t_room_a, self.cooler.q_max))
-        # Mode B: coil-limited at t_ac_min.
-        t_room_b = (total_power + u * t_env + f_c * self.cooler.t_ac_min) / (
-            f_c + u
-        )
-        q_b = (t_room_b - self.cooler.t_ac_min) * f_c
-        if t_room_b >= sp and 0.0 <= q_b <= self.cooler.q_max + 1e-9:
-            candidates.append((t_room_b, min(q_b, self.cooler.q_max)))
-        if not candidates:
-            raise ConvergenceError(
-                "cooler saturated with no consistent steady state "
-                f"(load {total_power:.0f} W exceeds what the unit can reject)"
-            )
-        # If both modes are consistent the physically binding one is the
-        # one yielding the lower capacity.
-        return min(candidates, key=lambda c: c[1])
-
-    # ------------------------------------------------------------------ #
-    # Batched algebraic steady state
-    # ------------------------------------------------------------------ #
 
     def steady_state_many(
         self,
@@ -787,28 +717,19 @@ class RoomSimulation:
     ) -> SteadyStateBatch:
         """Solve many operating points in one vectorized pass.
 
-        Parameters
-        ----------
-        powers:
-            ``(B, n)`` per-node electrical powers, W — one row per
-            operating point.
-        on_masks:
-            Optional ``(B, n)`` on/off masks (default: all machines on).
-        set_points:
-            Optional ``(B,)`` cooler set points, K (a scalar broadcasts;
-            default: the cooler's current set point).
-
-        Every row solves exactly as :meth:`steady_state` would — same
-        mode selection, same per-row total-power accumulation — so
+        ``powers`` holds one ``(n,)`` row of per-node powers (W) per
+        operating point; ``on_masks`` (default: all machines on) has the
+        same shape; ``set_points`` (K) is ``(B,)`` or a scalar (default:
+        the cooler's current set point).  Rows are independent:
         ``steady_state_many(P, M, S).point(i)`` equals
         ``steady_state(P[i], M[i], S[i])`` field for field.  Every power
-        must be finite and non-negative; the error names the first bad
-        entry's row and node.
+        must be finite and non-negative and every set point valid for
+        :meth:`set_set_point`; the error names the first bad row.
         """
         p = np.asarray(powers, dtype=float)
-        if p.ndim != 2 or p.shape[1] != self.room.node_count:
+        if p.ndim != 2 or p.shape[1] != self._n:
             raise ConfigurationError(
-                f"expected a (B, {self.room.node_count}) powers matrix, "
+                f"expected a (B, {self._n}) powers matrix, "
                 f"got shape {p.shape}"
             )
         batch = p.shape[0]
@@ -832,109 +753,139 @@ class RoomSimulation:
             raise ConfigurationError(
                 "a powered-off machine cannot draw positive power"
             )
-        if set_points is None:
-            sp = np.full(batch, self.cooler.set_point)
-        else:
-            sp = np.broadcast_to(
-                np.asarray(set_points, dtype=float), (batch,)
-            ).copy()
+        sp = np.array(
+            self.cooler.set_point if set_points is None else set_points,
+            dtype=float,
+        )
+        if sp.ndim == 0:
+            sp = np.full(batch, sp)
+        elif sp.shape != (batch,):
+            raise ConfigurationError(
+                f"expected a scalar or {batch} set points, "
+                f"got shape {sp.shape}"
+            )
+        for row, value in enumerate(sp.tolist()):
+            if not units.is_valid_temperature(value):
+                raise ConfigurationError(
+                    f"row {row}: set point out of range: {value}"
+                )
         obs.count("simulation.steady_state_solves", batch)
         obs.count("simulation.steady_state_batches")
-
-        # Per-row totals via the same masked sum as the scalar solver
-        # (a row-wise np.sum over zero-filled entries groups partial
-        # sums differently and can drift in the last ulp).
-        total_power = np.empty(batch)
-        for r in range(batch):
-            total_power[r] = float(np.sum(p[r][mask[r]]))
-
-        f_c = self.cooler.supply_flow * units.C_AIR
-        u = self.room.envelope_conductance
-        t_env = self.room.t_env
-
-        q_needed = total_power + u * (t_env - sp)
-        coil_limit = (sp - self.cooler.t_ac_min) * f_c
-        cap = np.minimum(self.cooler.q_max, coil_limit)
-        regulated = (q_needed >= 0.0) & (q_needed <= cap)
-        floating = q_needed < 0.0
-        saturated = ~regulated & ~floating
-
-        t_room = np.where(regulated, sp, np.nan)
-        q = np.where(regulated, q_needed, 0.0)
-        if floating.any():
-            if u <= 0.0:
-                raise ConvergenceError(
-                    "no steady state: zero heat load and no envelope path"
-                )
-            t_room[floating] = t_env + total_power[floating] / u
-        if saturated.any():
-            t_room_sat, q_sat = self._saturated_mode_many(
-                total_power[saturated], f_c, u, t_env, sp[saturated]
-            )
-            t_room[saturated] = t_room_sat
-            q[saturated] = q_sat
-
-        t_ac = t_room - q / f_c
-        m = self._supply_fraction
-        t_in = m * t_ac[:, None] + (1.0 - m) * t_room[:, None]
-        t_box = t_in + p / self._flow_c
-        t_cpu = t_box + p / self._theta
-        room_col = np.broadcast_to(t_room[:, None], p.shape)
-        t_cpu = np.where(mask, t_cpu, room_col)
-        t_box = np.where(mask, t_box, room_col)
-        t_in = np.where(mask, t_in, room_col)
-        p_ac = np.where(
-            q < 0.0,
-            self.cooler.fan_power,
-            np.minimum(q, self.cooler.q_max) / self.cooler.efficiency
-            + self.cooler.fan_power,
+        t_room, t_ac, q, p_ac, nodes, drawn, regulated = self._solve_rows(
+            p, mask, sp
         )
         return SteadyStateBatch(
             t_room=t_room,
             t_ac=t_ac,
             q_cool=q,
             p_ac=p_ac,
-            t_cpu=t_cpu,
-            t_box=t_box,
-            t_in=t_in,
-            server_power=np.where(mask, p, 0.0),
+            t_cpu=nodes[2],
+            t_box=nodes[1],
+            t_in=nodes[0],
+            server_power=drawn,
             regulated=regulated,
         )
 
-    def _saturated_mode_many(
-        self,
-        total_power: np.ndarray,
-        f_c: float,
-        u: float,
-        t_env: float,
-        sp: np.ndarray,
+    def _solve_rows(
+        self, p: np.ndarray, mask: np.ndarray, sp: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """The steady-state core: checked ``(B, n)`` powers and masks at
+        ``(B,)`` set points ``sp`` (the call's own array; it becomes
+        ``t_room`` when every row regulates).
+
+        Returns ``(t_room, t_ac, q_cool, p_ac, nodes, server_power,
+        regulated)``; ``nodes`` stacks the ``(B, n)`` blocks of ``t_in``,
+        ``t_box`` and ``t_cpu``.  Each row rounds exactly as the scalar
+        reference (``tests/oracles/simulation.py``) solves it alone.
+        """
+        batch = p.shape[0]
+        # Per-row totals via a masked sum (np.sum's reduction): a
+        # row-wise sum over zero-filled entries groups partial sums
+        # differently and can drift in the last ulp.
+        total_power = np.empty(batch)
+        for r in range(batch):
+            total_power[r] = np.add.reduce(p[r][mask[r]])
+
+        cooler = self.cooler
+        f_c = cooler.supply_flow * units.C_AIR
+        u = self._env_c
+        t_env = self._t_env
+
+        # Regulated mode: T_room == T_SP.
+        q_needed = total_power + u * (t_env - sp)
+        coil_limit = (sp - cooler.t_ac_min) * f_c
+        regulated = (q_needed >= 0.0) & (
+            q_needed <= np.minimum(cooler.q_max, coil_limit)
+        )
+        if regulated.all():
+            t_room, q = sp, q_needed
+        else:
+            floating = q_needed < 0.0
+            t_room, q = self._saturated_rows(
+                total_power, sp, ~(regulated | floating)
+            )
+            t_room = np.where(regulated, sp, t_room)
+            q = np.where(regulated, q_needed, q)
+            if floating.any():
+                # The room floats below the set point even with the
+                # cooler off (only when the building is colder than the
+                # set point, so u > 0): equilibrium with q == 0.
+                t_room[floating] = t_env + total_power[floating] / u
+                q[floating] = 0.0
+
+        t_ac = t_room - q / f_c
+        nodes = np.empty((3, *p.shape))
+        t_in, t_box, t_cpu = nodes
+        np.multiply(self._supply_fraction, t_ac[:, None], out=t_in)
+        t_in += self._recirc_fraction * t_room[:, None]
+        np.divide(p, self._flow_c, out=t_box)
+        t_box += t_in
+        np.divide(p, self._theta, out=t_cpu)
+        t_cpu += t_box
+        # Off nodes sit at room temperature.
+        np.copyto(nodes, t_room[:, None], where=~mask)
+        # q >= 0 in every mode, so the cooler draws its steady-state
+        # power min(q, q_max) / efficiency plus the fans.
+        p_ac = np.minimum(q, cooler.q_max) / cooler.efficiency
+        p_ac += cooler.fan_power
+        drawn = np.where(mask, p, 0.0)
+        return t_room, t_ac, q, p_ac, nodes, drawn, regulated
+
+    def _saturated_rows(
+        self, total_power: np.ndarray, sp: np.ndarray, saturated: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_saturated_mode` over saturated rows."""
-        k = total_power.shape[0]
+        """Room temperature and heat removal of every row as if its
+        cooler could not hold the set point: capacity-limited at
+        ``q_max`` (mode A) or coil-limited at ``t_ac_min`` (mode B).
+        Raises if a ``saturated`` row has no consistent mode."""
         q_max = self.cooler.q_max
         t_ac_min = self.cooler.t_ac_min
-        ok_a = np.zeros(k, dtype=bool)
-        t_room_a = np.zeros(k)
+        f_c = self.cooler.supply_flow * units.C_AIR
+        u = self._env_c
+        t_env = self._t_env
+        # Mode B: coil-limited at t_ac_min.
+        t_room_b = (total_power + u * t_env + f_c * t_ac_min) / (f_c + u)
+        q_b = (t_room_b - t_ac_min) * f_c
+        ok_b = (t_room_b >= sp) & (q_b >= 0.0) & (q_b <= q_max + 1e-9)
         if u > 0.0:
             # Mode A: capacity-limited at q_max.
             t_room_a = t_env - (q_max - total_power) / u
             t_ac_a = t_room_a - q_max / f_c
             ok_a = (t_room_a >= sp) & (t_ac_a >= t_ac_min - 1e-9)
-        # Mode B: coil-limited at t_ac_min.
-        t_room_b = (total_power + u * t_env + f_c * t_ac_min) / (f_c + u)
-        q_b = (t_room_b - t_ac_min) * f_c
-        ok_b = (t_room_b >= sp) & (q_b >= 0.0) & (q_b <= q_max + 1e-9)
+        else:  # no envelope: no capacity-limited mode
+            t_room_a, ok_a = t_room_b, np.zeros_like(ok_b)
         q_b_clamped = np.minimum(q_b, q_max)
-        infeasible = ~ok_a & ~ok_b
+        infeasible = saturated & ~(ok_a | ok_b)
         if infeasible.any():
             worst = float(total_power[np.flatnonzero(infeasible)[0]])
             raise ConvergenceError(
                 "cooler saturated with no consistent steady state "
                 f"(load {worst:.0f} W exceeds what the unit can reject)"
             )
-        # Where both modes are consistent, pick the lower capacity; on a
-        # tie mode A wins, matching the scalar solver's candidate order.
+        # Where both modes are consistent the physically binding one is
+        # the one yielding the lower capacity; on a tie mode A wins.
         use_a = ok_a & (~ok_b | (q_max <= q_b_clamped))
-        t_room = np.where(use_a, t_room_a, t_room_b)
-        q = np.where(use_a, q_max, q_b_clamped)
-        return t_room, q
+        return (
+            np.where(use_a, t_room_a, t_room_b),
+            np.where(use_a, q_max, q_b_clamped),
+        )

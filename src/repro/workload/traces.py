@@ -13,9 +13,7 @@ Determinism
 Every stochastic trace is a *pure function of time*: noise is derived
 from a seed and the time bucket, never from mutable generator state, so
 ``load_at(t)`` returns the same value on every call.  That property is
-what lets :meth:`repro.core.controller.RuntimeController.run_trace`
-prefetch selection answers for a replay and actually hit them, and what
-makes campaign scores reproducible byte-for-byte.
+what makes campaign scores reproducible byte-for-byte.
 
 Vector twins
 ------------

@@ -4,9 +4,11 @@ Each oracle subclasses the shipped class and overrides only its hot
 kernels with the original, readable loops, so an equivalence test can
 drive both through the same public API and compare results bit for bit:
 
-- :class:`LoopRoomSimulation` — the per-node derivative loop and the
-  tuple-state RK4 stepper behind
-  :class:`~repro.thermal.simulation.RoomSimulation`;
+- :class:`LoopRoomSimulation` — the per-node derivative loop, the
+  tuple-state RK4 stepper and the scalar steady-state solver behind
+  :class:`~repro.thermal.simulation.RoomSimulation` (its batched
+  ``steady_state_many`` and that batch's one-row case
+  ``steady_state``);
 - :class:`LoopConsolidationIndex` — the per-row Algorithm-1 build
   behind :class:`~repro.core.consolidation.ConsolidationIndex`;
 - :class:`PartitionConsolidationIndex` — the per-iterate top-``k``

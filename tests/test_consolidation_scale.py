@@ -22,7 +22,6 @@ from repro.core.consolidation import (
     ConsolidationIndex,
     consolidation_cache_key,
 )
-from repro.core.controller import RuntimeController
 from repro.core.optimizer import JointOptimizer
 from repro.core.select import brute_force_subset, ratio
 from repro.core.serialization import (
@@ -31,7 +30,6 @@ from repro.core.serialization import (
 )
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.obs import MetricsRegistry
-from repro.workload.traces import step_trace
 from tests.conftest import make_system_model
 from tests.oracles import LoopConsolidationIndex
 
@@ -469,51 +467,6 @@ class TestOptimizerIndexCache:
         assert rebuilt.status_count == original.status_count
         # The rebuild healed the cache file.
         load_consolidation_index(path, expected_key=original.cache_key)
-
-
-class TestControllerPrefetch:
-    @staticmethod
-    def _run(prefetch):
-        optimizer = JointOptimizer(make_system_model(n=10))
-        controller = RuntimeController(
-            optimizer, hysteresis=0.15, min_dwell=600.0
-        )
-        trace = step_trace([50.0, 200.0, 80.0, 300.0], dwell=3600.0)
-        registry = obs.enable(MetricsRegistry())
-        try:
-            events = controller.run_trace(
-                trace, dt=300.0, prefetch=prefetch
-            )
-        finally:
-            obs.disable()
-        return events, registry.snapshot()["counters"]
-
-    def test_prefetch_preserves_decisions(self):
-        plain, _ = self._run(prefetch=False)
-        warmed, counters = self._run(prefetch=True)
-        assert warmed == plain
-        # Every replanned selection was answered from the warmed memo.
-        assert counters["consolidation.query_memo_hits"] >= len(warmed)
-
-    def test_prefetch_warms_sharded_index(self):
-        # Regression: _prefetch_trace used to bail on a pod-sharded
-        # optimizer even though the pod-sharded index answers query_many
-        # and keeps the same result memo — the scaled replay path lost
-        # its warmup.
-        optimizer = JointOptimizer(make_system_model(n=10), pods=2)
-        controller = RuntimeController(
-            optimizer, hysteresis=0.15, min_dwell=600.0
-        )
-        trace = step_trace([50.0, 200.0, 80.0, 300.0], dwell=3600.0)
-        registry = obs.enable(MetricsRegistry())
-        try:
-            events = controller.run_trace(trace, dt=300.0, prefetch=True)
-        finally:
-            obs.disable()
-        counters = registry.snapshot()["counters"]
-        assert counters["sharding.query_many_queries"] > 0
-        # Every replanned selection was answered from the warmed memo.
-        assert counters["sharding.query_memo_hits"] >= len(events)
 
 
 class TestBudgetBracketing:

@@ -1,11 +1,13 @@
-"""Kernel equivalence: the vectorized RK4 stepper vs the Python loop.
+"""Kernel equivalence: the vectorized kernels vs the Python loops.
 
 The contract: :class:`RoomSimulation`'s vectorized stepper produces
 **bit-identical** trajectories to the per-node loop oracle
 (:class:`tests.oracles.LoopRoomSimulation`) on every seeded scenario —
 off nodes, saturated cooler modes, set-point steps, and all three
-fault-injector seams.  Every comparison here is exact (``==`` /
-``array_equal``), never ``allclose``.
+fault-injector seams — and its batched steady-state solver, through
+both entry points, solves every operating point as the oracle's scalar
+solver does.  Every comparison here is exact (``==`` /
+``array_equal`` / raw bytes), never ``allclose``.
 """
 
 import dataclasses
@@ -308,92 +310,311 @@ class TestFaultInjectorSeams:
         assert_states_identical(fast, loop)
 
 
+def assert_steady_identical(got, want):
+    """Every field of two steady states equal bit for bit."""
+    for field in dataclasses.fields(want):
+        a = getattr(got, field.name)
+        b = getattr(want, field.name)
+        if field.name == "regulated":
+            assert a is b
+            continue
+        a = np.asarray(a, dtype=float)
+        assert a.shape == np.shape(b), field.name
+        assert a.tobytes() == np.asarray(b, dtype=float).tobytes(), field.name
+
+
+def assert_rows_match_reference(fast, loop, powers, masks, set_points):
+    """Both shipped entry points, row by row, against the scalar
+    per-node reference; returns the batch."""
+    batch = fast.steady_state_many(powers, masks, set_points)
+    assert len(batch) == len(powers)
+    for r in range(len(powers)):
+        sp = np.broadcast_to(set_points, len(powers))[r]
+        want = loop.steady_state(powers[r], masks[r], sp)
+        one = fast.steady_state(powers[r], masks[r], sp)
+        assert_steady_identical(one, want)
+        assert_steady_identical(batch.point(r), want)
+    return batch
+
+
+def same_error(fast_call, loop_call):
+    """Both calls raise the same error type with the same message."""
+    with pytest.raises(Exception) as want:
+        loop_call()
+    with pytest.raises(type(want.value)) as got:
+        fast_call()
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
 class TestSteadyStateMany:
+    """The batched solver is the only steady-state engine:
+    :meth:`RoomSimulation.steady_state` is its one-row case, and both
+    are pinned to the scalar per-node solver of
+    :class:`tests.oracles.LoopRoomSimulation` field for field."""
+
     def test_batch_matches_scalar_solver_exactly(self):
-        fast, _ = engine_pair()
+        fast, loop = engine_pair()
         n = fast.room.node_count
         rng = np.random.default_rng(31)
         batch_size = 24
         powers = rng.uniform(30.0, 240.0, (batch_size, n))
-        masks = rng.random((batch_size, n)) < 0.75
+        masks = rng.random((batch_size, n)) < rng.uniform(
+            0.1, 1.0, (batch_size, 1)
+        )
         masks[:, 0] = True  # at least one machine on per row
+        masks[1] = True  # and one row with every machine on
         powers[~masks] = 0.0
         set_points = rng.uniform(
             units.celsius_to_kelvin(16.0), units.celsius_to_kelvin(30.0),
             batch_size,
         )
-        batch = fast.steady_state_many(powers, masks, set_points)
-        assert len(batch) == batch_size
-        for r in range(batch_size):
-            one = fast.steady_state(powers[r], masks[r], set_points[r])
-            got = batch.point(r)
-            assert got.t_room == one.t_room
-            assert got.t_ac == one.t_ac
-            assert got.q_cool == one.q_cool
-            assert got.p_ac == one.p_ac
-            assert got.regulated == one.regulated
-            assert np.array_equal(got.t_cpu, one.t_cpu)
-            assert np.array_equal(got.t_box, one.t_box)
-            assert np.array_equal(got.t_in, one.t_in)
-            assert np.array_equal(got.server_power, one.server_power)
+        batch = assert_rows_match_reference(
+            fast, loop, powers, masks, set_points
+        )
+        assert batch.regulated.all()
 
     def test_saturated_rows_match_scalar(self):
+        # Heavy rows hold the cooler at q_max; light rows with a set
+        # point just above t_ac_min are coil-limited instead.
         config = TestbedConfig(n_machines=8, cooler_q_max=1500.0)
-        fast, _ = engine_pair(config)
+        fast, loop = engine_pair(config)
         rng = np.random.default_rng(32)
-        powers = rng.uniform(150.0, 250.0, (6, 8))
-        masks = np.ones((6, 8), dtype=bool)
-        batch = fast.steady_state_many(powers, masks)
+        powers = np.vstack([
+            rng.uniform(150.0, 250.0, (6, 8)),
+            rng.uniform(5.0, 15.0, (4, 8)),
+        ])
+        masks = np.ones((10, 8), dtype=bool)
+        masks[6:, ::3] = False
+        powers[~masks] = 0.0
+        t_ac_min = fast.cooler.t_ac_min
+        set_points = np.concatenate([
+            rng.uniform(
+                units.celsius_to_kelvin(16.0),
+                units.celsius_to_kelvin(30.0), 6,
+            ),
+            t_ac_min + rng.uniform(0.1, 0.6, 4),
+        ])
+        batch = assert_rows_match_reference(
+            fast, loop, powers, masks, set_points
+        )
         assert not batch.regulated.any()
-        for r in range(6):
-            one = fast.steady_state(powers[r], masks[r])
-            got = batch.point(r)
-            assert got.t_room == one.t_room
-            assert got.q_cool == one.q_cool
-            assert got.p_ac == one.p_ac
+        assert (batch.q_cool[:6] == 1500.0).all()
+        assert (batch.q_cool[6:] < 1500.0).all()
 
     def test_floating_branch_matches_scalar(self):
-        # All machines off and a set point above the building's free
-        # equilibrium: the cooler never engages and the room floats.
-        fast, _ = engine_pair()
+        # A set point above the building's free equilibrium: the cooler
+        # never engages and the room floats, with every machine off or
+        # with a light load still under the envelope's loss.
+        fast, loop = engine_pair()
         n = fast.room.node_count
-        powers = np.zeros((2, n))
-        masks = np.zeros((2, n), dtype=bool)
-        sp = fast.room.t_env + 5.0
-        batch = fast.steady_state_many(powers, masks, [sp, sp])
-        one = fast.steady_state(powers[0], masks[0], sp)
-        assert not one.regulated
-        assert one.q_cool == 0.0
-        got = batch.point(0)
-        assert got.t_room == one.t_room
-        assert got.q_cool == one.q_cool
-        assert got.p_ac == one.p_ac
-        assert np.array_equal(got.t_cpu, one.t_cpu)
+        powers = np.zeros((4, n))
+        masks = np.zeros((4, n), dtype=bool)
+        masks[3, :2] = True
+        powers[3, :2] = 50.0
+        t_env = fast.room.t_env
+        set_points = t_env + np.array([0.5, 5.0, 20.0, 20.0])
+        batch = assert_rows_match_reference(
+            fast, loop, powers, masks, set_points
+        )
+        assert not batch.regulated.any()
+        assert (batch.q_cool == 0.0).all()
+
+    def test_many_random_rows_match_scalar(self):
+        # Enough rows in every mode that a last-ulp change anywhere in
+        # the arithmetic shows (a non-power-of-two efficiency and flow
+        # keep the divisions inexact).
+        config = TestbedConfig(
+            n_machines=12, cooler_q_max=2500.0, cooler_efficiency=0.31,
+            cooler_flow=0.9,
+        )
+        fast, loop = engine_pair(config, seed=41)
+        rng = np.random.default_rng(41)
+        rows = 1500
+        powers = rng.uniform(0.0, 300.0, (rows, 12))
+        masks = rng.random((rows, 12)) < rng.uniform(0.0, 1.0, (rows, 1))
+        powers[~masks] = 0.0
+        powers[::7][~masks[::7]] = -0.0  # off machines at negative zero
+        # A third each just above t_ac_min (where the coil limit
+        # binds), at office temperatures, and above t_env.
+        t_ac_min, t_env = fast.cooler.t_ac_min, fast.room.t_env
+        set_points = np.choose(np.arange(rows) % 3, [
+            rng.uniform(t_ac_min + 0.1, t_ac_min + 2.0, rows),
+            rng.uniform(t_ac_min + 2.0, t_env, rows),
+            rng.uniform(t_env, t_env + 15.0, rows),
+        ])
+        batch = assert_rows_match_reference(
+            fast, loop, powers, masks, set_points
+        )
+        floating = ~batch.regulated & (batch.q_cool == 0.0)
+        capacity = ~batch.regulated & (batch.q_cool == 2500.0)
+        coil = ~batch.regulated & ~floating & ~capacity
+        modes = (batch.regulated, floating, capacity, coil)
+        assert min(int(mode.sum()) for mode in modes) > 100
+
+    def test_boundaries_pick_the_reference_mode(self):
+        # Rows on the mode boundaries, where only the comparison
+        # operators and the tie rule decide.
+        config = TestbedConfig(n_machines=8, cooler_q_max=1500.0)
+        fast, loop = engine_pair(config)
+        cooler, room = fast.cooler, fast.room
+        u = room.envelope_conductance
+        f_c = cooler.supply_flow * units.C_AIR
+        on = np.ones(8, dtype=bool)
+        # The load needs exactly q_max at the set point: regulated.
+        rows = [(np.full(8, 187.5), on, room.t_env)]
+        # Both saturated modes consistent: the supply air at q_max sits
+        # within the 1e-9 K tolerance below t_ac_min (the coil-limited
+        # mode needs less and wins), or a hair above it (the coil mode
+        # would need q_max plus less than 1e-9 W: a tie, capacity wins).
+        for delta in (-5e-10, 5e-12):
+            total = cooler.q_max + u * (
+                cooler.t_ac_min + delta + cooler.q_max / f_c - room.t_env
+            )
+            rows.append((np.full(8, total / 8), on, 283.5))
+        batch = assert_rows_match_reference(
+            fast, loop, *(np.array(column) for column in zip(*rows))
+        )
+        assert batch.regulated.tolist() == [True, False, False]
+        assert batch.q_cool[0] == 1500.0
+        assert batch.q_cool[1] < 1500.0
+        assert batch.q_cool[2] == 1500.0
+        t_ac_a = batch.t_room[1] - cooler.q_max / f_c
+        assert -1e-9 <= t_ac_a - cooler.t_ac_min < 0.0
+
+    def test_coil_mode_clamps_to_q_max(self):
+        # No envelope: only the coil-limited mode exists, and a load a
+        # hair above q_max is served at q_max exactly.
+        config = TestbedConfig(
+            n_machines=8, cooler_q_max=100.0, envelope_conductance=0.0
+        )
+        fast, loop = engine_pair(config)
+        powers = np.full((1, 8), 12.5)
+        powers[0, 0] += 5e-10
+        batch = assert_rows_match_reference(
+            fast, loop, powers, np.ones((1, 8), dtype=bool), 283.2
+        )
+        assert not batch.regulated[0]
+        assert batch.q_cool[0] == 100.0
 
     def test_scalar_set_point_broadcasts(self):
-        fast, _ = engine_pair()
+        fast, loop = engine_pair()
         n = fast.room.node_count
         rng = np.random.default_rng(33)
         powers = rng.uniform(50.0, 150.0, (3, n))
         masks = np.ones((3, n), dtype=bool)
         sp = units.celsius_to_kelvin(24.0)
-        batch = fast.steady_state_many(powers, masks, sp)
-        for r in range(3):
-            assert batch.point(r).t_room == fast.steady_state(
-                powers[r], masks[r], sp
-            ).t_room
+        assert_rows_match_reference(fast, loop, powers, masks, sp)
+
+    def test_defaults_are_the_current_inputs(self):
+        fast, loop = engine_pair()
+        powers, mask = random_inputs(fast.room.node_count, seed=35)
+        for sim in (fast, loop):
+            sim.set_node_powers(powers, on_mask=mask)
+            sim.set_set_point(units.celsius_to_kelvin(25.0))
+        assert_steady_identical(fast.steady_state(), loop.steady_state())
+        batch = fast.steady_state_many(powers[None])
+        assert batch.regulated[0]
+        assert batch.t_room[0] == units.celsius_to_kelvin(25.0)
+
+    def test_one_row_result_owns_its_arrays(self):
+        fast, _ = engine_pair()
+        powers, mask = random_inputs(fast.room.node_count, seed=36)
+        fast.set_node_powers(powers, on_mask=mask)
+        state = fast.steady_state()
+        assert not np.shares_memory(state.server_power, fast.powers)
+        before = fast.steady_state()
+        state.t_cpu[:] = 0.0
+        state.server_power[:] = 0.0
+        assert_steady_identical(fast.steady_state(), before)
+
+    @pytest.mark.parametrize(
+        "powers, mask, set_point",
+        [
+            ([np.nan] + [50.0] * 7, None, 295.0),
+            ([50.0] * 7 + [-1.0], None, 295.0),
+            ([50.0] * 7 + [np.inf], None, 295.0),
+            ([50.0] * 7, None, 295.0),
+            ([50.0] * 8, [True] * 7 + [False], 295.0),
+            ([50.0] * 8, [True] * 7, 295.0),
+            ([50.0] * 8, None, np.nan),
+            ([50.0] * 8, None, np.inf),
+            ([50.0] * 8, None, 1e6),
+            ([50.0] * 8, None, -5.0),
+            ([50.0] * 8, None, 149.9),
+        ],
+    )
+    def test_scalar_errors_match_reference(self, powers, mask, set_point):
+        fast, loop = engine_pair()
+        if mask is None:
+            mask = [True] * 8
+        same_error(
+            lambda: fast.steady_state(powers, mask, set_point),
+            lambda: loop.steady_state(powers, mask, set_point),
+        )
+
+    def test_unserviceable_load_errors_match_reference(self):
+        # No envelope and a load above q_max: no consistent mode.
+        config = TestbedConfig(
+            n_machines=8, cooler_q_max=100.0, envelope_conductance=0.0
+        )
+        fast, loop = engine_pair(config)
+        powers = np.full(8, 95.0)
+        mask = np.ones(8, dtype=bool)
+        same_error(
+            lambda: fast.steady_state(powers, mask, 290.0),
+            lambda: loop.steady_state(powers, mask, 290.0),
+        )
+        same_error(
+            lambda: fast.steady_state_many(powers[None], mask[None], 290.0),
+            lambda: loop.steady_state(powers, mask, 290.0),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e6, -5.0, 149.9])
+    def test_rejects_invalid_set_points(self, bad):
+        # A NaN set point used to fail as a "cooler saturated"
+        # ConvergenceError and an absurd one was solved.
+        fast, _ = engine_pair()
+        n = fast.room.node_count
+        powers = np.full((3, n), 80.0)
+        with pytest.raises(
+            ConfigurationError, match=r"^set point out of range: "
+        ):
+            fast.steady_state(powers[0], None, bad)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^row 2: set point out of range: ",
+        ):
+            fast.steady_state_many(powers, None, [295.0, 296.0, bad])
+        with pytest.raises(
+            ConfigurationError, match=r"^row 0: set point out of range: "
+        ):
+            fast.steady_state_many(powers, None, bad)
+
+    def test_rejects_set_points_of_the_wrong_shape(self):
+        fast, _ = engine_pair()
+        n = fast.room.node_count
+        powers = np.full((3, n), 80.0)
+        wrong = ([295.0, 296.0], [295.0] * 4, [[295.0] * 3], [295.0])
+        for set_points in wrong:
+            with pytest.raises(
+                ConfigurationError, match=r"expected a scalar or 3 set points"
+            ):
+                fast.steady_state_many(powers, None, set_points)
 
     def test_batch_validation_errors(self):
         fast, _ = engine_pair()
         n = fast.room.node_count
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"\(B, 8\) powers"):
             fast.steady_state_many(np.zeros((2, n + 1)))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="at least 1 row"):
             fast.steady_state_many(np.zeros((0, n)))
         powers = np.full((1, n), 100.0)
+        with pytest.raises(ConfigurationError, match="on_masks shape"):
+            fast.steady_state_many(powers, np.ones((1, n - 1), dtype=bool))
         masks = np.zeros((1, n), dtype=bool)
-        with pytest.raises(ConfigurationError):
-            fast.steady_state_many(powers, masks)  # off machines drawing
+        with pytest.raises(ConfigurationError, match="powered-off machine"):
+            fast.steady_state_many(powers, masks)
 
     def test_batch_properties(self):
         fast, _ = engine_pair()
