@@ -2,20 +2,21 @@
 of one source tree.
 
 Runs six seeded, deterministic campaigns, two batches of refined
-queries and a batch of algebraic steady states, and prints one line per
+queries, a batch of algebraic steady states and the paper's Algorithm
+1-2 tables and verbatim lookups, and prints one line per
 document: its name and the first 16 hex digits of the SHA-256 of its
 ``json.dumps(doc, sort_keys=True)``.  A refactor of the closed loop
 (:func:`repro.faults.loop.march` and what it calls), of the refined
-query or of the steady-state solver that claims bit identity must leave
-all nine lines unchanged.  To compare two trees, run the script
-against each one's ``src`` and ``cmp`` the outputs::
+query, of the steady-state solver or of Algorithm 1-2 that claims bit
+identity must leave all ten lines unchanged.  To compare two trees, run
+the script against each one's ``src`` and ``cmp`` the outputs::
 
     PYTHONPATH=base/src python benchmarks/campaign_hashes.py > base.txt
     PYTHONPATH=src python benchmarks/campaign_hashes.py > head.txt
     cmp base.txt head.txt
 
 With a directory argument the documents are also written there, one
-``<name>.json`` each, for a ``diff`` when a hash moves.  The nine runs
+``<name>.json`` each, for a ``diff`` when a hash moves.  The ten runs
 take about 30 s on a two-core Xeon.
 
 The documents:
@@ -42,7 +43,13 @@ The documents:
   ``steady_state_many``: 200 regulated rows with mixed ON masks, 200
   saturated rows under a cooler with a lowered ``q_max`` (half
   capacity-, half coil-limited) and 40 floating rows (set point above
-  ``t_env``, all machines off or a light load).
+  ``t_env``, all machines off or a light load);
+- ``algorithm2`` — Algorithm 1's tables (``order_timeline()``,
+  ``events``, ``status_count`` and every ``all_status`` row) of the
+  fitted seed-2012 n=20 index and of ``make_system_model(100)``'s, and
+  the verbatim Algorithm-2 ``query()`` answer (or error) at n=500 for
+  the loads of ``answers`` and two loads past the table's largest
+  ``Lmax``.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ import numpy as np
 
 from repro.control.campaign import run_mpc_campaign
 from repro.core.optimizer import JointOptimizer
+from repro.errors import InfeasibleError
 from repro.experiments.common import default_context
 from repro.faults.campaign import run_campaign
 from repro.testbed.rack import TestbedConfig, build_testbed
@@ -199,10 +207,47 @@ def steady_states() -> dict:
     return doc
 
 
+def _algorithm1_tables(index) -> dict:
+    """Everything Algorithm 1 tabulates for ``index``."""
+    return {
+        "order_timeline": index.order_timeline(),
+        "events": [[e.t, e.p, e.q] for e in index.events],
+        "status_count": index.status_count,
+        "all_status": [
+            [s.t, s.k, s.l_max, s.p_b] for s in index.all_status
+        ],
+    }
+
+
+def algorithm2() -> dict:
+    """Algorithm 1's tables at n=20 (fitted) and n=100, and Algorithm
+    2's verbatim answers and errors at n=500."""
+    fitted = default_context(seed=SEED, n_machines=20).optimizer
+    doc = {
+        "n=20/fitted": _algorithm1_tables(fitted.index),
+        "n=100": _algorithm1_tables(
+            JointOptimizer(make_system_model(n=100)).index
+        ),
+    }
+    model = make_system_model(n=500)
+    index = JointOptimizer(model).index
+    # The table's largest Lmax (and above) is past every status.
+    ceiling = index.all_status[-1].l_max
+    answers = []
+    for load in _loads(model, 200) + [ceiling, 2.0 * ceiling]:
+        try:
+            answers.append([load, index.query(load)])
+        except InfeasibleError as exc:
+            answers.append([load, f"{type(exc).__name__}: {exc}"])
+    doc["n=500/query"] = answers
+    return doc
+
+
 def documents():
     """``(name, document)`` for each of the six campaigns, in order,
     then the served answers through the optimizer's index and through
-    pods and unequal capacities, then the steady states."""
+    pods and unequal capacities, then the steady states, then Algorithm
+    1-2's tables and verbatim answers."""
     for quick in (True, False):
         results, doc = run_campaign(seed=SEED, n_machines=6, quick=quick)
         doc["fault_events"] = {
@@ -226,6 +271,7 @@ def documents():
     yield "answers", served_answers()
     yield "answers-pods", pod_and_capacity_answers()
     yield "steady", steady_states()
+    yield "algorithm2", algorithm2()
 
 
 def main(out: Optional[pathlib.Path]) -> None:

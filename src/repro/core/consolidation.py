@@ -18,13 +18,17 @@ another.
 
 The pre-processing is implemented as a vectorized numpy pipeline so the
 index scales to hundreds of machines: events come from one pairwise
-broadcast over the upper triangle, orders from a batched stable argsort
-over the event-time grid, and ``Lmax`` from row-wise cumulative sums.
-The resulting status table is column-oriented (parallel ``t``/``k``/
-``Lmax`` arrays sorted by ``Lmax``); :class:`Status` objects and the
-``orders`` mapping are materialized lazily for API compatibility.  The
-equivalence tests pin the tables bit for bit against a pure-Python
-reference build of the paper's listing, kept as a test oracle in
+broadcast over the upper triangle and orders from a batched stable
+argsort over the event-time grid.  The event list and the order rows
+are the whole build (and the whole persisted document): the refined
+sweep reads nothing else.  The ``allStatus`` table is a function of
+them — ``Lmax`` is a row-wise cumulative sum of the coordinates in
+each order — so it is derived on the first Algorithm-2 lookup and kept
+(column-oriented: parallel row/``k``/``Lmax`` arrays sorted by
+``Lmax``); :class:`Status` objects and the ``orders`` mapping are
+materialized lazily for API compatibility.  The equivalence tests pin
+the rows and the table bit for bit against a pure-Python reference
+build of the paper's listing, kept as a test oracle in
 ``tests/oracles/``.
 
 Implementation notes (documented deviations, none affecting complexity):
@@ -32,9 +36,10 @@ Implementation notes (documented deviations, none affecting complexity):
 - Orders are recomputed by sorting coordinates just *after* each event
   time instead of applying pairwise swaps.  This is robust to degenerate
   inputs (simultaneous crossings, duplicated pairs) where the paper's
-  swap would require a generic-position assumption, and the overall
-  pre-processing cost stays O(n^3 log n), dominated — exactly as in the
-  paper — by sorting the O(n^3) statuses.  The "just after" nudge is
+  swap would require a generic-position assumption, and Algorithm 1's
+  cost stays O(n^3 log n), dominated — exactly as in the paper — by
+  sorting the O(n^3) statuses (now paid at the first verbatim
+  :meth:`ConsolidationIndex.query`).  The "just after" nudge is
   gap-aware: it never exceeds half the distance to the next event time,
   so near-coincident crossings are not skipped over (events closer than
   one ulp of the grid remain indistinguishable, as they must be in
@@ -61,10 +66,10 @@ Implementation notes (documented deviations, none affecting complexity):
   tests compare the answers with the brute-force reference.
 
 Indexes are reusable across runs: :meth:`ConsolidationIndex.save` /
-:meth:`ConsolidationIndex.load` round-trip the tables through a keyed
-``.npz`` document (see :mod:`repro.core.serialization`), and
-:class:`~repro.core.optimizer.JointOptimizer` transparently reuses a
-cached index when given ``index_cache_dir``.
+:meth:`ConsolidationIndex.load` round-trip the events and order rows
+through a keyed ``.npz`` document (see :mod:`repro.core.serialization`),
+and :class:`~repro.core.optimizer.JointOptimizer` transparently reuses
+a cached index when given ``index_cache_dir``.
 """
 
 from __future__ import annotations
@@ -156,7 +161,7 @@ class _StatusView(_SequenceABC):
         self._index = index
 
     def __len__(self) -> int:
-        return int(self._index._tab_lmax.shape[0])
+        return self._index.status_count
 
     def __getitem__(self, pos):
         if isinstance(pos, slice):
@@ -189,33 +194,6 @@ class _OrdersView(_MappingABC):
 
     def __len__(self) -> int:
         return int(self._index._times.shape[0])
-
-
-def _stable_argsort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable ascending argsort via introsort plus tie repair.
-
-    ``np.argsort(kind="stable")`` on millions of floats is about twice
-    the cost of the default introsort, and ties in the status table are
-    rare — so sort unstably first, then restore the stable order (equal
-    values in source order) by sorting the permutation indices inside
-    each run of equal values.  Returns ``(perm, values[perm])``; the
-    sorted values stay valid through the repair because only positions
-    holding equal values are permuted.
-    """
-    perm = np.argsort(values)
-    ordered = values[perm]
-    eq = np.flatnonzero(ordered[1:] == ordered[:-1])
-    if eq.size:
-        # eq marks every i with ordered[i] == ordered[i+1]; consecutive
-        # marks belong to one run of equal values spanning [lo, hi).
-        breaks = np.flatnonzero(np.diff(eq) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [eq.size - 1]))
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            lo = int(eq[s])
-            hi = int(eq[e]) + 2
-            perm[lo:hi] = np.sort(perm[lo:hi])
-    return perm, ordered
 
 
 def consolidation_cache_key(
@@ -807,6 +785,9 @@ class ConsolidationIndex(RatioSweep):
         self._time_list: Optional[list[float]] = None
         self._prefix_cache: dict[int, np.ndarray] = {}
         self._prefix_rows = max(1, _PREFIX_FLOATS // (3 * len(self.pairs)))
+        self._status_cache: Optional[
+            tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = None
         self._status_view = _StatusView(self)
         self._orders_view = _OrdersView(self)
 
@@ -826,9 +807,6 @@ class ConsolidationIndex(RatioSweep):
         event_q: np.ndarray,
         times: np.ndarray,
         orders_mat: np.ndarray,
-        tab_row: np.ndarray,
-        tab_k: np.ndarray,
-        tab_lmax: np.ndarray,
     ) -> "ConsolidationIndex":
         """Rebuild an index from persisted tables, skipping Algorithm 1.
 
@@ -840,19 +818,12 @@ class ConsolidationIndex(RatioSweep):
         n = len(index.pairs)
         times = np.asarray(times, dtype=np.float64)
         orders_mat = np.asarray(orders_mat, dtype=np.int32)
-        tab_row = np.asarray(tab_row, dtype=np.int32)
-        tab_k = np.asarray(tab_k, dtype=np.int32)
-        tab_lmax = np.asarray(tab_lmax, dtype=np.float64)
         m = int(times.shape[0])
         ok = (
             times.ndim == 1
             and m >= 1
             and orders_mat.shape == (m, n)
-            and tab_row.shape == tab_k.shape == tab_lmax.shape == (m * n,)
             and bool(np.all(np.diff(times) > 0.0))
-            and bool(np.all((tab_row >= 0) & (tab_row < m)))
-            and bool(np.all((tab_k >= 1) & (tab_k <= n)))
-            and bool(np.all(np.diff(tab_lmax) >= 0.0))
             and bool(np.all((orders_mat >= 0) & (orders_mat < n)))
         )
         if not ok:
@@ -865,9 +836,6 @@ class ConsolidationIndex(RatioSweep):
         index._event_q = np.asarray(event_q, dtype=np.int32)
         index._times = times
         index._orders_mat = orders_mat
-        index._tab_row = tab_row
-        index._tab_k = tab_k
-        index._tab_lmax = tab_lmax
         return index
 
     # ------------------------------------------------------------------ #
@@ -887,7 +855,8 @@ class ConsolidationIndex(RatioSweep):
 
     def _build_tables(self) -> None:
         """Vectorized Algorithm 1: one broadcast for events, one batched
-        argsort for orders, row-wise cumulative sums for ``Lmax``."""
+        argsort for the order rows (the ``allStatus`` table is derived
+        from them on demand, see :meth:`_status_table`)."""
         a, b = self._a, self._b
         n = a.shape[0]
         # Events: x_i and x_j cross at t = (a_i - a_j) / (b_i - b_j).
@@ -909,33 +878,35 @@ class ConsolidationIndex(RatioSweep):
         eps = _EPSILON_SCALE * np.maximum(1.0, np.abs(times))
         if times.shape[0] > 1:
             eps[:-1] = np.minimum(eps[:-1], 0.5 * np.diff(times))
-        # The m x n buffers below dominate the build's footprint, so the
-        # coordinate buffer is reused (nudged coordinates -> negated for
-        # the argsort -> exact coordinates) instead of reallocated.
-        buf = a[None, :] - (times + eps)[:, None] * b[None, :]
-        np.negative(buf, out=buf)
+        neg = a[None, :] - (times + eps)[:, None] * b[None, :]
+        np.negative(neg, out=neg)
         # Stable rowwise argsort == descending coordinates with ties to
         # the lower index (the Python reference's exact tie rule).
-        orders = np.argsort(buf, axis=1, kind="stable")
-        np.multiply(times[:, None], b[None, :], out=buf)
-        np.subtract(a[None, :], buf, out=buf)  # exact x_i(t), no nudge
-        # Lmax(t, k): cumulative sums of the ordered exact coordinates
-        # (np.cumsum accumulates left to right exactly like the Python
-        # reference's running float sum — bit-identical tables).
-        lmax = np.take_along_axis(buf, orders, axis=1)
-        np.cumsum(lmax, axis=1, out=lmax)
-        self._orders_mat = orders.astype(np.int32)
-        flat = lmax.reshape(-1)
-        if flat.size > np.iinfo(np.int32).max:
-            raise ConfigurationError(
-                f"status table too large for the index layout "
-                f"({flat.size} rows)"
-            )
-        perm, self._tab_lmax = _stable_argsort(flat)
-        perm = perm.astype(np.int32)
-        self._tab_row = perm // np.int32(n)
-        self._tab_k = perm - self._tab_row * np.int32(n)
-        self._tab_k += np.int32(1)
+        self._orders_mat = np.argsort(neg, axis=1, kind="stable").astype(
+            np.int32
+        )
+
+    def _status_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``allStatus`` table as parallel ``(row, k, Lmax)`` arrays
+        sorted by ``Lmax`` (equal ``Lmax`` in row-major order), derived
+        from the order rows on first use and kept.
+
+        ``Lmax(t, k)`` is the running sum of the exact coordinates
+        ``x_i(t)`` taken in the order row of ``t`` (``np.cumsum``
+        accumulates left to right like the Python reference's running
+        float sum, so the table is the listing's bit for bit).  Only
+        Algorithm 2 reads it; the refined sweep never derives it.
+        """
+        if self._status_cache is None:
+            x = self._times[:, None] * self._b[None, :]
+            np.subtract(self._a[None, :], x, out=x)  # exact x_i(t)
+            lmax = np.take_along_axis(x, self._orders_mat, axis=1)
+            np.cumsum(lmax, axis=1, out=lmax)
+            flat = lmax.reshape(-1)
+            perm = np.argsort(flat, kind="stable")
+            row, k = np.divmod(perm, len(self.pairs))
+            self._status_cache = (row, k + 1, flat[perm])
+        return self._status_cache
 
     # ------------------------------------------------------------------ #
     # Lazy views over the column-oriented tables
@@ -963,20 +934,17 @@ class ConsolidationIndex(RatioSweep):
     @property
     def all_status(self) -> _StatusView:
         """The ``allStatus`` table sorted by ``Lmax`` (lazy
-        :class:`Status` view over the column arrays)."""
+        :class:`Status` view over :meth:`_status_table`)."""
         return self._status_view
 
-    @property
-    def _status_lmax(self) -> np.ndarray:
-        return self._tab_lmax
-
     def _status_at(self, pos: int) -> Status:
-        t = float(self._times[self._tab_row[pos]])
-        k = int(self._tab_k[pos])
+        rows, ks, lmax = self._status_table()
+        t = float(self._times[rows[pos]])
+        k = int(ks[pos])
         return Status(
             t=t,
             k=k,
-            l_max=float(self._tab_lmax[pos]),
+            l_max=float(lmax[pos]),
             p_b=k * self.w2 - self.rho * t + self.theta0,
         )
 
@@ -1002,8 +970,9 @@ class ConsolidationIndex(RatioSweep):
 
     @property
     def status_count(self) -> int:
-        """Number of tabulated statuses (O(n^3))."""
-        return int(self._tab_lmax.shape[0])
+        """Number of tabulated statuses, one per (order row, ``k``)
+        (O(n^3))."""
+        return int(self._times.shape[0]) * len(self.pairs)
 
     @property
     def cache_key(self) -> str:
@@ -1036,16 +1005,13 @@ class ConsolidationIndex(RatioSweep):
         with obs.timed("consolidation/query"):
             obs.count("consolidation.queries")
             load = float(load)
-            pos = int(
-                np.searchsorted(self._tab_lmax, load, side="right")
-            )
-            if pos >= self.status_count:
+            rows, ks, lmax = self._status_table()
+            pos = int(np.searchsorted(lmax, load, side="right"))
+            if pos >= lmax.shape[0]:
                 raise InfeasibleError(
                     f"no status can serve load {load}; cluster too small"
                 )
-            chosen = self._prefix_set(
-                int(self._tab_row[pos]), int(self._tab_k[pos])
-            )
+            chosen = self._prefix_set(int(rows[pos]), int(ks[pos]))
             obs.set_span_attributes(load=load, machines_on=len(chosen))
         return chosen
 

@@ -140,32 +140,11 @@ class RuntimeController:
         # ordinary observations keep using it until a re-profile.
         self.optimizer = self.optimizer.with_model(derated)
         obs.count("controller.watchdog_trips")
-        with obs.timed("controller/replan"):
-            obs.set_span_attributes(
-                time=time, offered_load=self._planned_for,
-                planned_load=self._planned_for,
-                reason="thermal watchdog",
-            )
-            result = self.optimizer.solve(
-                self._planned_for, exclude=sorted(self.failed)
-            )
-        wd = _watchdog._active
-        if wd is not None:
-            wd.check_replan(self, result, self._planned_for)
-        self._plan = result
-        self._last_change = time
-        self._failure_pending = False
-        self.reconfigurations += 1
-        obs.count("controller.reconfigurations")
-        self.events.append(
-            ControllerEvent(
-                time=time,
-                offered_load=self._planned_for,
-                planned_load=self._planned_for,
-                machines_on=len(result.on_ids),
-                t_sp=result.t_sp,
-                reason=f"thermal watchdog: CPU at {hottest_cpu:.2f} K",
-            )
+        load = self._planned_for
+        result = self._solve_plan(time, load, load, "thermal watchdog")
+        self._accept_plan(
+            time, load, load, result,
+            f"thermal watchdog: CPU at {hottest_cpu:.2f} K",
         )
         return result
 

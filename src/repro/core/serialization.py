@@ -13,7 +13,8 @@ The consolidation pre-processing (Algorithm 1) is the other expensive
 once-per-deployment artifact: O(n^3 log n) offline work that is pure
 function of ``(pairs, w2, rho, theta0, t_min, t_max, capacities)``.
 :func:`save_consolidation_index` / :func:`load_consolidation_index`
-round-trip the column-oriented status tables through a compressed
+round-trip the event list and the order rows (the ``allStatus`` table
+is derived from them on demand and never stored) through a compressed
 ``.npz`` document stamped with a format tag, a version, and the
 parameters' content hash (:func:`repro.core.consolidation.consolidation_cache_key`),
 so a loaded index is verifiably the one its parameters would rebuild.
@@ -40,7 +41,7 @@ FORMAT_VERSION = 1
 
 #: Format tag/version stamped into every persisted consolidation index.
 INDEX_FORMAT = "repro-consolidation-index"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 
 def system_model_to_dict(model: SystemModel) -> dict[str, Any]:
@@ -146,7 +147,7 @@ def save_consolidation_index(index, path: Union[str, pathlib.Path]):
     """Serialize a pre-processed consolidation index to ``path``.
 
     Writes a compressed ``.npz`` holding the construction parameters,
-    the event list, and the column-oriented status tables, stamped with
+    the event list, and the order rows, stamped with
     the format tag, version, and the parameters' content hash.  Returns
     the written :class:`pathlib.Path`.
     """
@@ -181,9 +182,6 @@ def save_consolidation_index(index, path: Union[str, pathlib.Path]):
         "event_q": index._event_q,
         "times": index._times,
         "orders_mat": index._orders_mat,
-        "tab_row": index._tab_row,
-        "tab_k": index._tab_k,
-        "tab_lmax": index._tab_lmax,
     }
     with file.open("wb") as handle:
         np.savez_compressed(handle, **arrays)
@@ -226,7 +224,7 @@ def load_consolidation_index(
     required = {
         "format", "version", "cache_key", "pairs", "params",
         "has_capacities", "capacities", "event_t", "event_p", "event_q",
-        "times", "orders_mat", "tab_row", "tab_k", "tab_lmax",
+        "times", "orders_mat",
     }
     missing = required - set(arrays)
     if missing:
@@ -279,9 +277,6 @@ def load_consolidation_index(
         event_q=arrays["event_q"],
         times=arrays["times"],
         orders_mat=arrays["orders_mat"],
-        tab_row=arrays["tab_row"],
-        tab_k=arrays["tab_k"],
-        tab_lmax=arrays["tab_lmax"],
     )
     if index.cache_key != stored_key:
         raise ConfigurationError(

@@ -103,8 +103,8 @@ def default_pod_count(n: int) -> int:
 def _pod_build_worker(spec: dict) -> dict:
     """Build one pod's tables in a worker process.
 
-    Returns the column-oriented arrays (not the index object) so the
-    payload pickles cheaply and the parent re-assembles via
+    Returns the event arrays and order rows (not the index object) so
+    the payload pickles cheaply and the parent re-assembles via
     :meth:`ConsolidationIndex._from_tables`.
     """
     index = ConsolidationIndex(**spec)
@@ -114,9 +114,6 @@ def _pod_build_worker(spec: dict) -> dict:
         "event_q": index._event_q,
         "times": index._times,
         "orders_mat": index._orders_mat,
-        "tab_row": index._tab_row,
-        "tab_k": index._tab_k,
-        "tab_lmax": index._tab_lmax,
     }
 
 

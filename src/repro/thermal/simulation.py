@@ -749,9 +749,12 @@ class RoomSimulation:
                 f"row {row}: node {node} power must be finite and "
                 f"non-negative, got {float(p[row, node])}"
             )
-        if np.any(p[~mask] > 0.0):
+        dark = np.argwhere(~mask & (p > 0.0))
+        if dark.size:
+            row, node = (int(v) for v in dark[0])
             raise ConfigurationError(
-                "a powered-off machine cannot draw positive power"
+                f"row {row}: a powered-off machine cannot draw positive "
+                f"power (node {node})"
             )
         sp = np.array(
             self.cooler.set_point if set_points is None else set_points,

@@ -9,8 +9,10 @@ drive both through the same public API and compare results bit for bit:
   :class:`~repro.thermal.simulation.RoomSimulation` (its batched
   ``steady_state_many`` and that batch's one-row case
   ``steady_state``);
-- :class:`LoopConsolidationIndex` — the per-row Algorithm-1 build
-  behind :class:`~repro.core.consolidation.ConsolidationIndex`;
+- :class:`LoopConsolidationIndex` — the per-row Algorithm-1 build and
+  the running-sum ``allStatus`` table behind
+  :class:`~repro.core.consolidation.ConsolidationIndex` (its order rows
+  and the status table it derives for Algorithm 2);
 - :class:`PartitionConsolidationIndex` — the per-iterate top-``k``
   partition behind the refined sweep's reads of the order rows' prefix
   sums in :class:`~repro.core.consolidation.ConsolidationIndex`;

@@ -20,8 +20,9 @@ class LoopConsolidationIndex(ConsolidationIndex):
 
     Kept deliberately close to the paper's listing: enumerate the
     pairwise passing events, sort the particles just after each event
-    time, and accumulate ``Lmax`` row by row.  The vectorized build must
-    produce bit-identical tables.
+    time, and accumulate ``Lmax`` row by row into the ``allStatus``
+    table.  The vectorized build and its derived status table must be
+    bit-identical.
     """
 
     def _coordinates(self, t: float) -> np.ndarray:
@@ -46,27 +47,34 @@ class LoopConsolidationIndex(ConsolidationIndex):
         self._event_q = np.array([e[2] for e in events], dtype=np.int32)
         times = sorted({0.0, *(e[0] for e in events)})
         order_rows: list[list[int]] = []
-        flat: list[float] = []
         for row, t in enumerate(times):
             eps = _EPSILON_SCALE * max(1.0, abs(t))
             if row + 1 < len(times):
                 eps = min(eps, 0.5 * (times[row + 1] - t))
             xn = self._coordinates(t + eps)
-            order = sorted(range(n), key=lambda i: (-xn[i], i))
-            order_rows.append(order)
-            x = self._coordinates(t)
-            acc = 0.0
-            for i in order:
-                acc += float(x[i])
-                flat.append(acc)
-        perm = sorted(range(len(flat)), key=flat.__getitem__)
+            order_rows.append(sorted(range(n), key=lambda i: (-xn[i], i)))
         self._times = np.array(times, dtype=np.float64)
         self._orders_mat = np.array(order_rows, dtype=np.int32).reshape(
             len(times), n
         )
-        self._tab_lmax = np.array([flat[i] for i in perm], dtype=np.float64)
-        self._tab_row = np.array([i // n for i in perm], dtype=np.int32)
-        self._tab_k = np.array([i % n + 1 for i in perm], dtype=np.int32)
+
+    def _status_table(self):
+        if self._status_cache is None:
+            n = len(self.pairs)
+            flat: list[float] = []
+            for t, order in zip(self._times.tolist(), self._orders_mat):
+                x = self._coordinates(t)
+                acc = 0.0
+                for i in order:
+                    acc += float(x[i])
+                    flat.append(acc)
+            perm = sorted(range(len(flat)), key=flat.__getitem__)
+            self._status_cache = (
+                np.array([i // n for i in perm], dtype=np.int32),
+                np.array([i % n + 1 for i in perm], dtype=np.int32),
+                np.array([flat[i] for i in perm], dtype=np.float64),
+            )
+        return self._status_cache
 
 
 class PartitionConsolidationIndex(ConsolidationIndex):

@@ -33,15 +33,21 @@ from repro.obs import MetricsRegistry
 from tests.conftest import make_system_model
 from tests.oracles import LoopConsolidationIndex
 
-#: Table attributes that must agree byte for byte with the oracle.
-_TABLES = ("_event_t", "_event_p", "_event_q", "_times", "_orders_mat",
-           "_tab_row", "_tab_k", "_tab_lmax")
+#: Table attributes that must agree byte for byte with the oracle: the
+#: events and the order rows, the whole of the Algorithm-1 build.
+_TABLES = ("_event_t", "_event_p", "_event_q", "_times", "_orders_mat")
 
 
 #: Every array of a saved index document: the tables only, never the
-#: query caches.
+#: derived status table or the query caches.
 _NPZ_KEYS = {"format", "version", "cache_key", "pairs", "params",
              "has_capacities", "capacities", *(name[1:] for name in _TABLES)}
+
+
+def _assert_status_tables_equal(index, other):
+    """The derived ``allStatus`` tables, column for column."""
+    for mine, theirs in zip(index._status_table(), other._status_table()):
+        assert np.array_equal(mine, theirs)
 
 
 def _random_spec(rng, n, duplicate_b=True, with_bounds=True):
@@ -68,6 +74,7 @@ def _assert_engines_identical(spec, loads):
         assert np.array_equal(
             getattr(fast, name), getattr(slow, name)
         ), name
+    _assert_status_tables_equal(fast, slow)
     for load in loads:
         try:
             expected = slow.query(load)
@@ -404,7 +411,7 @@ class TestPersistence:
         path = index.save(tmp_path / "idx.npz")
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
-        del arrays["tab_lmax"]
+        del arrays["orders_mat"]
         np.savez_compressed(path, **arrays)
         with pytest.raises(ConfigurationError, match="missing fields"):
             ConsolidationIndex.load(path)
@@ -413,7 +420,12 @@ class TestPersistence:
         path = index.save(tmp_path / "idx.npz")
         with np.load(path, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
-        arrays["tab_lmax"] = arrays["tab_lmax"][::-1].copy()
+        arrays["times"] = arrays["times"][::-1].copy()
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigurationError, match="inconsistent"):
+            ConsolidationIndex.load(path)
+        arrays["times"] = arrays["times"][::-1].copy()
+        arrays["orders_mat"] = arrays["orders_mat"] + len(index.pairs)
         np.savez_compressed(path, **arrays)
         with pytest.raises(ConfigurationError, match="inconsistent"):
             ConsolidationIndex.load(path)
@@ -495,3 +507,129 @@ class TestBudgetBracketing:
         # endpoint checks and the bisection refinement.
         assert counters["optimizer.max_load_probes"] >= 14 + 2
         assert counters["consolidation.query_many_queries"] >= 14
+
+
+def _forbid_status_table(monkeypatch):
+    """Make deriving the ``allStatus`` table fail the test."""
+
+    def derive(index):
+        raise AssertionError("the allStatus table was derived")
+
+    monkeypatch.setattr(ConsolidationIndex, "_status_table", derive)
+
+
+def _rewrite_as_version_1(path, index):
+    """Rewrite a saved document in the version-1 layout, which also
+    stored the status table."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    rows, ks, lmax = index._status_table()
+    arrays.update(
+        version=np.array(1),
+        tab_row=rows.astype(np.int32),
+        tab_k=ks.astype(np.int32),
+        tab_lmax=lmax,
+    )
+    np.savez_compressed(path, **arrays)
+
+
+class TestStatusTableOnDemand:
+    """Only Algorithm 2 derives the ``allStatus`` table: the build, the
+    refined sweep, pods, serving warm-up and persistence never do."""
+
+    def test_solve_many_never_derives(self, monkeypatch):
+        model = make_system_model(n=100)
+        _forbid_status_table(monkeypatch)
+        capacity = model.total_capacity
+        loads = np.linspace(0.1 * capacity, 0.8 * capacity, 48).tolist()
+        results = JointOptimizer(model).solve_many(loads)
+        assert all(hasattr(result, "on_ids") for result in results)
+
+    def test_pod_build_never_derives(self, monkeypatch, rng):
+        from repro.core.sharding import PodShardedIndex, _pod_build_worker
+
+        spec = _random_spec(rng, 24)
+        _forbid_status_table(monkeypatch)
+        sharded = PodShardedIndex(**spec, pods=3, max_workers=1)
+        assert sharded.pod_count == 3
+        payload = _pod_build_worker(sharded._pod_spec(sharded.pod_ranges[0]))
+        assert set(payload) == {name[1:] for name in _TABLES}
+
+    def test_warm_start_never_derives(self, monkeypatch):
+        from repro.serving import AllocationServer
+
+        optimizer = JointOptimizer(make_system_model(n=20))
+        _forbid_status_table(monkeypatch)
+        server = AllocationServer(optimizer)
+        server._warm_start()
+        assert server.index_statuses == optimizer.query_index.status_count
+
+    def test_derived_once_and_sized_by_the_rows(self, rng):
+        index = ConsolidationIndex(**_random_spec(rng, 12))
+        assert index._status_cache is None
+        index.query(0.3 * sum(index.capacities))
+        table = index._status_table()
+        assert table is index._status_cache
+        assert all(
+            column.shape == (index.status_count,) for column in table
+        )
+        assert index.status_count == index._orders_mat.size
+        index.query(0.5 * sum(index.capacities))
+        assert index._status_table() is table
+
+    def test_derived_table_survives_round_trip(self, rng, tmp_path):
+        index = ConsolidationIndex(**_random_spec(rng, 12))
+        index._status_table()
+        path = index.save(tmp_path / "idx.npz")
+        with np.load(path, allow_pickle=False) as data:
+            assert set(data.files) == _NPZ_KEYS
+        loaded = ConsolidationIndex.load(path)
+        assert loaded._status_cache is None
+        _assert_status_tables_equal(index, loaded)
+        assert list(loaded.all_status) == list(index.all_status)
+
+    def test_version_1_index_cache_is_rebuilt(self, tmp_path):
+        model = make_system_model(n=6)
+        original = JointOptimizer(model, index_cache_dir=tmp_path).index
+        path = tmp_path / f"consolidation-{original.cache_key[:24]}.npz"
+        _rewrite_as_version_1(path, original)
+        with pytest.raises(ConfigurationError, match="unsupported index"):
+            load_consolidation_index(path)
+        registry = obs.enable(MetricsRegistry())
+        try:
+            rebuilt = JointOptimizer(model, index_cache_dir=tmp_path).index
+        finally:
+            obs.disable()
+        counters = registry.snapshot()["counters"]
+        assert counters["optimizer.index_cache_invalid"] == 1
+        assert counters["optimizer.index_builds"] == 1
+        _assert_status_tables_equal(rebuilt, original)
+        load_consolidation_index(path, expected_key=original.cache_key)
+
+    def test_version_1_pod_cache_is_rebuilt(self, rng, tmp_path):
+        from repro.core.sharding import PodShardedIndex
+
+        spec = _random_spec(rng, 15)
+        first = PodShardedIndex(
+            **spec, pods=3, cache_dir=tmp_path, max_workers=1
+        )
+        for pod in first.indexes:
+            _rewrite_as_version_1(
+                tmp_path / f"consolidation-{pod.cache_key[:24]}.npz", pod
+            )
+        registry = obs.enable(MetricsRegistry())
+        try:
+            second = PodShardedIndex(
+                **spec, pods=3, cache_dir=tmp_path, max_workers=1
+            )
+        finally:
+            obs.disable()
+        counters = registry.snapshot()["counters"]
+        assert counters["sharding.pod_cache_invalid"] == 3
+        assert counters["sharding.pod_builds"] == 3
+        assert second.cache_key == first.cache_key
+        for pod in second.indexes:
+            load_consolidation_index(
+                tmp_path / f"consolidation-{pod.cache_key[:24]}.npz",
+                expected_key=pod.cache_key,
+            )

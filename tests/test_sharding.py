@@ -134,7 +134,7 @@ class TestConstruction:
                 t_min=T_MIN, t_max=T_MAX,
             )
             assert pod.cache_key == solo.cache_key
-            np.testing.assert_array_equal(pod._tab_lmax, solo._tab_lmax)
+            np.testing.assert_array_equal(pod._times, solo._times)
             np.testing.assert_array_equal(
                 pod._orders_mat, solo._orders_mat
             )

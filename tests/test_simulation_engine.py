@@ -613,7 +613,21 @@ class TestSteadyStateMany:
         with pytest.raises(ConfigurationError, match="on_masks shape"):
             fast.steady_state_many(powers, np.ones((1, n - 1), dtype=bool))
         masks = np.zeros((1, n), dtype=bool)
-        with pytest.raises(ConfigurationError, match="powered-off machine"):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^row 0: a powered-off machine cannot draw positive "
+            r"power \(node 0\)$",
+        ):
+            fast.steady_state_many(powers, masks)
+        masks = np.ones((3, n), dtype=bool)
+        masks[2, 5] = masks[2, 7] = masks[1, 3] = False
+        powers = np.full((3, n), 100.0)
+        powers[1, 3] = 0.0
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^row 2: a powered-off machine cannot draw positive "
+            r"power \(node 5\)$",
+        ):
             fast.steady_state_many(powers, masks)
 
     def test_batch_properties(self):
