@@ -825,6 +825,11 @@ class ConsolidationIndex(RatioSweep):
             and orders_mat.shape == (m, n)
             and bool(np.all(np.diff(times) > 0.0))
             and bool(np.all((orders_mat >= 0) & (orders_mat < n)))
+            # Every row a permutation of 0..n-1: each row-offset id once.
+            and bool(np.all(np.bincount(
+                (orders_mat + n * np.arange(m)[:, None]).ravel(),
+                minlength=m * n,
+            ) == 1))
         )
         if not ok:
             raise ConfigurationError(

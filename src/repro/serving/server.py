@@ -21,6 +21,10 @@ Across batches, a bounded LRU answer memo keyed by the load keeps each
 successful answer with its encoded JSON body: the answer is a pure
 function of the load, and a server's optimizer never changes, so a
 repeated load skips selection, the closed form and the response encode.
+The loop reads the memo when it admits a plain ``allocate``: a hit is
+answered there and never enters the batcher, so it pays neither the
+batch window nor the compute-thread hop.  A batch looks its distinct
+loads up again, for those memoized while their requests were queued.
 The batch's remaining loads, and a ``what-if`` horizon, go to one
 :meth:`~repro.core.optimizer.JointOptimizer.solve_many` call, monolithic
 or pod-sharded.  Every path that can fail returns the same
@@ -107,10 +111,12 @@ class _AnswerMemo:
     """Load -> :class:`EncodedResult`, least recently used evicted first,
     bounded by :data:`ANSWER_MEMO_MAX_BYTES` of bodies.
 
-    Only the compute thread reads or writes the entries."""
+    The loop thread reads it on admission and the compute thread reads
+    and writes it per batch, so one lock guards the entries and tallies."""
 
     def __init__(self) -> None:
         self._entries: OrderedDict[float, EncodedResult] = OrderedDict()
+        self._lock = threading.Lock()
         self.body_bytes = 0
         self.hits = 0
         self.evictions = 0
@@ -119,28 +125,31 @@ class _AnswerMemo:
         return len(self._entries)
 
     def get(self, load: float) -> Optional[EncodedResult]:
-        entry = self._entries.get(load)
-        if entry is not None:
-            self._entries.move_to_end(load)
-            self.hits += 1
-            obs.count("serving.answer_memo_hits")
+        with self._lock:
+            entry = self._entries.get(load)
+            if entry is not None:
+                self._entries.move_to_end(load)
+                self.hits += 1
+                obs.count("serving.answer_memo_hits")
         return entry
 
     def put(self, load: float, entry: EncodedResult) -> None:
-        self._entries[load] = entry
-        self.body_bytes += len(entry.body)
-        while self.body_bytes > ANSWER_MEMO_MAX_BYTES:
-            _, evicted = self._entries.popitem(last=False)
-            self.body_bytes -= len(evicted.body)
-            self.evictions += 1
+        with self._lock:
+            self._entries[load] = entry
+            self.body_bytes += len(entry.body)
+            while self.body_bytes > ANSWER_MEMO_MAX_BYTES:
+                _, evicted = self._entries.popitem(last=False)
+                self.body_bytes -= len(evicted.body)
+                self.evictions += 1
 
     def stats(self) -> dict:
-        return {
-            "entries": len(self),
-            "body_bytes": self.body_bytes,
-            "hits": self.hits,
-            "evictions": self.evictions,
-        }
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "body_bytes": self.body_bytes,
+                "hits": self.hits,
+                "evictions": self.evictions,
+            }
 
 
 @dataclass
@@ -540,7 +549,17 @@ class AllocationServer:
                         self._trace_pending[request.trace_id] = span.span
                     self._inflight += 1
                     try:
-                        result = await self._batcher.submit(request)
+                        # A memoized load is answered here, on the loop:
+                        # no batch window, no compute-thread hop.
+                        result = (
+                            self._answer_memo.get(request.load)
+                            if op == "allocate" and not request.exclude
+                            else None
+                        )
+                        if result is None:
+                            result = await self._batcher.submit(request)
+                        elif span is not None:
+                            span.span.attributes["memo_hit"] = True
                     except ReproError:
                         ok = False
                         raise
@@ -683,7 +702,9 @@ class AllocationServer:
 
         Duplicate loads share one answer — ON set *and* closed form —
         which is the serving-level coalescing win.  Each distinct load is
-        looked up in the answer memo first; only the misses are solved,
+        looked up in the answer memo first (admission already answered
+        the loads memoized before their request arrived; this catches
+        those memoized while it was queued); only the misses are solved,
         and a successful answer is memoized with its encoded body.  Every
         outcome, error or not, is the one ``solve`` gives for the load.
         The ``serving.query_many`` span covers that ``solve_many`` call
@@ -852,7 +873,7 @@ class AllocationServer:
         smoke job validates.
         """
         lifetime, snap = self.telemetry.read()
-        memo = self._answer_memo
+        memo = self._answer_memo.stats()
 
         def family(name, kind, help_text, samples):
             if not isinstance(samples, list):
@@ -895,10 +916,11 @@ class AllocationServer:
                    "Duplicate in-batch loads answered from a shared solve.",
                    self.coalesced),
             family("answer_memo_hits_total", "counter",
-                   "Distinct batch loads answered from the answer memo.",
-                   memo.hits),
+                   "Admitted requests and distinct batch loads answered "
+                   "from the answer memo.",
+                   memo["hits"]),
             family("answer_memo_entries", "gauge",
-                   "Answers held in the answer memo.", len(memo)),
+                   "Answers held in the answer memo.", memo["entries"]),
             family("watchdog_stalls_total", "counter",
                    "Event-loop stalls beyond the configured threshold.",
                    self.stalls),

@@ -425,10 +425,25 @@ class TestPersistence:
         with pytest.raises(ConfigurationError, match="inconsistent"):
             ConsolidationIndex.load(path)
         arrays["times"] = arrays["times"][::-1].copy()
-        arrays["orders_mat"] = arrays["orders_mat"] + len(index.pairs)
+        orders_mat = arrays["orders_mat"]
+        arrays["orders_mat"] = orders_mat + len(index.pairs)
         np.savez_compressed(path, **arrays)
         with pytest.raises(ConfigurationError, match="inconsistent"):
             ConsolidationIndex.load(path)
+        # In range but not a permutation: every entry machine 0.
+        arrays["orders_mat"] = np.zeros_like(orders_mat)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigurationError, match="inconsistent"):
+            ConsolidationIndex.load(path)
+        # One row with a repeated id and a missing one.
+        arrays["orders_mat"] = orders_mat.copy()
+        arrays["orders_mat"][-1, 0] = arrays["orders_mat"][-1, 1]
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigurationError, match="inconsistent"):
+            ConsolidationIndex.load(path)
+        arrays["orders_mat"] = orders_mat
+        np.savez_compressed(path, **arrays)
+        ConsolidationIndex.load(path)
 
 
 class TestOptimizerIndexCache:

@@ -423,7 +423,9 @@ class TestAnswerMemo:
             return first, second, server.stats()
 
         first, second, stats = _serve(optimizer, scenario)
-        assert stats["batches"] == 2
+        # The repeat is answered on admission: one batch, not two.
+        assert stats["batches"] == 1
+        assert stats["requests"]["allocate"] == 2
         assert stats["answer_memo"]["hits"] == 1
         assert stats["answer_memo"]["entries"] == 1
         assert second["result"] is first["result"]
@@ -519,8 +521,10 @@ class TestAnswerMemo:
 
         counts = _serve(optimizer, scenario, batch_window=0.05)
         coalesced = len(loads) - distinct
+        # The second round never reaches the batcher: each of its
+        # requests is one memo hit on admission, and none coalesces.
         assert counts == [
-            (1, coalesced, 0), (2, 2 * coalesced, distinct),
+            (1, coalesced, 0), (1, coalesced, len(loads)),
         ]
 
 
@@ -562,6 +566,196 @@ class TestAnswerMemo:
                 server._allocation_payload(solution, "index")
             ).body
             assert body == EncodedResult(per_machine(solution, "index")).body
+
+    def test_concurrent_get_and_evicting_put_keep_the_tallies(
+        self, monkeypatch
+    ):
+        # The loop thread reads the memo while the compute thread fills
+        # and evicts it.  Three readers and a writer (more threads than
+        # the cores of a small host) and a tiny switch interval make the
+        # threads interleave inside get/put.
+        memo = server_module._AnswerMemo()
+        bodies = [
+            EncodedResult({"load": k, "pad": "x" * k}) for k in range(37)
+        ]
+        puts = 300_000  # or as many as the writer makes in 1.5 s
+        # Room for 64 entries: each put past them evicts one.
+        monkeypatch.setattr(
+            server_module, "ANSWER_MEMO_MAX_BYTES",
+            sum(len(bodies[k % 37].body) for k in range(64)),
+        )
+        readers = 3
+        done = threading.Event()
+        written = [0]
+        found = [0] * readers
+        errors = []
+
+        def writer():
+            deadline = time.monotonic() + 1.5
+            try:
+                for k in range(puts):
+                    if k % 1024 == 0 and time.monotonic() > deadline:
+                        break
+                    memo.put(float(k), bodies[k % 37])
+                    written[0] = k + 1
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(slot):
+            try:
+                while not done.is_set():
+                    top = written[0]
+                    # The oldest entries: the next ones put evicts.
+                    for k in range(max(0, top - 66), top - 60):
+                        if memo.get(float(k)) is not None:
+                            found[slot] += 1
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(slot,))
+                for slot in range(readers)
+            ] + [threading.Thread(target=writer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = memo.stats()
+        resident = list(memo._entries.values())
+        assert stats["evictions"] > 0
+        assert stats["body_bytes"] == sum(len(e.body) for e in resident)
+        assert stats["body_bytes"] <= server_module.ANSWER_MEMO_MAX_BYTES
+        assert stats["entries"] == len(memo) == len(resident)
+        assert stats["entries"] + stats["evictions"] == written[0]
+        assert stats["hits"] == sum(found) > 0
+
+
+class TestAdmissionHits:
+    """A plain ``allocate`` whose load is memoized is answered on
+    admission, without entering the batcher."""
+
+    def test_repeat_creates_no_batch(self):
+        optimizer = _optimizer()
+        load = 0.4 * sum(optimizer.model.capacities)
+
+        async def scenario(server):
+            submits = []
+            submit = server._batcher.submit
+
+            async def counted(request):
+                submits.append(request.id)
+                return await submit(request)
+
+            server._batcher.submit = counted
+            first = await server.handle(_allocate(load, 1))
+            before = server.stats()
+            again = [await server.handle(_allocate(load, k)) for k in (2, 3)]
+            return first, again, before, server.stats(), submits
+
+        first, again, before, after, submits = _serve(optimizer, scenario)
+        assert submits == [1]
+        assert before["batches"] == after["batches"] == 1
+        assert after["batch_size_histogram"] == {"1": 1}
+        assert after["answer_memo"]["hits"] == 2
+        assert after["requests"]["allocate"] == 3
+        assert all(r["result"] is first["result"] for r in again)
+
+    def test_wire_line_equals_the_batched_reply(self):
+        optimizer = _optimizer(n=12)
+        load = 0.55 * sum(optimizer.model.capacities)
+
+        async def scenario(server):
+            batched = await server.handle(json.dumps(_allocate(load, "a")))
+            hit = await server.handle(json.dumps(_allocate(load, "a")))
+            return batched, hit, server.stats()
+
+        batched, hit, stats = _serve(optimizer, scenario)
+        assert stats["batches"] == 1 and stats["answer_memo"]["hits"] == 1
+        assert encode(hit) == encode(batched)
+        assert encode(hit) == (
+            json.dumps(batched, separators=(",", ":")).encode() + b"\n"
+        )
+
+    def test_traced_hit_has_no_batch_link(self):
+        from repro.obs import TraceBuffer
+
+        optimizer = _optimizer()
+        load = 0.4 * sum(optimizer.model.capacities)
+
+        async def scenario(server):
+            for k in range(2):
+                await server.handle(_allocate(load, k))
+            return server.telemetry.trace_tail(limit=100)
+
+        tail = _serve(optimizer, scenario)
+        buffer = TraceBuffer.from_jsonl(tail["jsonl"])
+        (batch,) = buffer.spans_named("serving.batch")
+        miss, hit = buffer.spans_named("serving.request")
+        assert miss.attributes["batch_span_id"] == batch.span_id
+        assert "memo_hit" not in miss.attributes
+        assert hit.attributes["memo_hit"] is True
+        assert hit.attributes["ok"] is True
+        assert hit.attributes["request_id"] == 1
+        assert not {"batch_span_id", "wait_seconds", "compute_seconds"} & set(
+            hit.attributes
+        )
+        assert hit.attributes["trace_id"] not in batch.attributes["trace_ids"]
+
+    def test_hit_while_draining_is_refused(self):
+        optimizer = _optimizer()
+        load = 0.4 * sum(optimizer.model.capacities)
+
+        async def main():
+            server = AllocationServer(optimizer, ServingConfig())
+            await server.start()
+            first = await server.handle(_allocate(load, 1))
+            drain = asyncio.create_task(server.drain())
+            await asyncio.sleep(0)
+            refused = await server.handle(_allocate(load, 2))
+            await drain
+            return first, refused, server.stats()
+
+        first, refused, stats = asyncio.run(main())
+        assert first["ok"]
+        assert refused["ok"] is False
+        assert refused["error"]["type"] == "ServingUnavailableError"
+        assert stats["answer_memo"]["hits"] == 0
+        assert stats["errors"] == {"allocate": 1}
+
+    def test_exclude_bypasses_the_memo(self):
+        optimizer = _optimizer()
+        load = 0.4 * sum(optimizer.model.capacities)
+        excluded = {"op": "allocate", "id": 2, "load": load, "exclude": [0]}
+
+        async def scenario(server):
+            first = await server.handle(_allocate(load, 1))
+            routed = [await server.handle(dict(excluded)) for _ in range(2)]
+            return first, routed, server.stats()
+
+        first, routed, stats = _serve(optimizer, scenario)
+        assert all(r["ok"] for r in routed)
+        assert stats["batches"] == 3
+        assert stats["answer_memo"] == {
+            "entries": 1, "body_bytes": stats["answer_memo"]["body_bytes"],
+            "hits": 0, "evictions": 0,
+        }
+        direct = optimizer.solve(load, exclude=[0])
+        for reply in routed:
+            assert reply["result"] is not first["result"]
+            assert 0 not in reply["result"]["on_ids"]
+            assert reply["result"]["on_ids"] == [
+                int(i) for i in direct.on_ids
+            ]
 
 
 class TestSocketTransports:

@@ -13,6 +13,7 @@ left out), and the Prometheus family names, types and count samples.
 import asyncio
 
 from repro import JointOptimizer, obs
+from repro.obs import TraceBuffer
 from repro.serving import AllocationServer, ServingConfig
 from repro.testbed.synthetic import make_system_model
 
@@ -133,9 +134,16 @@ class TestGoldenViews:
             "ServingUnavailableError"
         )
         assert replies["trace"]["result"]["events"] == 0
-        # 4 batches, 2 query_many passes (the memo hit's batch runs
-        # none) and 9 batched request spans.
-        assert replies["trace"]["result"]["spans"] == 15
+        # 3 batches, 2 query_many passes and 9 request spans: the memo
+        # hit is answered on admission and forms no batch.
+        assert replies["trace"]["result"]["spans"] == 14
+        buffer = TraceBuffer.from_jsonl(replies["trace"]["result"]["jsonl"])
+        hits = [
+            s for s in buffer.spans_named("serving.request")
+            if s.attributes.get("memo_hit")
+        ]
+        assert [s.attributes["request_id"] for s in hits] == [6]
+        assert "batch_span_id" not in hits[0].attributes
 
     def test_stats(self):
         replies, stats, _, _ = _scripted_views()
@@ -143,11 +151,13 @@ class TestGoldenViews:
             "ping": 1, "allocate": 9, "what-if": 1, "stats": 1,
             "telemetry": 2, "trace": 1,
         }
+        # The memo hit forms no batch: 3 batches carry 8 of the 9
+        # allocate and what-if requests.
         batches = {
-            "batches": 4,
-            "mean_batch_size": 2.25,
+            "batches": 3,
+            "mean_batch_size": 8 / 3,
             "max_batch_size": 6,
-            "batch_size_histogram": {"1": 3, "6": 1},
+            "batch_size_histogram": {"1": 2, "6": 1},
             "coalesced": 4,
         }
         memo = stats.pop("answer_memo")
@@ -188,6 +198,16 @@ class TestGoldenViews:
             },
         }
         assert stats["index_statuses"] >= 1
+        # Of the 10 allocate and what-if requests, two never reach the
+        # batcher: the one refused while draining and the memo hit.
+        refused = 1
+        assert sum(
+            int(size) * count
+            for size, count in stats["batch_size_histogram"].items()
+        ) == (
+            expected_requests["allocate"] + expected_requests["what-if"]
+            - refused - memo["hits"]
+        )
         # The stats reply counts itself and everything finished before.
         wire = replies["stats"]["result"]
         assert wire["requests"] == {
@@ -220,6 +240,8 @@ class TestGoldenViews:
         assert _windowed_counts(payload.pop("latency_ms")) == dict.fromkeys(
             HORIZONS, 15
         )
+        # The memo hit is a timed allocate request (9 above) that adds
+        # no batch-size sample (3 below).
         assert payload == {
             "window_seconds": 300.0,
             "horizons": [10.0, 60.0, 300.0],
@@ -227,8 +249,8 @@ class TestGoldenViews:
             "errors": _windowed_counter(2.0),
             "queue_depth": _windowed_values(0),
             "batch_size": _windowed_values(
-                4, mean=2.25, low=1.0, high=6.0, p50=1.0,
-                p99=_interpolated([1.0, 1.0, 1.0, 6.0], 99.0),
+                3, mean=8 / 3, low=1.0, high=6.0, p50=1.0,
+                p99=_interpolated([1.0, 1.0, 6.0], 99.0),
             ),
             "loop_lag_seconds": _windowed_values(0),
             "slo": {
@@ -239,7 +261,7 @@ class TestGoldenViews:
                 "failure": None,
             },
             "trace": {
-                "recent_spans": 15,
+                "recent_spans": 14,
                 "recent_events": 0,
                 "pending_export": 0,
             },
@@ -293,8 +315,10 @@ class TestGoldenViews:
             "repro_serving_invalid_requests_total": 2,
             "repro_serving_inflight": 0,
             "repro_serving_queue_depth": 0,
-            "repro_serving_batches_total": 4,
+            "repro_serving_batches_total": 3,
             "repro_serving_coalesced_total": 4,
+            # The memo hit counts here and in requests_total, not in
+            # batches_total.
             "repro_serving_answer_memo_hits_total": 1,
             "repro_serving_answer_memo_entries": 2,
             "repro_serving_watchdog_stalls_total": 0,
@@ -304,7 +328,7 @@ class TestGoldenViews:
         per_window = {
             "repro_serving_request_rate": [15.0 / float(h) for h in HORIZONS],
             "repro_serving_error_rate": [2.0 / float(h) for h in HORIZONS],
-            "repro_serving_batch_size_mean": [2.25] * 3,
+            "repro_serving_batch_size_mean": [8 / 3] * 3,
             "repro_serving_queue_depth_max": [0.0] * 3,
         }
         for name, values in per_window.items():
@@ -325,7 +349,7 @@ class TestGoldenViews:
         assert 'repro_serving_requests_total{op="telemetry"} 2' in lines
         assert 'repro_serving_requests_total{op="allocate"} 8' in lines
         assert 'repro_serving_errors_total{op="allocate"} 1' in lines
-        assert "repro_serving_batches_total 4" in lines
+        assert "repro_serving_batches_total 3" in lines
 
 
 class TestBenchmarkSurface:
