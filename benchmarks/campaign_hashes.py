@@ -2,13 +2,14 @@
 of one source tree.
 
 Runs six seeded, deterministic campaigns, two batches of refined
-queries, a batch of algebraic steady states and the paper's Algorithm
-1-2 tables and verbatim lookups, and prints one line per
-document: its name and the first 16 hex digits of the SHA-256 of its
-``json.dumps(doc, sort_keys=True)``.  A refactor of the closed loop
-(:func:`repro.faults.loop.march` and what it calls), of the refined
-query, of the steady-state solver or of Algorithm 1-2 that claims bit
-identity must leave all ten lines unchanged.  To compare two trees, run
+queries, a batch of algebraic steady states, the paper's Algorithm
+1-2 tables and verbatim lookups and a batch of closed-form solves, and
+prints one line per document: its name and the first 16 hex digits of
+the SHA-256 of its ``json.dumps(doc, sort_keys=True)``.  A refactor of
+the closed loop (:func:`repro.faults.loop.march` and what it calls), of
+the refined query, of the steady-state solver, of Algorithm 1-2 or of
+the closed form that claims bit identity must leave all eleven lines
+unchanged.  To compare two trees, run
 the script against each one's ``src`` and ``cmp`` the outputs::
 
     PYTHONPATH=base/src python benchmarks/campaign_hashes.py > base.txt
@@ -16,8 +17,8 @@ the script against each one's ``src`` and ``cmp`` the outputs::
     cmp base.txt head.txt
 
 With a directory argument the documents are also written there, one
-``<name>.json`` each, for a ``diff`` when a hash moves.  The ten runs
-take about 30 s on a two-core Xeon.
+``<name>.json`` each, for a ``diff`` when a hash moves.  The eleven
+runs take about 30 s on a two-core Xeon.
 
 The documents:
 
@@ -49,7 +50,13 @@ The documents:
   fitted seed-2012 n=20 index and of ``make_system_model(100)``'s, and
   the verbatim Algorithm-2 ``query()`` answer (or error) at n=500 for
   the loads of ``answers`` and two loads past the table's largest
-  ``Lmax``.
+  ``Lmax``;
+- ``closed-form`` — every ``ClosedFormSolution`` field (or the error)
+  of ``solve_closed_form`` for the fitted seed-2012 n=20 model and
+  ``make_system_model(20, t_max=343.15, alpha_spread=0.3)``: every
+  machine on from 1% of capacity (negative loads dropped) to near and
+  at capacity (capacity pins and the supply-temperature back-off), and
+  seeded ON sets up to 1.1x their capacity.
 """
 
 from __future__ import annotations
@@ -63,7 +70,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro import obs
 from repro.control.campaign import run_mpc_campaign
+from repro.core.closed_form import solve_closed_form
 from repro.core.optimizer import JointOptimizer
 from repro.errors import InfeasibleError
 from repro.experiments.common import default_context
@@ -243,11 +252,68 @@ def algorithm2() -> dict:
     return doc
 
 
+def _solution_fields(solution) -> dict:
+    """Every field of a ``ClosedFormSolution`` as JSON values."""
+    return {
+        field.name: np.asarray(getattr(solution, field.name)).tolist()
+        for field in dataclasses.fields(solution)
+    }
+
+
+def closed_form_solutions() -> dict:
+    """``solve_closed_form``'s solution (every field) or error on seeded
+    inputs reaching each repair path, the supply-temperature back-off
+    included, for the fitted seed-2012 n=20 model and for
+    ``make_system_model(20, t_max=343.15, alpha_spread=0.3)``."""
+    models = {
+        "n=20/fitted": default_context(seed=SEED, n_machines=20).model,
+        "n=20/synthetic": make_system_model(
+            20, t_max=343.15, alpha_spread=0.3
+        ),
+    }
+    rng = np.random.default_rng(SEED)
+    registry = obs.enable(obs.MetricsRegistry())
+    doc = {}
+    try:
+        for name, model in models.items():
+            every = list(range(model.node_count))
+            # Every machine on, from a light load (negative loads dropped)
+            # to near and at capacity (pins and back-off), then random
+            # ON sets up to 1.1x their capacity (idle machines too hot,
+            # no supply cold enough, over capacity).
+            cases = [
+                (every, fraction * model.total_capacity)
+                for fraction in [0.01, 0.05, 0.3, 0.6, 1.0]
+                + rng.uniform(0.85, 1.0, 40).tolist()
+            ]
+            for _ in range(60):
+                size = int(rng.integers(1, model.node_count + 1))
+                on_ids = sorted(
+                    rng.choice(model.node_count, size, replace=False).tolist()
+                )
+                capacity = sum(model.capacities[i] for i in on_ids)
+                cases.append((on_ids, float(rng.uniform(0.0, 1.1)) * capacity))
+            rows = []
+            for on_ids, load in cases:
+                try:
+                    row = _solution_fields(
+                        solve_closed_form(model, on_ids, load)
+                    )
+                except InfeasibleError as exc:
+                    row = f"{type(exc).__name__}: {exc}"
+                rows.append([on_ids, load, row])
+            doc[name] = rows
+    finally:
+        obs.disable()
+    assert registry.counter("closed_form.backoff_bisections").value > 0
+    return doc
+
+
 def documents():
     """``(name, document)`` for each of the six campaigns, in order,
     then the served answers through the optimizer's index and through
     pods and unequal capacities, then the steady states, then Algorithm
-    1-2's tables and verbatim answers."""
+    1-2's tables and verbatim answers, then the closed-form solves."""
     for quick in (True, False):
         results, doc = run_campaign(seed=SEED, n_machines=6, quick=quick)
         doc["fault_events"] = {
@@ -272,6 +338,7 @@ def documents():
     yield "answers-pods", pod_and_capacity_answers()
     yield "steady", steady_states()
     yield "algorithm2", algorithm2()
+    yield "closed-form", closed_form_solutions()
 
 
 def main(out: Optional[pathlib.Path]) -> None:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -195,7 +195,7 @@ def solve_closed_form(
             # must run colder than Eq. 21 suggests.  The shared temperature
             # is monotone increasing in t_ac, so bisect.
             t_ac = _backoff_supply_temperature(
-                model, on, idx, total_load, t_ac, enforce_capacity
+                model, on, idx, total_load, t_ac, common_t, enforce_capacity
             )
             loads, common_t, active = _active_set_loads(
                 model, on, idx, total_load, t_ac, enforce_capacity
@@ -394,32 +394,155 @@ def _backoff_supply_temperature(
     idx: np.ndarray,
     total_load: float,
     t_ac_high: float,
+    common_high: float,
     enforce_capacity: bool,
 ) -> float:
-    """Bisect the largest ``t_ac`` whose repaired loads respect ``T_max``."""
+    """Bisect the largest ``t_ac`` whose repaired loads respect ``T_max``.
+
+    ``common_high`` is the shared temperature the repair found at
+    ``t_ac_high``.  The loop is the plain bisection: its midpoints, its
+    test and its stop are those of the loop reference.  A midpoint
+    outside the bracket :func:`_certified_bracket` returns takes the
+    outcome the bracket certifies instead of a repair solve, so the
+    result is the bisection's to the bit.
+    """
+    t_max = model.t_max
+
+    def common_at(t_ac: float) -> float:
+        obs.count("closed_form.backoff_evaluations")
+        return _active_set_loads(
+            model, on, idx, total_load, t_ac, enforce_capacity
+        )[1]
+
     lo = model.cooler.t_ac_min
-    _, common_lo, _ = _active_set_loads(
-        model, on, idx, total_load, lo, enforce_capacity
-    )
-    if common_lo > model.t_max + 1e-6:
+    common_lo = common_at(lo)
+    if common_lo > t_max + 1e-6:
         raise InfeasibleError(
             f"load {total_load:.3f} cannot be served within T_max even at "
             f"the coldest supply temperature {lo:.2f} K"
         )
     hi = t_ac_high
+    below, above = _certified_bracket(
+        common_at, on, t_max, lo, common_lo, hi, common_high
+    )
     for _ in range(80):
         obs.count("closed_form.backoff_bisections")
         mid = 0.5 * (lo + hi)
-        _, common_mid, _ = _active_set_loads(
-            model, on, idx, total_load, mid, enforce_capacity
-        )
-        if common_mid > model.t_max:
+        if mid <= below:
+            over = False
+        elif mid >= above:
+            over = True
+        else:
+            over = common_at(mid) > t_max
+        if over:
             hi = mid
         else:
             lo = mid
         if hi - lo < 1e-9:
             break
     return lo
+
+
+#: Secant steps :func:`_certified_bracket` takes, two repair solves each.
+_SECANT_STEPS = 4
+
+
+def _certified_bracket(
+    common_at: Callable[[float], float],
+    on: ModelArrays,
+    t_max: float,
+    lo: float,
+    common_lo: float,
+    hi: float,
+    common_hi: float,
+) -> tuple[float, float]:
+    """``(below, above)``: the repair's computed shared temperature is
+    at most ``t_max`` at every ``t_ac <= below`` and above it at every
+    ``t_ac >= above`` (``-inf``/``inf`` when nothing is certified).
+
+    The exact shared temperature is continuous and non-decreasing in
+    ``t_ac``; on one active/pinned configuration it is affine with slope
+    ``sum(alpha_i * inv_i) / sum(inv_i)`` over the free machines, or
+    ``alpha_i`` of the hottest pinned one, so the slope is at least
+    ``min(alpha)`` over the ON set.  Each computed value is within
+    ``eps`` of the exact one, where ``eps`` is at most ``(2m + 6)`` unit
+    roundoffs of the temperature (``m`` sums of positive terms and a
+    few operations per term).  ``margin`` is ``8 (m + 6)`` unit
+    roundoffs of ``t_max``, at least ``2 eps``: where the computed
+    excess over ``t_max`` is below ``-margin`` at ``below``, the
+    computed excess at any smaller ``t_ac`` is below
+    ``-margin + 2 eps <= 0``, and symmetrically above ``above``.
+
+    The argument takes the repair's tolerance decisions as exact: where
+    a machine's load crosses the ``_TOL`` band of a drop or a pin, the
+    shared temperature steps by at most ``_TOL * beta_i * w1`` (about
+    1e-9 K), which the margin does not cover; such a step changes an
+    outcome only if it falls within about 1e-9 K of the root.
+    It also takes the repair's answer as the KKT point, which it is not
+    where a machine dropped at zero load would be re-admitted after a
+    later pin raised the temperature.
+
+    A secant iteration started from ``t_ac_high`` and ``t_ac_min``
+    (often on the root's piece already) estimates the root.  Repair
+    solves at ``root -+ delta``, with ``delta = 8 margin / min(alpha)``,
+    clear the margin on both sides once the estimate is within
+    ``7 margin / min(alpha)`` of the root, and otherwise feed the next
+    secant step.  Estimates that never clear leave the bracket wide, and
+    the bisection evaluates every midpoint inside it.
+    """
+    margin = (len(on.alpha) + 6) * 2.0**-50 * t_max
+    delta = 8.0 * margin / float(on.alpha.min())
+    below, above = -math.inf, math.inf
+    # The evaluated points nearest the root from below and from above.
+    left: tuple[float, float] | None = None
+    right: tuple[float, float] | None = None
+
+    def certify(t_ac: float, excess: float) -> None:
+        nonlocal below, above, left, right
+        if excess < -margin:
+            below = max(below, t_ac)
+        elif excess > margin:
+            above = min(above, t_ac)
+        if excess <= 0.0:
+            if left is None or t_ac > left[0]:
+                left = (t_ac, excess)
+        elif right is None or t_ac < right[0]:
+            right = (t_ac, excess)
+
+    certify(lo, common_lo - t_max)
+    certify(hi, common_hi - t_max)
+    # Each secant step continues from its probe nearer to the root; one
+    # that leaves the sign bracket falls back to the bracket's secant.
+    previous, latest = (hi, common_hi - t_max), (lo, common_lo - t_max)
+    root = lo if left is None else _secant(previous, latest)
+    for _ in range(_SECANT_STEPS):
+        probes = []
+        for t_ac in (root - delta, root + delta):
+            if lo < t_ac < hi and below < t_ac < above:
+                try:
+                    probes.append((t_ac, common_at(t_ac) - t_max))
+                except InfeasibleError:
+                    continue  # an uncertified point; the bisection decides
+                certify(*probes[-1])
+        if left is None or not probes or (
+            (below >= root - delta or root - delta <= lo)
+            and (above <= root + delta or root + delta >= hi)
+        ):
+            break
+        previous, latest = latest, min(probes, key=lambda p: abs(p[1]))
+        root = _secant(previous, latest)
+        if not left[0] < root < right[0]:
+            root = _secant(left, right)
+    return below, above
+
+
+def _secant(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Where the line through ``(t_ac, excess)`` points ``a``, ``b``
+    crosses zero."""
+    (x0, e0), (x1, e1) = a, b
+    if e1 == e0:
+        return math.nan
+    return x0 - e0 * (x1 - x0) / (e1 - e0)
 
 
 def kkt_multipliers(

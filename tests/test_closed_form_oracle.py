@@ -3,10 +3,14 @@
 ``repro.core.closed_form`` works on the model's coefficient arrays; the
 loops it replaced live in ``tests/oracles/closed_form.py``.  Both must
 agree bit for bit: every solution field (arrays compared by their
-bytes), every error's type and message, the active-set and bisection
-counters and the per-round trace events.  The cases cover the serving
-benchmark's 48 load levels, seeded random ON sets and loads, and inputs
-built to reach each repair path.
+bytes), every error's type and message, the bisection counter, and,
+where the solve does not back off the supply temperature, the
+active-set counter and the per-round trace events.  A back-off replays
+the reference's bisection step for step but skips the repair solves
+its certified bracket decides, so there it makes fewer rounds and
+events.  The cases cover the serving benchmark's 48 load levels, seeded
+random ON sets and loads, inputs built to reach each repair path and a
+seeded sweep of back-off inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.control.campaign import run_mpc_campaign
 from repro.core import closed_form as cf
+from repro.core.closed_form import optimal_supply_temperature
 from repro.core.model import ModelArrays
 from repro.core.optimizer import JointOptimizer
 from repro.errors import ReproError
@@ -25,7 +31,11 @@ from repro.obs.trace import TraceBuffer
 from repro.testbed.synthetic import make_system_model
 from tests.oracles import closed_form as oracle
 
-COUNTERS = ("closed_form.active_set_rounds", "closed_form.backoff_bisections")
+COUNTERS = (
+    "closed_form.active_set_rounds",
+    "closed_form.backoff_bisections",
+    "closed_form.backoff_evaluations",
+)
 
 
 def _same(x, y) -> bool:
@@ -88,8 +98,16 @@ def assert_solves_alike(model, on_ids, load, enforce_capacity=True):
             assert _same(a, b), (field.name, a, b)
     else:
         assert outcome == ref_outcome
-    assert counters == ref_counters
-    assert len(events) == len(ref_events)
+    rounds, bisections, evaluations = counters
+    ref_rounds, ref_bisections, _ = ref_counters
+    assert bisections == ref_bisections
+    # The reference solves once at t_ac_min and once per bisection step.
+    assert evaluations <= ref_bisections + 1
+    assert len(events) == rounds and len(ref_events) == ref_rounds
+    if ref_bisections:
+        assert rounds < ref_rounds
+        return outcome, counters
+    assert rounds == ref_rounds
     for a, b in zip(events, ref_events):
         assert a.keys() == b.keys()
         assert all(_same(a[k], b[k]) for k in a), (a, b)
@@ -222,6 +240,8 @@ def test_each_repair_path(t_max, fraction, path):
     elif path == "backoff":
         assert pinned > 0 and counters[1] > 0
         assert outcome.clamped
+        # 35 bisection steps, decided by at most 8 repair solves.
+        assert counters[2] <= 8
     else:
         assert path in outcome[1]
 
@@ -245,6 +265,118 @@ def test_errors_and_edges_match(on_ids, load, enforce_capacity):
     model = make_system_model(20, alpha_spread=0.3)
     assert_solves_alike(model, on_ids, load, enforce_capacity)
     assert_functions_alike(model, on_ids, load)
+
+
+# --------------------------------------------------------------------- #
+# Back-off inputs, drawn at its edges
+# --------------------------------------------------------------------- #
+
+
+def _common_at(model, on_ids, load, t_ac, enforce_capacity=True):
+    """The repair's shared temperature at ``t_ac``; it does not depend
+    on ``t_max``, so a model can be given the ``t_max`` that puts the
+    back-off's root where a case wants it."""
+    idx = np.array(on_ids, dtype=np.intp)
+    return cf._active_set_loads(
+        model, model.arrays.take(idx), idx, load, t_ac, enforce_capacity
+    )[1]
+
+
+def _backoff_case(rng, kind):
+    """``(model, on_ids, load, enforce_capacity)`` drawn for ``kind``."""
+    model = _random_model(rng, 20, float(rng.choice([0.1, 0.3])))
+    size = int(rng.integers(2, 21))
+    on_ids = sorted(rng.choice(20, size, replace=False).tolist())
+    capacity = sum(model.capacities[i] for i in on_ids)
+    t_min = model.cooler.t_ac_min
+    enforce = kind != "no capacity"
+    if kind in ("upward clamp", "no capacity"):
+        # Eq. 21 below the band: t_max a few K under the shared
+        # temperature at t_ac_min without capacity pins (which only
+        # raise it).
+        load = float(rng.uniform(0.5, 1.0)) * capacity
+        t_max = _common_at(model, on_ids, load, t_min, False)
+        t_max -= float(rng.uniform(0.1, 5.0))
+    elif kind == "all pinned":
+        load = capacity
+        t_max = _common_at(
+            model, on_ids, load, t_min + float(rng.uniform(0.5, 10.0))
+        )
+    else:
+        load = float(rng.uniform(0.85, 1.0)) * capacity
+        if kind == "root near t_ac_min":
+            t_ac = t_min + float(rng.uniform(0.0, 1e-9))
+            t_max = _common_at(model, on_ids, load, t_ac)
+        else:  # "common_lo just above t_max"
+            t_max = _common_at(model, on_ids, load, t_min)
+            t_max -= 10.0 ** float(rng.uniform(-13.0, -6.0))
+    return dataclasses.replace(model, t_max=t_max), on_ids, load, enforce
+
+
+BACKOFF_KINDS = (
+    "root near t_ac_min",
+    "common_lo just above t_max",
+    "all pinned",
+    "no capacity",
+    "upward clamp",
+)
+
+
+@pytest.mark.parametrize("kind", BACKOFF_KINDS)
+def test_backoff_edges_match_the_loops(kind):
+    """The certified back-off returns the bisection's ``t_ac`` where its
+    root sits within a step of ``t_ac_min`` or below it, where every
+    machine is pinned, and where Eq. 21 is clamped up (with and without
+    capacity limits)."""
+    rng = np.random.default_rng([31, BACKOFF_KINDS.index(kind)])
+    for _ in range(8):
+        model, on_ids, load, enforce = _backoff_case(rng, kind)
+        outcome, counters = assert_solves_alike(model, on_ids, load, enforce)
+        t_min = model.cooler.t_ac_min
+        if kind in ("upward clamp", "no capacity"):
+            assert optimal_supply_temperature(model, on_ids, load) < t_min
+            assert "coldest supply temperature" in outcome[1]
+            assert counters[1:] == (0, 1)
+            continue
+        assert counters[1] > 0
+        if kind == "all pinned":
+            assert isinstance(outcome, cf.ClosedFormSolution)
+            assert outcome.loads.sum() == pytest.approx(load)
+        elif isinstance(outcome, cf.ClosedFormSolution):
+            assert outcome.t_ac - t_min < 1e-9
+
+
+def test_campaign_backoffs_take_few_repair_solves():
+    """Every back-off of the seed-2012 n=20 MPC campaign returns the
+    loop bisection's ``t_ac`` from at most 8 repair solves (35 for the
+    bisection alone)."""
+    calls = []
+    backoff = cf._backoff_supply_temperature
+
+    def recording(model, on, idx, load, t_ac_high, common, enforce):
+        before = registry.counter("closed_form.backoff_evaluations").value
+        t_ac = backoff(model, on, idx, load, t_ac_high, common, enforce)
+        solves = registry.counter("closed_form.backoff_evaluations").value
+        calls.append(
+            (model, idx.tolist(), load, t_ac_high, enforce, t_ac,
+             solves - before)
+        )
+        return t_ac
+
+    registry = obs.enable(obs.MetricsRegistry())
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cf, "_backoff_supply_temperature", recording)
+            run_mpc_campaign(seed=2012, n_machines=20)
+    finally:
+        obs.disable()
+    assert len(calls) > 20
+    for model, on_ids, load, t_ac_high, enforce, t_ac, solves in calls:
+        assert solves <= 8
+        reference = oracle._backoff_supply_temperature(
+            oracle.loop_model(model), on_ids, load, t_ac_high, enforce
+        )
+        assert _same(t_ac, reference)
 
 
 def test_capacity_check_sums_like_the_loop():
