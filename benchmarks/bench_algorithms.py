@@ -15,7 +15,11 @@ import pytest
 from repro.core.closed_form import solve_closed_form
 from repro.core.consolidation import ConsolidationIndex
 from repro.core.optimizer import JointOptimizer
-from repro.experiments.algorithms import random_instance, run_algorithm_study
+from repro.experiments.algorithms import (
+    full_algorithm1,
+    random_instance,
+    run_algorithm_study,
+)
 from repro.testbed.synthetic import make_system_model
 
 
@@ -30,9 +34,11 @@ def test_algorithm_study(benchmark, emit):
 
 @pytest.mark.parametrize("n", [10, 20, 40])
 def test_algorithm1_preprocessing_scaling(benchmark, n):
+    """All of Algorithm 1 (:func:`full_algorithm1`), not just the
+    index's lazy build."""
     rng = np.random.default_rng(n)
     pairs = random_instance(rng, n)
-    benchmark(lambda: ConsolidationIndex(pairs, w2=38.0, rho=9000.0))
+    benchmark(full_algorithm1, pairs=pairs, w2=38.0, rho=9000.0)
 
 
 def test_algorithm2_online_query(benchmark):

@@ -3,13 +3,13 @@ of one source tree.
 
 Runs six seeded, deterministic campaigns, two batches of refined
 queries, a batch of algebraic steady states, the paper's Algorithm
-1-2 tables and verbatim lookups and a batch of closed-form solves, and
-prints one line per document: its name and the first 16 hex digits of
+1-2 tables and verbatim lookups, a batch of closed-form solves and the
+arrays of saved index documents, and prints one line per document: its name and the first 16 hex digits of
 the SHA-256 of its ``json.dumps(doc, sort_keys=True)``.  A refactor of
 the closed loop (:func:`repro.faults.loop.march` and what it calls), of
-the refined query, of the steady-state solver, of Algorithm 1-2 or of
-the closed form that claims bit identity must leave all eleven lines
-unchanged.  To compare two trees, run
+the refined query, of the steady-state solver, of Algorithm 1-2, of
+the closed form or of the saved index that claims bit identity must
+leave all twelve lines unchanged.  To compare two trees, run
 the script against each one's ``src`` and ``cmp`` the outputs::
 
     PYTHONPATH=base/src python benchmarks/campaign_hashes.py > base.txt
@@ -17,7 +17,7 @@ the script against each one's ``src`` and ``cmp`` the outputs::
     cmp base.txt head.txt
 
 With a directory argument the documents are also written there, one
-``<name>.json`` each, for a ``diff`` when a hash moves.  The eleven
+``<name>.json`` each, for a ``diff`` when a hash moves.  The twelve
 runs take about 30 s on a two-core Xeon.
 
 The documents:
@@ -56,7 +56,12 @@ The documents:
   ``make_system_model(20, t_max=343.15, alpha_spread=0.3)``: every
   machine on from 1% of capacity (negative loads dropped) to near and
   at capacity (capacity pins and the supply-temperature back-off), and
-  seeded ON sets up to 1.1x their capacity.
+  seeded ON sets up to 1.1x their capacity;
+- ``index-npz`` — dtype, shape and SHA-256 of every array
+  ``save_consolidation_index`` writes for the default index of
+  ``make_system_model(500)``, saved fresh and again after
+  ``solve_many`` has answered the serve levels, and for each pod of
+  ``make_system_model(100)`` split into 3 pods.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ import hashlib
 import json
 import pathlib
 import sys
+import tempfile
 from typing import Optional
 
 import numpy as np
@@ -74,6 +80,7 @@ from repro import obs
 from repro.control.campaign import run_mpc_campaign
 from repro.core.closed_form import solve_closed_form
 from repro.core.optimizer import JointOptimizer
+from repro.core.serialization import save_consolidation_index
 from repro.errors import InfeasibleError
 from repro.experiments.common import default_context
 from repro.faults.campaign import run_campaign
@@ -309,11 +316,46 @@ def closed_form_solutions() -> dict:
     return doc
 
 
+def _saved_arrays(index) -> dict:
+    """``[dtype, shape, SHA-256]`` of every array of ``index``'s saved
+    ``.npz`` document (the zip container itself is not hashed: it
+    stamps the write time)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_consolidation_index(index, pathlib.Path(tmp) / "i.npz")
+        with np.load(path, allow_pickle=False) as data:
+            return {
+                name: [
+                    data[name].dtype.str,
+                    list(data[name].shape),
+                    hashlib.sha256(data[name].tobytes()).hexdigest(),
+                ]
+                for name in data.files
+            }
+
+
+def saved_indexes() -> dict:
+    """The saved documents of the n=500 default index, fresh and after
+    serving the serve levels, and of the 3 pods of an n=100 index."""
+    model = make_system_model(n=500)
+    served = JointOptimizer(model)
+    served.solve_many(_loads(model, 0))
+    doc = {
+        "n=500": _saved_arrays(JointOptimizer(model).index),
+        "n=500/after-serve": _saved_arrays(served.index),
+    }
+    assert doc["n=500"] == doc["n=500/after-serve"]
+    pods = JointOptimizer(make_system_model(n=100), pods=3).query_index
+    for p, index in enumerate(pods.indexes):
+        doc[f"n=100/pods=3/pod={p}"] = _saved_arrays(index)
+    return doc
+
+
 def documents():
     """``(name, document)`` for each of the six campaigns, in order,
     then the served answers through the optimizer's index and through
     pods and unequal capacities, then the steady states, then Algorithm
-    1-2's tables and verbatim answers, then the closed-form solves."""
+    1-2's tables and verbatim answers, then the closed-form solves,
+    then the saved index documents."""
     for quick in (True, False):
         results, doc = run_campaign(seed=SEED, n_machines=6, quick=quick)
         doc["fault_events"] = {
@@ -339,6 +381,7 @@ def documents():
     yield "steady", steady_states()
     yield "algorithm2", algorithm2()
     yield "closed-form", closed_form_solutions()
+    yield "index-npz", saved_indexes()
 
 
 def main(out: Optional[pathlib.Path]) -> None:

@@ -17,19 +17,30 @@ another.
   ``k``-prefix of the order recorded for that event.
 
 The pre-processing is implemented as a vectorized numpy pipeline so the
-index scales to hundreds of machines: events come from one pairwise
-broadcast over the upper triangle and orders from a batched stable
-argsort over the event-time grid.  The event list and the order rows
-are the whole build (and the whole persisted document): the refined
-sweep reads nothing else.  The ``allStatus`` table is a function of
-them — ``Lmax`` is a row-wise cumulative sum of the coordinates in
-each order — so it is derived on the first Algorithm-2 lookup and kept
-(column-oriented: parallel row/``k``/``Lmax`` arrays sorted by
-``Lmax``); :class:`Status` objects and the ``orders`` mapping are
-materialized lazily for API compatibility.  The equivalence tests pin
-the rows and the table bit for bit against a pure-Python reference
-build of the paper's listing, kept as a test oracle in
-``tests/oracles/``.
+index scales to hundreds of machines, and it is lazy: the build is one
+pairwise broadcast over the upper triangle for the crossing times and
+the sorted distinct event times they give.  Everything else Algorithm
+1 holds is derived the first time something reads it and kept:
+
+- order row ``r`` (a stable argsort of the coordinates just after
+  ``times[r]``), by :meth:`ConsolidationIndex._order_row` — the refined
+  sweep reads a handful of rows per distinct load;
+- the whole order matrix, the chronological event arrays and the
+  ``allStatus`` table, for the whole-table readers (``save``,
+  ``order_timeline``, ``events``, Algorithm 2): one bulk fill runs the
+  same row derivation, batched, over the rows no query has read.
+  ``Lmax`` is a row-wise cumulative sum of the coordinates in each
+  order, so the table (column-oriented: parallel row/``k``/``Lmax``
+  arrays sorted by ``Lmax``) is derived on the first Algorithm-2
+  lookup.
+
+The event list and the order rows are the whole persisted document,
+the same bytes whichever rows were derived first, and a loaded document
+holds every row.  :class:`Status` objects and the ``orders`` mapping
+are materialized lazily for API compatibility.  The equivalence tests
+pin the rows, one at a time and in bulk, and the table bit for bit
+against a pure-Python reference build of the paper's listing, kept as a
+test oracle in ``tests/oracles/``.
 
 Implementation notes (documented deviations, none affecting complexity):
 
@@ -38,8 +49,10 @@ Implementation notes (documented deviations, none affecting complexity):
   inputs (simultaneous crossings, duplicated pairs) where the paper's
   swap would require a generic-position assumption, and Algorithm 1's
   cost stays O(n^3 log n), dominated — exactly as in the paper — by
-  sorting the O(n^3) statuses (now paid at the first verbatim
-  :meth:`ConsolidationIndex.query`).  The "just after" nudge is
+  sorting the O(n^3) statuses, but it is paid as it is read: the build
+  costs O(n^2 log n) (the event times), a row O(n log n) on its first
+  read, and the statuses at the first verbatim
+  :meth:`ConsolidationIndex.query`.  The "just after" nudge is
   gap-aware: it never exceeds half the distance to the next event time,
   so near-coincident crossings are not skipped over (events closer than
   one ulp of the grid remain indistinguishable, as they must be in
@@ -187,7 +200,7 @@ class _OrdersView(_MappingABC):
 
     def __getitem__(self, t: float) -> list[int]:
         row = self._index._row_of_time(float(t))
-        return self._index._orders_mat[row].tolist()
+        return self._index._order_row(row).tolist()
 
     def __iter__(self) -> Iterator[float]:
         return iter(float(t) for t in self._index._times)
@@ -332,7 +345,7 @@ class RatioSweep:
         key = (p, row)
         cached = self._row_cache.get(key)
         if cached is None:
-            order = index._orders_mat[row]
+            order = index._order_row(row)
             cached = (
                 order.astype(np.int64) + start,
                 index._a[order],
@@ -780,6 +793,11 @@ class ConsolidationIndex(RatioSweep):
             else (self._a, self._b, self._caps)
         )
         # Lazy caches (filled on demand; never persisted).
+        self._crossings: Optional[tuple] = None
+        self._event_cache: Optional[
+            tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = None
+        self._nudged: Optional[np.ndarray] = None
         self._events_cache: Optional[list[Event]] = None
         self._row_by_time: Optional[dict[float, int]] = None
         self._time_list: Optional[list[float]] = None
@@ -836,12 +854,29 @@ class ConsolidationIndex(RatioSweep):
                 "consolidation index tables are inconsistent "
                 "(corrupt or mismatched document)"
             )
-        index._event_t = np.asarray(event_t, dtype=np.float64)
-        index._event_p = np.asarray(event_p, dtype=np.int32)
-        index._event_q = np.asarray(event_q, dtype=np.int32)
-        index._times = times
-        index._orders_mat = orders_mat
+        index._adopt_tables(event_t, event_p, event_q, times, orders_mat)
         return index
+
+    def _adopt_tables(
+        self,
+        event_t: np.ndarray,
+        event_p: np.ndarray,
+        event_q: np.ndarray,
+        times: np.ndarray,
+        orders_mat: np.ndarray,
+    ) -> None:
+        """Take complete tables: the chronological event arrays, and
+        ``orders_mat`` as the row store with every row derived."""
+        self._event_cache = (
+            np.asarray(event_t, dtype=np.float64),
+            np.asarray(event_p, dtype=np.int32),
+            np.asarray(event_q, dtype=np.int32),
+        )
+        self._event_count = int(self._event_cache[0].shape[0])
+        self._times = np.asarray(times, dtype=np.float64)
+        self._row_store = np.asarray(orders_mat, dtype=np.int32)
+        self._row_done = np.ones(self._times.shape[0], dtype=bool)
+        self._rows_pending = 0
 
     # ------------------------------------------------------------------ #
     # Algorithm 1
@@ -859,9 +894,12 @@ class ConsolidationIndex(RatioSweep):
         obs.set_gauge("consolidation.statuses", self.status_count)
 
     def _build_tables(self) -> None:
-        """Vectorized Algorithm 1: one broadcast for events, one batched
-        argsort for the order rows (the ``allStatus`` table is derived
-        from them on demand, see :meth:`_status_table`)."""
+        """Vectorized Algorithm 1, up to the event times: one broadcast
+        for the crossings.  The chronological event arrays
+        (:meth:`_event_table`) and each order row (:meth:`_order_row`)
+        are sorted the first time something reads them, the
+        ``allStatus`` table derived from the rows on demand
+        (:meth:`_status_table`)."""
         a, b = self._a, self._b
         n = a.shape[0]
         # Events: x_i and x_j cross at t = (a_i - a_j) / (b_i - b_j).
@@ -870,26 +908,90 @@ class ConsolidationIndex(RatioSweep):
         p, q = iu[meets], ju[meets]
         t = (a[p] - a[q]) / (b[p] - b[q])
         future = t > 0.0  # met in the past (or never, given t >= 0)
-        t, p, q = t[future], p[future], q[future]
-        by_time = np.lexsort((q, p, t))
-        self._event_t = np.ascontiguousarray(t[by_time])
-        self._event_p = np.ascontiguousarray(p[by_time].astype(np.int32))
-        self._event_q = np.ascontiguousarray(q[by_time].astype(np.int32))
-        # Distinct tabulation times: t = 0 plus every (unique) event time.
-        times = np.unique(np.concatenate((np.zeros(1), self._event_t)))
-        self._times = times
-        # Orders just after each time: nudge by at most half the gap to
-        # the next event so near-coincident crossings are not skipped.
-        eps = _EPSILON_SCALE * np.maximum(1.0, np.abs(times))
-        if times.shape[0] > 1:
-            eps[:-1] = np.minimum(eps[:-1], 0.5 * np.diff(times))
-        neg = a[None, :] - (times + eps)[:, None] * b[None, :]
+        self._crossings = (t[future], p[future], q[future])
+        self._event_count = int(self._crossings[0].shape[0])
+        # Distinct tabulation times: t = 0 plus every (unique) event
+        # time; unique sorts, so the crossings need not be in order.
+        self._times = np.unique(np.concatenate((np.zeros(1), t[future])))
+        m = self._times.shape[0]
+        self._row_store = np.empty((m, n), dtype=np.int32)
+        self._row_done = np.zeros(m, dtype=bool)
+        self._rows_pending = m
+
+    def _event_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The events as chronological ``(t, p, q)`` arrays, sorted on
+        first read and kept.
+
+        ``triu_indices`` emits the crossings in ``(p, q)`` order, so a
+        stable sort by ``t`` breaks equal times by ``p``, then ``q``.
+        """
+        if self._event_cache is None:
+            t, p, q = self._crossings
+            by_time = np.argsort(t, kind="stable")
+            self._event_cache = (
+                t[by_time],
+                p[by_time].astype(np.int32),
+                q[by_time].astype(np.int32),
+            )
+            self._crossings = None
+        return self._event_cache
+
+    @property
+    def _event_t(self) -> np.ndarray:
+        return self._event_table()[0]
+
+    @property
+    def _event_p(self) -> np.ndarray:
+        return self._event_table()[1]
+
+    @property
+    def _event_q(self) -> np.ndarray:
+        return self._event_table()[2]
+
+    def _derive_rows(self, rows) -> None:
+        """Sort order rows ``rows`` (table row numbers) into the row
+        store: the one row derivation, for a single row on first read
+        and for every missing row at once in the bulk fill.
+
+        Row ``r`` is the particle order just after ``times[r]``: the
+        coordinates at ``times[r]`` nudged by at most half the gap to
+        the next event time, so near-coincident crossings are not
+        skipped.  A stable argsort of the negated coordinates puts
+        them in descending order with ties to the lower index (the
+        Python reference's exact tie rule), and each row sorts alone,
+        so a row is the same whichever call derives it.
+        """
+        nudged = self._nudged
+        if nudged is None:
+            times = self._times
+            eps = _EPSILON_SCALE * np.maximum(1.0, np.abs(times))
+            if times.shape[0] > 1:
+                eps[:-1] = np.minimum(eps[:-1], 0.5 * np.diff(times))
+            nudged = self._nudged = times + eps
+        neg = self._a[None, :] - nudged[rows][:, None] * self._b[None, :]
         np.negative(neg, out=neg)
-        # Stable rowwise argsort == descending coordinates with ties to
-        # the lower index (the Python reference's exact tie rule).
-        self._orders_mat = np.argsort(neg, axis=1, kind="stable").astype(
-            np.int32
-        )
+        self._row_store[rows] = np.argsort(neg, axis=1, kind="stable")
+        self._row_done[rows] = True
+        self._rows_pending -= len(rows)
+        obs.count("consolidation.order_rows_derived", len(rows))
+
+    def _order_row(self, row: int) -> np.ndarray:
+        """Order row ``row``, derived on first read and kept.
+
+        Like the query caches, the row store is not thread-safe: the
+        serving daemon touches it only from its compute thread.
+        """
+        if not self._row_done[row]:
+            self._derive_rows([row])
+        return self._row_store[row]
+
+    @property
+    def _orders_mat(self) -> np.ndarray:
+        """Every order row as one ``(len(times), n)`` matrix: the bulk
+        fill derives the rows no query has read yet."""
+        if self._rows_pending:
+            self._derive_rows(np.flatnonzero(~self._row_done))
+        return self._row_store
 
     def _status_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``allStatus`` table as parallel ``(row, k, Lmax)`` arrays
@@ -924,9 +1026,7 @@ class ConsolidationIndex(RatioSweep):
         if self._events_cache is None:
             self._events_cache = [
                 Event(t=float(t), p=int(p), q=int(q))
-                for t, p, q in zip(
-                    self._event_t, self._event_p, self._event_q
-                )
+                for t, p, q in zip(*self._event_table())
             ]
         return self._events_cache
 
@@ -962,7 +1062,7 @@ class ConsolidationIndex(RatioSweep):
 
     def _prefix_set(self, row: int, k: int) -> list[int]:
         """The sorted ``k``-prefix of the order at table row ``row``."""
-        return np.sort(self._orders_mat[row, :k]).tolist()
+        return np.sort(self._order_row(row)[:k]).tolist()
 
     # ------------------------------------------------------------------ #
     # Algorithm 2
@@ -971,7 +1071,7 @@ class ConsolidationIndex(RatioSweep):
     @property
     def event_count(self) -> int:
         """Number of pairwise passing events (at most n*(n-1)/2)."""
-        return int(self._event_t.shape[0])
+        return self._event_count
 
     @property
     def status_count(self) -> int:
@@ -1048,7 +1148,7 @@ class ConsolidationIndex(RatioSweep):
             return super()._topk_sums(t, k)
         sums = self._prefix_cache.get(row)
         if sums is None:
-            sums = self._coef_rows.take(self._orders_mat[row], axis=1)
+            sums = self._coef_rows.take(self._order_row(row), axis=1)
             np.cumsum(sums, axis=1, out=sums)
             if len(self._prefix_cache) >= self._prefix_rows:
                 self._prefix_cache.pop(next(iter(self._prefix_cache)))

@@ -2,8 +2,12 @@
 
 The paper's pre-processing is O(n^3 log n) — vectorizing bought ~40x
 (see ``benchmarks/bench_consolidation_scale.py``) but the cubic term
-still walls out near n = 500 (~8.5 s build, 31.7M status rows).  This
-module takes the system from hundreds to thousands of machines by
+still walls out near n = 500: the scale bench's n = 500 instance has
+63,407 events, so its full tables hold 63,408 order rows and 31.7M
+statuses, ~5 s of Algorithm 1 on a two-core Xeon.  The monolithic
+index's build is only the event times (~7 ms there) and sorts an order
+row when a query first reads it, but the rows a query reads, and the
+whole tables a save reads, still grow as n^3.  This module takes the system from hundreds to thousands of machines by
 partitioning the room into *pods* (contiguous machine-id ranges, the
 same grouping rule as :class:`repro.testbed.multirack.MultiRackConfig`
 racks and the thermal zones in :mod:`repro.thermal.zonal`) and building
@@ -103,9 +107,9 @@ def default_pod_count(n: int) -> int:
 def _pod_build_worker(spec: dict) -> dict:
     """Build one pod's tables in a worker process.
 
-    Returns the event arrays and order rows (not the index object) so
-    the payload pickles cheaply and the parent re-assembles via
-    :meth:`ConsolidationIndex._from_tables`.
+    Returns the event arrays and every order row (the bulk fill; not
+    the index object) so the payload pickles cheaply and the parent
+    re-assembles via :meth:`ConsolidationIndex._from_tables`.
     """
     index = ConsolidationIndex(**spec)
     return {

@@ -316,13 +316,14 @@ class AllocationServer:
 
     def _warm_start(self) -> None:
         """Force the index build (or ``.npz`` cache load) before the
-        first request, so no client pays the O(n^3 log n) cold start.
+        first request.
 
-        The refined sweep's caches fill lazily, each as a query first
-        touches it: the order rows' top-k prefix sums (and the event
-        times they are located by), the per-ratio merge evaluations and
-        the order-aligned row arrays.  Building any of them here would
-        only move that cost into start-up."""
+        The build is Algorithm 1's event times alone (~4 ms at n=500).
+        Everything else fills lazily, as a query first touches it: each
+        order row (one sort), its top-k prefix sums, the per-ratio merge
+        evaluations and the order-aligned row arrays.  The 48 serve
+        levels at n=500 read one order row of 1,613, so building the
+        rest here would only move unread work into start-up."""
         with obs.timed("serving/warm_start"):
             index = self.optimizer.query_index
         self.index_statuses = index.status_count

@@ -42,9 +42,6 @@ class LoopConsolidationIndex(ConsolidationIndex):
                     continue  # met in the past (or never, given t >= 0)
                 events.append((pass_time, i, j))
         events.sort()
-        self._event_t = np.array([e[0] for e in events], dtype=np.float64)
-        self._event_p = np.array([e[1] for e in events], dtype=np.int32)
-        self._event_q = np.array([e[2] for e in events], dtype=np.int32)
         times = sorted({0.0, *(e[0] for e in events)})
         order_rows: list[list[int]] = []
         for row, t in enumerate(times):
@@ -53,9 +50,12 @@ class LoopConsolidationIndex(ConsolidationIndex):
                 eps = min(eps, 0.5 * (times[row + 1] - t))
             xn = self._coordinates(t + eps)
             order_rows.append(sorted(range(n), key=lambda i: (-xn[i], i)))
-        self._times = np.array(times, dtype=np.float64)
-        self._orders_mat = np.array(order_rows, dtype=np.int32).reshape(
-            len(times), n
+        self._adopt_tables(
+            np.array([e[0] for e in events], dtype=np.float64),
+            np.array([e[1] for e in events], dtype=np.int32),
+            np.array([e[2] for e in events], dtype=np.int32),
+            np.array(times, dtype=np.float64),
+            np.array(order_rows, dtype=np.int32).reshape(len(times), n),
         )
 
     def _status_table(self):

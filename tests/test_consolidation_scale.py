@@ -11,7 +11,9 @@ Covers the scale PR's contract:
 - the band-clamped fallback keeps ``query_refined``
   feasibility-consistent with the faithful ``query``;
 - ``query_many`` batching, the result memo, and the persistence
-  round-trip (``save``/``load``/``JointOptimizer(index_cache_dir=...)``).
+  round-trip (``save``/``load``/``JointOptimizer(index_cache_dir=...)``);
+- the lazy tables: order rows sorted one at a time on first read equal
+  the bulk fill and the oracle, and serving never reads whole tables.
 """
 
 import numpy as np
@@ -648,3 +650,165 @@ class TestStatusTableOnDemand:
                 tmp_path / f"consolidation-{pod.cache_key[:24]}.npz",
                 expected_key=pod.cache_key,
             )
+
+
+def _forbid_bulk_fill(monkeypatch):
+    """Make reading the whole order matrix or the chronological event
+    arrays (the bulk fill and the event sort) fail the test."""
+
+    def read(index):
+        raise AssertionError("the whole Algorithm-1 tables were read")
+
+    monkeypatch.setattr(ConsolidationIndex, "_orders_mat", property(read))
+    monkeypatch.setattr(ConsolidationIndex, "_event_table", read)
+
+
+def _derive_one_at_a_time(index, rows):
+    """Derive ``rows`` through the per-row reader, in that order."""
+    for row in rows:
+        index._order_row(int(row))
+
+
+def _tie_heavy_spec():
+    """Small integer coefficients: many coincident event times, equal
+    coordinates and parallel particles."""
+    rng = np.random.default_rng(5)
+    a = rng.integers(1, 6, 14)
+    b = rng.integers(1, 4, 14)
+    return {
+        "pairs": [(float(x), float(y)) for x, y in zip(a, b)],
+        "w2": 3.0,
+        "rho": 20.0,
+    }
+
+
+_ROW_SPECS = {
+    "tie-heavy": _tie_heavy_spec(),
+    "near-coincident": {
+        "pairs": TestGapAwareNudge.PAIRS, "w2": 1.0, "rho": 1.0,
+    },
+    "n=1": {"pairs": [(10.0, 2.0)], "w2": 1.0, "rho": 1.0},
+    "n=2": {"pairs": [(10.0, 1.0), (11.0, 2.0)], "w2": 1.0, "rho": 1.0},
+    "random": _random_spec(np.random.default_rng(17), 13),
+}
+
+
+class TestOrderRowsOnDemand:
+    """The build keeps the event times only: each order row is sorted
+    the first time something reads it, and the whole-table readers get
+    the rows no query read from one bulk fill, the same bytes either
+    way."""
+
+    @pytest.mark.parametrize("name", sorted(_ROW_SPECS))
+    def test_rows_one_at_a_time_equal_bulk_and_oracle(self, name):
+        spec = _ROW_SPECS[name]
+        lazy = ConsolidationIndex(**spec)
+        m = lazy._times.shape[0]
+        assert lazy._rows_pending == m
+        # Reverse order: no row relies on an earlier one.
+        _derive_one_at_a_time(lazy, range(m - 1, -1, -1))
+        assert lazy._rows_pending == 0
+        bulk = ConsolidationIndex(**spec)._orders_mat
+        oracle = LoopConsolidationIndex(**spec)._orders_mat
+        assert lazy._row_store.dtype == bulk.dtype == oracle.dtype
+        assert np.array_equal(lazy._row_store, bulk)
+        assert np.array_equal(lazy._row_store, oracle)
+
+    @pytest.mark.parametrize("name", sorted(_ROW_SPECS))
+    def test_partial_derivation_then_bulk_fill(self, name):
+        spec = _ROW_SPECS[name]
+        mixed = ConsolidationIndex(**spec)
+        m = mixed._times.shape[0]
+        _derive_one_at_a_time(mixed, range(0, m, 3))
+        assert mixed._rows_pending == m - len(range(0, m, 3))
+        assert np.array_equal(
+            mixed._orders_mat, LoopConsolidationIndex(**spec)._orders_mat
+        )
+
+    def test_every_row_at_serving_size(self):
+        index = JointOptimizer(make_system_model(n=500)).index
+        assert index._times.shape == (1613,)
+        _derive_one_at_a_time(index, range(1613))
+        bulk = ConsolidationIndex(
+            index.pairs, index.w2, index.rho, index.theta0,
+            index.t_min, index.t_max, index.capacities,
+        )._orders_mat
+        assert np.array_equal(index._row_store, bulk)
+
+    def test_counts_answer_without_deriving(self, rng):
+        spec = _random_spec(rng, 12)
+        registry = obs.enable(MetricsRegistry())
+        try:
+            index = ConsolidationIndex(**spec)
+        finally:
+            obs.disable()
+        oracle = LoopConsolidationIndex(**spec)
+        assert index.event_count == oracle.event_count
+        assert index.status_count == oracle.status_count
+        assert index._event_cache is None
+        assert index._rows_pending == index._times.shape[0]
+        counters = registry.snapshot()["counters"]
+        assert "consolidation.order_rows_derived" not in counters
+
+    def test_save_after_partial_derivation(self, rng, tmp_path):
+        spec = _random_spec(rng, 12)
+        partial = ConsolidationIndex(**spec)
+        partial.query_many(
+            rng.uniform(10.0, 0.8 * sum(spec["capacities"]), 8).tolist()
+        )
+        assert 0 < partial._rows_pending < partial._times.shape[0]
+        full = ConsolidationIndex(**spec)
+        full._orders_mat
+        paths = [
+            index.save(tmp_path / f"{name}.npz")
+            for name, index in (("partial", partial), ("full", full))
+        ]
+        with np.load(paths[0]) as mine, np.load(paths[1]) as theirs:
+            assert set(mine.files) == set(theirs.files) == _NPZ_KEYS
+            for key in mine.files:
+                assert mine[key].dtype == theirs[key].dtype, key
+                assert np.array_equal(mine[key], theirs[key]), key
+
+    def test_loaded_document_has_every_row(self, rng, tmp_path):
+        index = ConsolidationIndex(**_random_spec(rng, 9))
+        loaded = ConsolidationIndex.load(index.save(tmp_path / "i.npz"))
+        assert loaded._rows_pending == 0
+        assert loaded._row_done.all()
+
+    def test_counter_counts_both_derivations(self, rng):
+        registry = obs.enable(MetricsRegistry())
+        try:
+            index = ConsolidationIndex(**_random_spec(rng, 10))
+            index._order_row(1)
+            index._order_row(1)  # kept: not derived twice
+            index._orders_mat
+            index._orders_mat  # complete: no second fill
+        finally:
+            obs.disable()
+        counters = registry.snapshot()["counters"]
+        assert counters["consolidation.order_rows_derived"] == (
+            index._times.shape[0]
+        )
+
+    def test_warm_start_and_serve_levels_skip_the_bulk_fill(
+        self, monkeypatch
+    ):
+        from repro.serving import AllocationServer
+
+        model = make_system_model(n=500)
+        optimizer = JointOptimizer(model)
+        _forbid_bulk_fill(monkeypatch)
+        AllocationServer(optimizer)._warm_start()
+        capacity = model.total_capacity
+        loads = np.linspace(0.1 * capacity, 0.8 * capacity, 48).tolist()
+        registry = obs.enable(MetricsRegistry())
+        try:
+            results = optimizer.solve_many(loads)
+        finally:
+            obs.disable()
+        assert all(hasattr(result, "on_ids") for result in results)
+        index = optimizer.index
+        derived = int(index._row_done.sum())
+        assert 0 < derived < index._times.shape[0] // 100
+        counters = registry.snapshot()["counters"]
+        assert counters["consolidation.order_rows_derived"] == derived
